@@ -12,6 +12,7 @@ Usage: python scripts/descend_demo.py [n] [trace_prefix]
 import sys
 
 from mincop import descend, kendall_tau, make_basic, tau_cm_defect
+from mincop.negdep import trace_csv
 
 
 def run(name: str, C, n: int, prefix: str | None) -> None:
@@ -29,12 +30,7 @@ def run(name: str, C, n: int, prefix: str | None) -> None:
     if prefix:
         path = f"{prefix}_{name}.csv"
         with open(path, "w") as fh:
-            fh.write("iteration,kendall_integral,rho,defect,p,coarsened,adjustment\n")
-            for s in res.trace:
-                fh.write(
-                    f"{s.iteration},{s.kendall_integral:.12g},{s.rho:.12g},"
-                    f"{s.defect:.12g},{s.p:.12g},{str(s.coarsened).lower()},{s.adjustment:.3g}\n"
-                )
+            fh.write(trace_csv(res.trace))
         print(f"   trace written to {path}")
 
 

@@ -30,8 +30,9 @@ def main() -> int:
         "nu1_of_M_d3": make_reflected_upper(3, [0]),
         "all_reflections_d3": mixture_all_reflections(3),
     }
-    for name, C in clouds.items():
-        pts = sample(C, seed=hash(name) % 2**31, n=n)
+    # fixed seeds: one per cloud, in the order above
+    for seed, (name, C) in enumerate(clouds.items()):
+        pts = sample(C, seed=seed, n=n)
         path = os.path.join(outdir, f"{name}.csv")
         with open(path, "w") as fh:
             fh.write(",".join(f"u{k + 1}" for k in range(C.dim)) + "\n")

@@ -29,6 +29,7 @@ from .negdep import (
     hyperplane_mass,
     refute_minimality,
     tau_cm_certificate,
+    trace_csv,
 )
 from .order import concordance_leq, pointwise_leq
 from .reference_values import build_rows, rows_to_csv
@@ -78,6 +79,14 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _numbers(text: str, kind=float) -> list:
+    """A comma-separated list of numbers from the command line."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _order_doc(res) -> dict:
     return {
         "relation": res.relation,
@@ -103,7 +112,7 @@ def _report_doc(rep) -> dict:
 
 def _cmd_eval(args) -> int:
     C = serialize.load(args.copula)
-    u = [float(x) for x in args.point.split(",")]
+    u = _numbers(args.point)
     value = C.survival_value(u) if args.survival else C.cdf(u)
     _emit(
         {
@@ -153,9 +162,9 @@ def _cmd_order(args) -> int:
 def _cmd_transform(args) -> int:
     C = serialize.load(args.copula)
     if args.reflect:
-        C = reflect(C, [int(k) for k in args.reflect.split(",")])
+        C = reflect(C, _numbers(args.reflect, int))
     if args.permute:
-        C = permute(C, [int(k) for k in args.permute.split(",")])
+        C = permute(C, _numbers(args.permute, int))
     if args.discretize:
         C = discretize(C, args.discretize)
     _emit(serialize.to_spec(C), args.out, args.format)
@@ -193,13 +202,7 @@ def _cmd_descend(args) -> int:
     C = serialize.load(args.copula)
     res = descend(C, n=args.n, max_iter=args.max_iter, tol=args.tol)
     if args.trace_out:
-        lines = ["iteration,kendall_integral,rho,defect,p,coarsened,adjustment"]
-        for s in res.trace:
-            lines.append(
-                f"{s.iteration},{s.kendall_integral:.12g},{s.rho:.12g},"
-                f"{s.defect:.12g},{s.p:.12g},{str(s.coarsened).lower()},{s.adjustment:.3g}"
-            )
-        _write_text("\n".join(lines) + "\n", args.trace_out)
+        _write_text(trace_csv(res.trace), args.trace_out)
     doc = {
         "schema_version": REPORT_VERSION,
         "status": res.status,
@@ -212,9 +215,9 @@ def _cmd_descend(args) -> int:
 
 
 def _parse_hyperplane(path: str) -> HyperplaneSpec:
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
         g = tuple(
             GFunc(
                 form=gd["form"],
@@ -224,8 +227,8 @@ def _parse_hyperplane(path: str) -> HyperplaneSpec:
             )
             for gd in doc["g"]
         )
-        return HyperplaneSpec(tuple(doc["K"]), g, float(doc["c"]))
-    except (KeyError, TypeError) as exc:
+        return HyperplaneSpec(tuple(int(k) for k in doc["K"]), g, float(doc["c"]))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"{path}: malformed hyperplane spec ({exc})") from None
 
 

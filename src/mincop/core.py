@@ -75,6 +75,8 @@ __all__ = [
 # absorbed into results.
 EXACT_TOL = 1e-9
 CONSTRUCTION_TOL = 1e-12
+# cut points closer than this are one cut (see merge_cuts)
+CUT_GAP = 1e-13
 
 _DIMENSION_CAP = 6
 
@@ -115,6 +117,8 @@ def as_points(u, dim: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected points of dimension {dim}, got array of shape {np.shape(u)}"
         )
+    if not np.isfinite(arr).all():
+        raise InputError("point coordinates must be finite")
     if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
         raise InputError("point coordinates must lie in [0, 1]")
     return np.clip(arr, 0.0, 1.0)
@@ -291,6 +295,8 @@ class CheckerboardCopula(Copula):
         if d < 2:
             raise InputError("checkerboard copulas need dimension >= 2")
         masses = np.asarray(masses, dtype=float)
+        if not (np.isfinite(masses).all() and all(np.isfinite(c).all() for c in cuts)):
+            raise InputError("checkerboard cuts and masses must be finite")
         if masses.ndim != d:
             raise InputError("mass tensor rank must equal the number of cut lists")
         for k, c in enumerate(cuts):
@@ -315,7 +321,7 @@ class CheckerboardCopula(Copula):
             if defect > tol:
                 raise ValidationError(
                     f"margin defect {defect:.3e} on axis {k}: slab masses "
-                    "must equal slab widths (tol {tol:.1e})"
+                    f"must equal slab widths (tol {tol:.1e})"
                 )
         self.dim = d
         self.cuts = cuts
@@ -429,6 +435,8 @@ class SegmentCopula(Copula):
         masses = np.atleast_1d(np.array(masses, dtype=float))
         if starts.shape != ends.shape or len(masses) != len(starts):
             raise InputError("starts, ends and masses must agree in length")
+        if not all(np.isfinite(x).all() for x in (starts, ends, masses)):
+            raise InputError("segment endpoints and masses must be finite")
         d = _check_dim(starts.shape[1])
         if d < 2:
             raise InputError("segment copulas need dimension >= 2")
@@ -797,7 +805,11 @@ class MixtureCopula(Copula):
         if len(dims) != 1:
             raise DimensionMismatchError("mixture parts must share a dimension")
         weights = np.array([w for _, w in parts])
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > CONSTRUCTION_TOL:
+        if (
+            not np.isfinite(weights).all()
+            or np.any(weights <= 0)
+            or abs(weights.sum() - 1.0) > CONSTRUCTION_TOL
+        ):
             raise DomainError("mixture weights must be positive and sum to 1")
         self.parts = parts
         self.dim = dims.pop()
@@ -1006,6 +1018,8 @@ def grid_axes(
     """
     if not copulas:
         raise InputError("grid_axes needs at least one copula")
+    if resolution < 1:
+        raise InputError(f"grid resolution must be >= 1, got {resolution}")
     d = copulas[0].dim
     axes = []
     for k in range(d):
@@ -1013,10 +1027,8 @@ def grid_axes(
         if include_breakpoints:
             for c in copulas:
                 nodes.append(np.clip(c.breakpoints(k), 0.0, 1.0))
-        merged = np.unique(np.concatenate(nodes))
         # drop near-duplicates; keep the grid bounded
-        keep = np.concatenate([[True], np.diff(merged) > 1e-12])
-        merged = merged[keep]
+        merged = merge_cuts(*nodes)
         if len(merged) > max_per_axis:
             merged = np.unique(
                 np.concatenate(
@@ -1025,6 +1037,23 @@ def grid_axes(
             )
         axes.append(merged)
     return axes
+
+
+def merge_cuts(*cut_lists) -> np.ndarray:
+    """Sorted union of cut lists without near-duplicates.
+
+    A point within CUT_GAP of a point already kept is dropped.  The lists are
+    taken in order, so the points of earlier lists win: a board's cuts merged
+    with new corners keep every cut of the board.
+    """
+    kept = np.empty(0)
+    for cuts in cut_lists:
+        new = np.unique(np.asarray(cuts, dtype=float))
+        new = new[np.diff(new, prepend=-np.inf) > CUT_GAP]
+        if kept.size:
+            new = new[np.abs(new[:, None] - kept).min(axis=1) > CUT_GAP]
+        kept = np.union1d(kept, new)
+    return kept
 
 
 def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:

@@ -14,14 +14,16 @@ constructively:
 2. ``refute_minimality`` performs the corner surgery (``RefutedCopula``):
    the two comonotone corner pieces are replaced by a cross-glued,
    de-comonotonised pair, producing D with D <= C, tau(D) <= tau(C) and
-   D(a) = C(a) - p.  The certificate carries the verified order relation,
-   validity report and strict Spearman-rho drop; verification failure is an
+   D(a) = C(a) - p.  On a checkerboard the surgery is read off the mass
+   tensor refined by the cut planes at a and b, which makes every check
+   exact.  The certificate carries the verified order relation, validity
+   report and strict Spearman-rho drop; verification failure is an
    internal error, never a silent pass.
-3. ``descend`` iterates the surgery on a checkerboard, inserting the new
-   cut planes at a and b so each step is measure-exact, until the grid
-   tau-CM defect vanishes.  The loop is an artifact-level heuristic (the
-   existence theorem behind it is non-constructive); stalls are reported
-   honestly.
+3. ``descend`` iterates the tensor surgery on a checkerboard until the grid
+   tau-CM defect vanishes; each step is measure-exact, so total mass and
+   margins stay exact with no correction.  The loop is an artifact-level
+   heuristic (the existence theorem behind it is non-constructive); stalls
+   are reported honestly.
 
 A *K-countermonotonic* certificate instead checks that the whole mass sits
 on a monotone-transformed hyperplane sum_{k in K} g_k(u_k) = c; for
@@ -44,6 +46,7 @@ from .core import (
     SegmentCopula,
     grid_axes,
     grid_points,
+    merge_cuts,
     validate,
 )
 from .concordance import spearman_rho
@@ -65,6 +68,7 @@ __all__ = [
     "find_corner_pair",
     "refute_minimality",
     "descend",
+    "trace_csv",
 ]
 
 DEFECT_TOL = 1e-9
@@ -394,13 +398,30 @@ class RefutationCertificate:
         )
 
 
-def _refine_cuts(C: CheckerboardCopula, a, b) -> list[np.ndarray]:
-    cuts = []
-    for k in range(C.dim):
-        merged = np.unique(np.concatenate([C.cuts[k], [a[k], b[k]]]))
-        keep = np.concatenate([[True], np.diff(merged) > 1e-13])
-        cuts.append(merged[keep])
-    return cuts
+def _corner_surgery(
+    C: CheckerboardCopula, a, b
+) -> tuple[CheckerboardCopula, CheckerboardCopula]:
+    """The corner surgery on a board, as algebra on its mass tensor.
+
+    On C's cuts refined by a and b, the corner blocks A = [0,a] and B = [b,1]
+    are emptied and outer(A_1, B_R)/|B| + outer(B_1, A_R)/|A| is added: X_1
+    is a block's first-axis marginal, X_R its remaining-axes marginal and |X|
+    its realised mass, which keeps the total mass exact.  A block ends at the
+    kept cut nearest its corner, as the merge may drop a corner next to a
+    cut.  Returns (C on the refined cuts, the surgery result).
+    """
+    cuts = [merge_cuts(c, [x, y]) for c, x, y in zip(C.cuts, a, b)]
+    refined = discretize(C, cuts)
+    lo = tuple(slice(0, np.argmin(np.abs(c - x))) for c, x in zip(cuts, a))
+    hi = tuple(slice(np.argmin(np.abs(c - x)), None) for c, x in zip(cuts, b))
+    masses = refined.masses.copy()
+    A, B = masses[lo].copy(), masses[hi].copy()
+    masses[lo] = masses[hi] = 0.0
+    rest = tuple(range(1, C.dim))
+    glue = lambda X, Y: np.multiply.outer(X.sum(axis=rest), Y.sum(axis=0)) / Y.sum()
+    masses[lo[:1] + hi[1:]] += glue(A, B)
+    masses[hi[:1] + lo[1:]] += glue(B, A)
+    return refined, CheckerboardCopula(cuts, masses)
 
 
 def refute_minimality(
@@ -418,12 +439,10 @@ def refute_minimality(
     D: Copula = RefutedCopula(C, a, b, p)
     discretized = None
     if isinstance(C, CheckerboardCopula):
-        # the surgery measure is piecewise uniform on the cuts refined by a
-        # and b, so this projection is exact and all checks become exact
-        cuts = _refine_cuts(C, a, b)
-        discretized = discretize(D, cuts)
+        # the surgery on the refined grid is exact, so all checks are exact
+        refined, discretized = _corner_surgery(C, a, b)
         report = validate(discretized)
-        order_check = concordance_leq(discretized, discretize(C, cuts))
+        order_check = concordance_leq(discretized, refined)
     else:
         report = validate(D)
         order_check = concordance_leq(D, C, grid)
@@ -467,7 +486,8 @@ class DescentStep:
     defect: float
     p: float
     coarsened: bool
-    # largest float-drift correction applied when re-gridding (see _stabilize)
+    # float-drift correction applied when re-gridding: always 0.0, since the
+    # surgery is exact tensor algebra; kept for the trace CSV's column
     adjustment: float = 0.0
 
 
@@ -476,6 +496,17 @@ class DescentResult:
     final: CheckerboardCopula
     trace: tuple[DescentStep, ...]
     status: str  # "converged" | "stalled" | "max_iter"
+
+
+def trace_csv(trace) -> str:
+    """A descent trace as CSV, one row per step."""
+    lines = ["iteration,kendall_integral,rho,defect,p,coarsened,adjustment"]
+    for s in trace:
+        lines.append(
+            f"{s.iteration},{s.kendall_integral:.12g},{s.rho:.12g},"
+            f"{s.defect:.12g},{s.p:.12g},{str(s.coarsened).lower()},{s.adjustment:.3g}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _coarsen(C: CheckerboardCopula, cap: int) -> tuple[CheckerboardCopula, bool]:
@@ -505,34 +536,6 @@ def _coarsen(C: CheckerboardCopula, cap: int) -> tuple[CheckerboardCopula, bool]
     return CheckerboardCopula(cuts, masses), True
 
 
-def _stabilize(board: CheckerboardCopula) -> tuple[CheckerboardCopula, float]:
-    """Remove the machine-scale drift that iterated surgery accrues.
-
-    Each surgery step re-derives cell masses from an evaluated cdf; the
-    bisection mismatch (<= 1e-12 on the corner masses) and the clipping of
-    -1e-16 cells push total mass and margins off by O(cells * eps) per
-    iteration, which compounds over a long descent.  Rescaling plus a few
-    proportional-fitting sweeps restores an exact checkerboard; the size of
-    the correction is returned and reported in the trace, never hidden.
-    """
-    masses = board.masses
-    adjustment = abs(float(masses.sum()) - 1.0)
-    d = board.dim
-    widths = [np.diff(c) for c in board.cuts]
-    for _ in range(3):
-        masses = masses / masses.sum()
-        for k in range(d):
-            slab = masses.sum(axis=tuple(i for i in range(d) if i != k))
-            adjustment = max(adjustment, float(np.max(np.abs(slab - widths[k]))))
-            ratio = np.where(slab > 0, widths[k] / np.where(slab > 0, slab, 1.0), 1.0)
-            shape = [1] * d
-            shape[k] = -1
-            masses = masses * ratio.reshape(shape)
-    if adjustment == 0.0:
-        return board, 0.0
-    return CheckerboardCopula(list(board.cuts), masses / masses.sum()), adjustment
-
-
 def descend(
     C: Copula,
     n: int = 16,
@@ -543,24 +546,22 @@ def descend(
 ) -> DescentResult:
     """Iterated surgery toward a grid tau-CM copula.
 
-    Materialises C on an n-cell grid, then repeatedly refutes and
-    re-discretises, inserting the new cut planes at a and b (each such step
-    is measure-exact) and coarsening mass-preservingly when an axis exceeds
-    ``cut_cap`` (default 4n) cells.  Stops when the vertex tau-CM defect is
-    <= tol ("converged"), when the defect has not improved for
-    ``stall_patience`` consecutive surgeries ("stalled"), or at
-    ``max_iter``.  The trace shows int C dQ^C non-increasing and rho
-    strictly decreasing across exact (non-coarsened) steps.
+    Materialises C on an n-cell grid, then repeatedly applies the corner
+    surgery on the board's mass tensor, inserting the new cut planes at a
+    and b (so each step is measure-exact, with no drift to correct) and
+    coarsening mass-preservingly when an axis exceeds ``cut_cap`` (default
+    4n) cells.  Stops when the vertex tau-CM defect is <= tol
+    ("converged"), when int C dQ^C has not dropped for ``stall_patience``
+    consecutive surgeries ("stalled"), or at ``max_iter``.  The trace shows
+    int C dQ^C non-increasing and rho strictly decreasing across exact
+    (non-coarsened) steps.
     """
     if n < 4 or max_iter < 1:
         raise InputError("descend needs n >= 4 and max_iter >= 1")
     cap = 4 * n if cut_cap is None else cut_cap
     if isinstance(C, CheckerboardCopula):
-        cuts = [
-            np.unique(np.concatenate([c, np.linspace(0, 1, n + 1)]))
-            for c in C.cuts
-        ]
-        board = discretize(C, cuts)
+        grid = np.linspace(0, 1, n + 1)
+        board = discretize(C, [merge_cuts(c, grid) for c in C.cuts])
     else:
         board = discretize(C, uniform_cuts(C.dim, n))
     trace: list[DescentStep] = []
@@ -568,41 +569,31 @@ def descend(
     best = np.inf
     since_best = 0
     coarsened = False
-    adjustment = 0.0
     for it in range(max_iter):
         defect, _, _ = tau_cm_defect(board)
         kendall = board.kendall_self_integral()
         rho = spearman_rho(board).value
         if defect <= tol:
-            trace.append(
-                DescentStep(it, kendall, rho, defect, np.nan, coarsened, adjustment)
-            )
+            trace.append(DescentStep(it, kendall, rho, defect, np.nan, coarsened))
             status = "converged"
             break
-        if defect < best - 1e-15:
-            best = defect
+        # the defect can plateau while the surgery still descends, so
+        # progress is measured on the Kendall integral
+        if kendall < best - 1e-15:
+            best = kendall
             since_best = 0
         else:
             since_best += 1
             if since_best >= stall_patience:
-                trace.append(
-                    DescentStep(it, kendall, rho, defect, np.nan, coarsened, adjustment)
-                )
+                trace.append(DescentStep(it, kendall, rho, defect, np.nan, coarsened))
                 status = "stalled"
                 break
         pair = find_corner_pair(board, tol=tol)
         if pair is None or pair.p <= tol:
-            trace.append(
-                DescentStep(it, kendall, rho, defect, np.nan, coarsened, adjustment)
-            )
+            trace.append(DescentStep(it, kendall, rho, defect, np.nan, coarsened))
             status = "stalled"
             break
-        trace.append(
-            DescentStep(it, kendall, rho, defect, pair.p, coarsened, adjustment)
-        )
-        node = RefutedCopula(board, pair.a, pair.b, pair.p)
-        # tolerate the drift here; _stabilize removes and reports it
-        board = discretize(node, _refine_cuts(board, pair.a, pair.b), tol=1e-8)
-        board, adjustment = _stabilize(board)
+        trace.append(DescentStep(it, kendall, rho, defect, pair.p, coarsened))
+        _, board = _corner_surgery(board, pair.a, pair.b)
         board, coarsened = _coarsen(board, cap)
     return DescentResult(final=board, trace=tuple(trace), status=status)

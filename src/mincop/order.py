@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CheckerboardCopula, Copula, grid_axes, grid_points
+from .core import CheckerboardCopula, Copula, grid_axes, grid_points, merge_cuts
 from .errors import DimensionMismatchError
 from .transforms import discretize, survival
 
@@ -30,10 +30,6 @@ class Relation:
     STRICTLY_BELOW = "strictly_below"
     STRICTLY_ABOVE = "strictly_above"
     INCOMPARABLE = "incomparable"
-    # kept for report compatibility: a below-or-equal verdict that does not
-    # assert strictness; pointwise_leq itself always resolves to one of the
-    # four relations above, and `below_or_equal` is exposed as a predicate.
-    BELOW_OR_EQUAL = "below_or_equal"
 
 
 @dataclass(frozen=True)
@@ -92,11 +88,7 @@ def _classify(c_vals, d_vals, points, grid_desc, exact, tol) -> OrderResult:
 
 def _shared_grid(C: Copula, D: Copula):
     if isinstance(C, CheckerboardCopula) and isinstance(D, CheckerboardCopula):
-        cuts = []
-        for c, d in zip(C.cuts, D.cuts):
-            merged = np.unique(np.concatenate([c, d]))
-            keep = np.concatenate([[True], np.diff(merged) > 1e-13])
-            cuts.append(merged[keep])
+        cuts = [merge_cuts(c, d) for c, d in zip(C.cuts, D.cuts)]
         return discretize(C, cuts), discretize(D, cuts), cuts
     return None
 

@@ -50,7 +50,7 @@ from .core import (
     SegmentCopula,
     UpperFrechet,
 )
-from .errors import SpecError
+from .errors import MincopError, SpecError
 
 __all__ = ["parse_spec", "to_spec", "load", "dump", "SCHEMA_VERSION"]
 
@@ -59,7 +59,8 @@ SCHEMA_VERSION = 1
 
 def _require(doc: dict, key: str):
     if key not in doc:
-        raise SpecError(f"copula spec missing field {key!r} (kind {doc.get('kind')!r})")
+        where = f" (kind {doc['kind']!r})" if "kind" in doc else ""
+        raise SpecError(f"copula spec missing field {key!r}{where}")
     return doc[key]
 
 
@@ -67,10 +68,16 @@ def parse_spec(doc: dict) -> Copula:
     if not isinstance(doc, dict):
         raise SpecError(f"copula spec must be an object, got {type(doc).__name__}")
     kind = _require(doc, "kind")
+    parser = _PARSERS.get(kind) if isinstance(kind, str) else None
+    if parser is None:
+        raise SpecError(f"unknown copula kind {kind!r}")
     try:
-        return _PARSERS[kind](doc)
-    except KeyError:
-        raise SpecError(f"unknown copula kind {kind!r}") from None
+        return parser(doc)
+    except MincopError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # malformed field values: wrong types, or masses that do not fit a shape
+        raise SpecError(f"malformed {kind!r} spec: {exc}") from None
 
 
 def _dim(doc: dict) -> int:
@@ -115,9 +122,10 @@ _PARSERS: dict[str, Any] = {
         ),
     ),
     "segments": lambda doc: SegmentCopula(
-        [s["start"] for s in _require(doc, "segments")],
-        [s["end"] for s in _require(doc, "segments")],
-        [s["mass"] for s in _require(doc, "segments")],
+        *(
+            [_require(seg, key) for seg in _require(doc, "segments")]
+            for key in ("start", "end", "mass")
+        )
     ),
     "refuted": lambda doc: RefutedCopula(
         parse_spec(_require(doc, "inner")),

@@ -124,6 +124,8 @@ def uniform_cuts(dim: int, n: int | Sequence[int]) -> list[np.ndarray]:
         n = [int(n)] * dim
     if len(n) != dim:
         raise InputError("need one resolution per axis")
+    if min(n) < 1:
+        raise InputError(f"grid resolutions must be >= 1, got {list(n)}")
     return [np.linspace(0.0, 1.0, int(m) + 1) for m in n]
 
 
@@ -141,19 +143,37 @@ def _norm_cuts(dim: int, cuts) -> list[np.ndarray]:
     return out
 
 
-def discretize(C: Copula, cuts, tol: float | None = None) -> CheckerboardCopula:
+def _split_cells(C: CheckerboardCopula, cuts: list[np.ndarray]) -> np.ndarray:
+    """C's masses on cuts that contain its own: each cell's mass is split by
+    width fractions, so empty cells stay exactly 0."""
+    masses = C.masses
+    for k, (c, t) in enumerate(zip(C.cuts, cuts)):
+        parent = np.searchsorted(c, t[:-1], side="right") - 1
+        frac = np.diff(t) / np.diff(c)[parent]
+        shape = [1] * C.dim
+        shape[k] = -1
+        masses = np.take(masses, parent, axis=k) * frac.reshape(shape)
+    return masses
+
+
+def discretize(C: Copula, cuts) -> CheckerboardCopula:
     """Project Q^C onto the checkerboard with the given cuts.
 
     ``cuts`` may be an integer (uniform grid on every axis) or one cut list
     per axis.  Cell masses are exact box masses, obtained as alternating
     differences of the vertex cdf; the result agrees with C at every grid
-    vertex.  A cell mass below -1e-10 means C was not a copula.
-
-    ``tol`` overrides the construction tolerance; the default allows the
-    O(cells * eps) rounding that alternating differences (and the clipping
-    of -1e-15 cells) accumulate on analytic inputs.
+    vertex.  A cell mass below -1e-10 means C was not a copula.  A
+    checkerboard onto cuts that contain its own is refined on its mass
+    tensor instead, with no cdf round trip.
     """
     cuts = _norm_cuts(C.dim, cuts)
+    # allow the O(cells * eps) rounding that alternating differences (and
+    # the clipping of -1e-15 cells) accumulate on analytic inputs
+    tol = max(1e-12, np.prod([len(c) - 1 for c in cuts]) * 1e-16)
+    if isinstance(C, CheckerboardCopula) and all(
+        np.isin(c, t).all() for c, t in zip(C.cuts, cuts)
+    ):
+        return CheckerboardCopula(cuts, _split_cells(C, cuts), tol=tol)
     vals = C.cdf_many(grid_points(cuts)).reshape([len(c) for c in cuts])
     masses = vals
     for ax in range(C.dim):
@@ -163,6 +183,4 @@ def discretize(C: Copula, cuts, tol: float | None = None) -> CheckerboardCopula:
             f"discretization produced cell mass {masses.min():.3e}; "
             "the input violates rectangle nonnegativity"
         )
-    if tol is None:
-        tol = max(1e-12, masses.size * 1e-16)
     return CheckerboardCopula(cuts, np.clip(masses, 0.0, None), tol=tol)

@@ -9,7 +9,9 @@ from mincop import (
     DomainError,
     InputError,
     Reflected,
+    SegmentCopula,
     UnsupportedRepresentationError,
+    ValidationError,
     box_mass,
     cdf,
     make_basic,
@@ -22,7 +24,7 @@ from mincop import (
     survival_value,
     validate,
 )
-from mincop.core import grid_points
+from mincop.core import grid_points, merge_cuts
 from mincop.transforms import discretize, uniform_cuts
 
 
@@ -199,6 +201,34 @@ def test_checkerboard_rejects_bad_margins():
     cuts = uniform_cuts(2, 2)
     with pytest.raises(Exception):
         CheckerboardCopula(cuts, np.array([[0.5, 0.25], [0.25, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cdf(make_basic("product", 2), [np.nan, 0.5]),
+        lambda: CheckerboardCopula(uniform_cuts(2, 2), np.full((2, 2), np.nan)),
+        lambda: SegmentCopula([[0.0, 0.0]], [[1.0, 1.0]], [np.nan]),
+        lambda: SegmentCopula([[0.0, np.nan]], [[1.0, 1.0]], [1.0]),
+        lambda: make_mixture(
+            [(make_basic("product", 2), np.nan), (make_basic("product", 2), 1.0)]
+        ),
+    ],
+    ids=["point", "checkerboard", "segment_mass", "segment_endpoint", "mixture"],
+)
+def test_non_finite_input_rejected(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_margin_defect_message_shows_tolerance():
+    with pytest.raises(ValidationError, match=r"\(tol 1\.0e-12\)"):
+        CheckerboardCopula(uniform_cuts(2, 2), np.array([[0.5, 0.0], [0.25, 0.25]]))
+
+
+def test_merge_cuts_keeps_earlier_lists_points():
+    merged = merge_cuts([0.0, 0.5, 1.0], [0.5 - 1e-14, 0.7, 0.7 + 1e-14])
+    assert merged.tolist() == [0.0, 0.5, 0.7, 1.0]
 
 
 def test_dimension_cap_enforced_and_overridable():

@@ -29,6 +29,7 @@ from mincop import (
 )
 from mincop.core import RefutedCopula, grid_points
 from mincop.errors import RefuterInternalError
+from mincop.negdep import _corner_surgery
 
 
 def affine(alpha=1.0):
@@ -290,6 +291,43 @@ def test_survival_of_surgery_node_closed_form():
     assert np.max(np.abs(tD.cdf_many(U) - D.survival_many(U))) < 1e-10
 
 
+def skewed_board():
+    # C(u) > Q[[u,1]] at the worst vertex, so a comes from a bisection and
+    # lands off the grid
+    mix = make_mixture(
+        [(make_basic("upper_frechet", 2), 0.3), (make_basic("product", 2), 0.7)]
+    )
+    return discretize(
+        mix, [np.array([0, 0.2, 0.55, 0.8, 1.0]), np.array([0, 0.35, 0.6, 0.9, 1.0])]
+    )
+
+
+@pytest.mark.parametrize(
+    "board",
+    [random_checkerboard(d, n, seed=s) for d, n in ((2, 8), (3, 6), (4, 4)) for s in (0, 1)]
+    + [skewed_board()],
+)
+def test_tensor_surgery_matches_refuted_node(board):
+    # the oracle evaluates the surgery node through the generic cdf path
+    pair = find_corner_pair(board)
+    _, D = _corner_surgery(board, pair.a, pair.b)
+    oracle = discretize(RefutedCopula(board, pair.a, pair.b, pair.p), D.cuts)
+    assert np.max(np.abs(D.masses - oracle.masses)) <= 1e-12
+
+
+def test_tensor_surgery_corner_next_to_a_cut():
+    # b lies 1e-14 above the 0.5 cut, so the cut merge drops it: the upper
+    # block must still start at the 0.5 cut
+    board = discretize(make_basic("product", 2), 4)
+    a = np.array([0.5, 0.5])
+    b = a + 1e-14
+    p = board.box_mass(b, np.ones(2))
+    _, D = _corner_surgery(board, a, b)
+    assert [len(c) for c in D.cuts] == [5, 5]
+    oracle = discretize(RefutedCopula(board, a, b, p), D.cuts)
+    assert np.max(np.abs(D.masses - oracle.masses)) <= 1e-12
+
+
 # -- descent ----------------------------------------------------------------
 
 
@@ -329,9 +367,9 @@ def test_descend_respects_cut_cap():
 
 
 def test_descend_makes_progress_in_3d():
-    # d=3 surgeries land off-grid, so this exercises cut insertion, the
-    # coarsening cap and the drift stabiliser together; full convergence is
-    # not claimed (and not reached in 15 steps), only honest strict descent
+    # d=3 surgeries land off-grid, so this exercises cut insertion and the
+    # coarsening cap together; full convergence is not claimed (and not
+    # reached in 15 steps), only honest strict descent
     res = descend(make_basic("product", 3), n=6, max_iter=15, stall_patience=40)
     assert res.status == "max_iter"
     assert res.trace[-1].defect < 0.02 < res.trace[0].defect
@@ -340,7 +378,25 @@ def test_descend_makes_progress_in_3d():
         b.kendall_integral <= a.kendall_integral + 1e-10
         for a, b in zip(res.trace, res.trace[1:])
     )
-    assert max(s.adjustment for s in res.trace) < 1e-10
+    assert max(s.adjustment for s in res.trace) == 0.0
+
+
+def test_descend_keeps_mass_and_margins_exact_without_correction():
+    # 150 tensor surgeries in d=3 with cut insertion and coarsening: no
+    # drift accumulates, so no correction is needed
+    res = descend(make_basic("product", 3), n=8, max_iter=150)
+    board = res.final
+    assert abs(board.masses.sum() - 1.0) <= 1e-14
+    for k in range(3):
+        slab = board.masses.sum(axis=tuple(i for i in range(3) if i != k))
+        assert np.max(np.abs(slab - np.diff(board.cuts[k]))) <= 1e-14
+    assert all(s.adjustment == 0.0 for s in res.trace)
+
+
+def test_descend_product_64_converges_without_false_stall():
+    # the defect plateaus for many steps while int C dQ^C keeps dropping
+    res = descend(make_basic("product", 2), n=64, max_iter=80)
+    assert res.status == "converged"
 
 
 def test_descend_rejects_tiny_grids():

@@ -1,9 +1,11 @@
 """JSON spec round-trips and the command-line surface."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mincop import (
     Permuted,
@@ -165,6 +167,17 @@ def test_cli_certify_k_cm(tmp_path, capsys):
     assert doc["k_cm"]["band_mass"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "text", ["", "[1]", '{"K": ["a"], "g": [{"form": "affine"}], "c": 1}']
+)
+def test_cli_certify_malformed_hyperplane_exits_two(tmp_path, text):
+    spec = write_spec(tmp_path, "tri.json", {"kind": "triangle", "dim": 3})
+    hyp = tmp_path / "hyp.json"
+    hyp.write_text(text)
+    assert main(["certify", spec, "--k-cm", str(hyp)]) == 2
+    assert main(["certify", spec, "--k-cm", str(tmp_path / "missing.json")]) == 2
+
+
 def test_cli_support_rows_on_segments(tmp_path, capsys):
     spec = write_spec(tmp_path, "a.json", {"kind": "shuffle_a", "dim": 2})
     assert main(["support", spec, "--samples", "50", "--seed", "1"]) == 0
@@ -194,3 +207,101 @@ def test_cli_determinism(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["support", spec, "--samples", "10", "--seed", "9"])
     assert capsys.readouterr().out == first
+
+
+def test_cli_checkerboard_masses_not_fitting_shape_exit_two(tmp_path, capsys):
+    doc = {
+        "kind": "checkerboard",
+        "dim": 2,
+        "cuts": [[0, 0.5, 1], [0, 0.5, 1]],
+        "shape": [2, 2],
+        "masses": [0.5, 0.0, 0.0],
+    }
+    assert main(["validate", write_spec(tmp_path, "b.json", doc)]) == 2
+    assert "cannot reshape" in capsys.readouterr().err
+
+
+def test_cli_non_numeric_point_exit_two(tmp_path, capsys):
+    spec = write_spec(tmp_path, "pi.json", {"kind": "product", "dim": 2})
+    assert main(["eval", spec, "--point", "0.5,abc"]) == 2
+    assert "0.5,abc" in capsys.readouterr().err
+
+
+def test_cli_segment_without_end_names_the_field(tmp_path, capsys):
+    doc = {"kind": "segments", "dim": 2, "segments": [{"start": [0, 0], "mass": 1.0}]}
+    assert main(["eval", write_spec(tmp_path, "s.json", doc), "--point", "0.5,0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "'end'" in err and "unknown copula kind" not in err
+
+
+# -- CLI robustness: mutated specs and arguments -----------------------
+
+VALID_SPECS = [
+    {"kind": "product", "dim": 2},
+    {"kind": "upper_frechet", "dim": 2, "representation": "analytic"},
+    {"kind": "reflected", "dim": 2, "K": [0], "inner": {"kind": "product", "dim": 2}},
+    {
+        "kind": "mixture",
+        "dim": 2,
+        "parts": [
+            {"weight": 0.5, "copula": {"kind": "product", "dim": 2}},
+            {"weight": 0.5, "copula": {"kind": "shuffle_a", "dim": 2}},
+        ],
+    },
+    to_spec(random_checkerboard(2, 3, seed=0)),
+    to_spec(shuffle_a()),
+]
+
+JUNK = st.sampled_from(
+    [None, "x", -1, 0, 2.5, True, [], {}, [1, "a"], float("nan"), 1e300, [[0.5]]]
+)
+
+
+def _paths(doc, prefix=()):
+    """Every (container path, key) in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, val in items:
+        yield prefix, key
+        if isinstance(val, (dict, list)):
+            yield from _paths(val, prefix + (key,))
+
+
+@st.composite
+def mutated_specs(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_SPECS))))
+    for _ in range(draw(st.integers(0, 2))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        prefix, key = draw(st.sampled_from(paths))
+        node = doc
+        for k in prefix:
+            node = node[k]
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(draw(JUNK))
+    return doc
+
+
+NUMBER_LISTS = st.sampled_from(
+    ["0.5,0.5", "0.5,abc", "", "nan,0.5", "2,0.5", "0.5", "0,1", "1,0", "-1,0.5", "1e400,0"]
+)
+
+ARGS = st.one_of(
+    NUMBER_LISTS.map(lambda p: ["eval", "--point", p]),
+    NUMBER_LISTS.map(lambda p: ["eval", "--survival", "--point", p]),
+    st.integers(-2, 3).map(lambda g: ["validate", "--grid", str(g)]),
+    NUMBER_LISTS.map(lambda k: ["transform", "--reflect", k]),
+    NUMBER_LISTS.map(lambda k: ["transform", "--permute", k]),
+    st.integers(-2, 3).map(lambda n: ["transform", "--discretize", str(n)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_specs(), ARGS)
+def test_cli_mutated_input_never_leaks_a_traceback(tmp_path_factory, doc, args):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(doc))
+    argv = [args[0], str(path)] + args[1:]
+    assert main(argv) in (0, 1, 2)

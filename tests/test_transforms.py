@@ -194,6 +194,24 @@ def test_discretize_refinement_is_exact_for_checkerboards():
     assert np.max(np.abs(fine.cdf_many(U) - C.cdf_many(U))) < 1e-12
 
 
+def test_discretize_board_onto_superset_splits_cells_exactly():
+    C = discretize(make_triangle_3d(), 4)
+    rng = np.random.default_rng(0)
+    cuts = [np.union1d(c, rng.random(3)) for c in C.cuts]
+    fine = discretize(C, cuts)
+    parents = np.ix_(
+        *[np.searchsorted(c, t[:-1], side="right") - 1 for c, t in zip(C.cuts, cuts)]
+    )
+    empty = C.masses[parents] == 0.0
+    assert empty.any()
+    assert np.all(fine.masses[empty] == 0.0)
+    # the generic path: alternating differences of the vertex cdf
+    vals = C.cdf_many(grid_points(cuts)).reshape([len(c) for c in cuts])
+    for ax in range(3):
+        vals = np.diff(vals, axis=ax)
+    assert np.max(np.abs(fine.masses - vals)) <= 1e-15
+
+
 def test_discretize_rejects_non_copulas():
     # an affine combination with negative weight has negative rectangle masses
     M = make_basic("upper_frechet", 2, "analytic")
