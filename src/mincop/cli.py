@@ -304,6 +304,17 @@ def _cmd_support(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """A finite, nonnegative float for --tol and --eps."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mincop",
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         if copula:
             p.add_argument("copula", help="path to a copula spec JSON")
         p.add_argument("--out", default=None, help="write the report here")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("eval", help="evaluate the cdf (or survival value) at a point")
@@ -365,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-cm", action="store_true")
     p.add_argument("--k-cm", default=None, help="path to a hyperplane spec JSON")
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--eps", type=float, default=0.0, help="hyperplane band half-width")
+    p.add_argument("--eps", type=_tolerance, default=0.0, help="hyperplane band half-width")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("validate", help="copula axiom check on a grid")

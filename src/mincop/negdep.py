@@ -8,9 +8,12 @@ interior point with both corner masses positive refutes minimality
 constructively:
 
 1. ``find_corner_pair`` locates u with min{C(u), Q^C[[u,1]]} > 0, extracts
-   p as the smaller corner mass, and bisects the continuous ray map
-   alpha -> C(alpha u) (or its survival mirror) until both corner boxes
-   carry exactly p.
+   p as the smaller corner mass, and moves the other corner along the
+   continuous ray map alpha -> C(alpha u) (or its survival mirror) until
+   both corner boxes carry exactly p.  A checkerboard reads both corner
+   masses at its vertices off the mass tensor and solves the ray exactly,
+   as a piecewise polynomial between known breakpoints; other
+   representations scan an interpolated grid and bisect.
 2. ``refute_minimality`` performs the corner surgery (``RefutedCopula``):
    the two comonotone corner pieces are replaced by a cross-glued,
    de-comonotonised pair, producing D with D <= C, tau(D) <= tau(C) and
@@ -52,7 +55,7 @@ from .core import (
 from .concordance import spearman_rho
 from .errors import InputError, RefuterInternalError, UnsupportedRepresentationError
 from .order import OrderResult, Relation, concordance_leq
-from .transforms import discretize, uniform_cuts
+from .transforms import discretize, reflect, uniform_cuts
 
 __all__ = [
     "GFunc",
@@ -73,6 +76,7 @@ __all__ = [
 
 DEFECT_TOL = 1e-9
 BISECT_TOL = 1e-12
+TIE_TOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +102,8 @@ def _scan_points(C: Copula, grid: int | None) -> tuple[np.ndarray, str]:
     """Interior scan points for corner-mass checks.
 
     Checkerboards scan their own interior cell vertices (the extrema of the
-    piecewise-multilinear corner masses certified at grid scale); other
+    piecewise-multilinear corner masses certified at grid scale; evaluated
+    by interpolation, this is the reference for ``_board_scan``); other
     representations take a uniform lattice augmented with breakpoints.
     """
     if grid is None and isinstance(C, CheckerboardCopula):
@@ -113,6 +118,52 @@ def _scan_points(C: Copula, grid: int | None) -> tuple[np.ndarray, str]:
     return grid_points(axes), desc
 
 
+def _first_max(values: np.ndarray) -> int:
+    """Index of the first value (C-order) within TIE_TOL of the maximum.
+
+    The tensor and the interpolated scans round differently, so an exact tie
+    can come out a few ulps apart; counting such values as tied keeps the
+    lexicographic tie-break the same on both paths.
+    """
+    flat = values.ravel()
+    return int(np.argmax(flat >= flat.max() - TIE_TOL))
+
+
+def _board_scan(C: CheckerboardCopula) -> tuple[float, tuple, str, float, float]:
+    """The vertex scan of a board, read off its tensors: C at the interior
+    vertices is ``vertex_cdf`` and Q^C[[v,1]] a cumulative sum over the
+    flipped axes."""
+    axes = [c[1:-1] for c in C.cuts]
+    desc = f"checkerboard vertices, sizes {[len(a) + 2 for a in axes]}"
+    if any(len(a) == 0 for a in axes):
+        return 0.0, (), desc, 0.0, 0.0
+    flip = (slice(None, None, -1),) * C.dim
+    upper = C.masses[flip]
+    for ax in range(C.dim):
+        upper = np.cumsum(upper, axis=ax)
+    # upper[i] is the mass of the cells >= i, i.e. Q[[vertex_i, 1]]
+    upper = upper[flip][(slice(1, None),) * C.dim]
+    lower = C.vertex_cdf[(slice(1, -1),) * C.dim]
+    defect = np.minimum(lower, upper)
+    idx = np.unravel_index(_first_max(defect), defect.shape)
+    worst = tuple(a[i] for a, i in zip(axes, idx))
+    return float(defect[idx]), worst, desc, float(lower[idx]), float(upper[idx])
+
+
+def _scan(C: Copula, grid: int | None) -> tuple[float, tuple, str, float, float]:
+    """(defect, worst point, grid description, C(u), Q^C[[u,1]] at the worst
+    point u): the one scan behind ``tau_cm_defect`` and ``find_corner_pair``."""
+    if grid is None and isinstance(C, CheckerboardCopula):
+        return _board_scan(C)
+    pts, desc = _scan_points(C, grid)
+    if len(pts) == 0:
+        return 0.0, (), desc, 0.0, 0.0
+    lower = C.cdf_many(pts)
+    upper = C.box_mass_many(pts, np.ones_like(pts))
+    i = _first_max(np.minimum(lower, upper))
+    return min(lower[i], upper[i]), tuple(pts[i]), desc, lower[i], upper[i]
+
+
 def tau_cm_defect(
     C: Copula, grid: int | None = None
 ) -> tuple[float, tuple, str]:
@@ -121,15 +172,11 @@ def tau_cm_defect(
     Returns (defect, worst_point, grid description).  A defect <= 1e-9 is a
     grid-level tau-CM certificate; a larger defect exhibits a point whose
     two corner boxes both carry mass.  Ties break lexicographically.
+    Checkerboards (with ``grid=None``) read both corner masses at their
+    interior vertices off the mass tensor, with no interpolation.
     """
-    pts, desc = _scan_points(C, grid)
-    if len(pts) == 0:
-        return 0.0, (), desc
-    lower = C.cdf_many(pts)
-    upper = C.box_mass_many(pts, np.ones_like(pts))
-    defect = np.minimum(lower, upper)
-    i = int(np.argmax(defect))
-    return float(defect[i]), tuple(pts[i]), desc
+    defect, worst, desc, _, _ = _scan(C, grid)
+    return float(defect), worst, desc
 
 
 def tau_cm_certificate(C: Copula, grid: int | None = None) -> TauCmCertificate:
@@ -322,37 +369,79 @@ def _bisect_monotone(f, target: float, lo: float, hi: float) -> float:
     return hi
 
 
+def _board_ray(C: CheckerboardCopula, u: np.ndarray, p: float) -> float:
+    """The smallest alpha in [0,1] with C(alpha u) = p, solved exactly.
+
+    The ray map alpha -> C(alpha u) kinks only at the breakpoints
+    cuts[k] / u[k]; between two of them alpha u stays in one cell, where the
+    multilinear C is a polynomial of degree <= d in alpha.  One cdf call at
+    the breakpoints brackets the crossing, a second at d+1 nodes gives the
+    polynomial, and the crossing is its root inside the bracket.
+    """
+    t = np.unique(
+        np.concatenate([[0.0, 1.0]] + [c[(c > 0) & (c < x)] / x for c, x in zip(C.cuts, u)])
+    )
+    f = C.cdf_many(t[:, None] * u)
+    j = int(np.argmax(f >= p))
+    if f[j] < p:
+        raise RefuterInternalError(f"ray bracket broken: C(u)={f[-1]}, target={p}")
+    if j == 0 or f[j] == p:
+        return float(t[j])
+    lo, hi = t[j - 1], t[j]
+    s = np.linspace(0.0, 1.0, C.dim + 1)
+    vals = C.cdf_many((lo + s * (hi - lo))[:, None] * u)
+    coef = np.linalg.solve(np.vander(s), vals - p)  # highest power first
+    # leading coefficients at rounding level would give spurious huge roots
+    roots = np.roots(coef[np.argmax(np.abs(coef) > 1e-15 * np.abs(coef).max()):])
+    real = roots.real[np.abs(roots.imag) <= 1e-9]
+    inside = real[(real >= -1e-9) & (real <= 1.0 + 1e-9)]
+    # the secant is a fallback for a bracket too flat to give a root
+    x = inside.min() if inside.size else (p - f[j - 1]) / (f[j] - f[j - 1])
+    # companion-matrix roots lose digits when the leading coefficient is
+    # small; two Newton steps on the polynomial restore them
+    dcoef = np.polyder(coef)
+    for _ in range(2):
+        if np.polyval(dcoef, x) > 0:
+            x -= np.polyval(coef, x) / np.polyval(dcoef, x)
+    return float(lo + np.clip(x, 0.0, 1.0) * (hi - lo))
+
+
 def find_corner_pair(
     C: Copula, grid: int | None = None, tol: float = DEFECT_TOL
 ) -> CornerPair | None:
     """Points a <= b in the open cube with Q^C[[0,a]] = p = Q^C[[b,1]].
 
     Picks the scan point maximising min{C(u), Q^C[[u,1]]} (the largest
-    extractable surgery mass; ties lexicographic).  When the upper corner is
-    the smaller one, p := Q^C[[u,1]], b := u and a is found by bisecting the
-    continuous ray map alpha -> C(alpha u); otherwise the same is done on
-    the survival side and mapped back through u -> 1-u.  Returns None iff
-    the defect is already below ``tol`` (grid tau-CM).
+    extractable surgery mass, so p is the defect; ties lexicographic).  When
+    the upper corner is the smaller one, p := Q^C[[u,1]], b := u and a is
+    where the continuous ray map alpha -> C(alpha u) reaches p; otherwise the
+    same is done on the survival side and mapped back through u -> 1-u.
+    Checkerboards (with ``grid=None``) solve the ray exactly, the survival
+    side on the total reflection at 1-u; other copulas bisect.  Returns None
+    iff the defect is already below ``tol`` (grid tau-CM).
     """
-    defect, u, _ = tau_cm_defect(C, grid)
+    defect, u, _, cu, su = _scan(C, grid)
     if defect <= tol:
         return None
     u = np.asarray(u)
-    cu = C.cdf(u)
-    su = C.box_mass(u, np.ones(C.dim))
+    board = grid is None and isinstance(C, CheckerboardCopula)
     if su <= cu:
         p = su
         b = u
         if abs(cu - p) <= BISECT_TOL:
             a = u.copy()
+        elif board:
+            a = _board_ray(C, u, p) * u
         else:
-            alpha = _bisect_monotone(lambda t: C.cdf(t * u), p, 0.0, 1.0)
-            a = alpha * u
+            a = _bisect_monotone(lambda t: C.cdf(t * u), p, 0.0, 1.0) * u
     else:
         p = cu
         a = u
         if abs(su - p) <= BISECT_TOL:
             b = u.copy()
+        elif board:
+            # Q^C[[1 - beta(1-u), 1]] is the survival board's cdf at beta(1-u)
+            b = 1.0 - _board_ray(reflect(C, range(C.dim)), 1.0 - u, p) * (1.0 - u)
         else:
             # beta -> Q^C[[1 - beta(1-u), 1]] is continuous and nondecreasing
             beta = _bisect_monotone(
@@ -366,7 +455,7 @@ def find_corner_pair(
     pb = C.box_mass(b, np.ones(C.dim))
     if abs(pa - p) > 1e-9 or abs(pb - p) > 1e-9:
         raise RefuterInternalError(
-            f"corner masses {pa:.3e}/{pb:.3e} missed p={p:.3e} after bisection"
+            f"corner masses {pa:.3e}/{pb:.3e} missed p={p:.3e} after the ray solve"
         )
     return CornerPair(a=a, b=b, p=float(p))
 
@@ -570,13 +659,17 @@ def descend(
     since_best = 0
     coarsened = False
     for it in range(max_iter):
-        defect, _, _ = tau_cm_defect(board)
+        # one scan per step: the pair's p is the defect, so the board is
+        # scanned again only once it has converged
+        pair = find_corner_pair(board, tol=tol)
         kendall = board.kendall_self_integral()
         rho = spearman_rho(board).value
-        if defect <= tol:
+        if pair is None:
+            defect, _, _ = tau_cm_defect(board)
             trace.append(DescentStep(it, kendall, rho, defect, np.nan, coarsened))
             status = "converged"
             break
+        defect = pair.p
         # the defect can plateau while the surgery still descends, so
         # progress is measured on the Kendall integral
         if kendall < best - 1e-15:
@@ -588,11 +681,6 @@ def descend(
                 trace.append(DescentStep(it, kendall, rho, defect, np.nan, coarsened))
                 status = "stalled"
                 break
-        pair = find_corner_pair(board, tol=tol)
-        if pair is None or pair.p <= tol:
-            trace.append(DescentStep(it, kendall, rho, defect, np.nan, coarsened))
-            status = "stalled"
-            break
         trace.append(DescentStep(it, kendall, rho, defect, pair.p, coarsened))
         _, board = _corner_surgery(board, pair.a, pair.b)
         board, coarsened = _coarsen(board, cap)

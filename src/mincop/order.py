@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CheckerboardCopula, Copula, grid_axes, grid_points, merge_cuts
+from .core import (
+    CheckerboardCopula,
+    Copula,
+    default_resolution,
+    grid_axes,
+    grid_points,
+    merge_cuts,
+)
 from .errors import DimensionMismatchError
 from .transforms import discretize, survival
 
@@ -93,10 +100,6 @@ def _shared_grid(C: Copula, D: Copula):
     return None
 
 
-def _default_resolution(d: int) -> int:
-    return 2**5 if d <= 3 else (2**4 if d == 4 else 8)
-
-
 def pointwise_leq(
     C: Copula, D: Copula, grid: int | None = None, tol: float = DEFAULT_TOL
 ) -> OrderResult:
@@ -112,7 +115,7 @@ def pointwise_leq(
         dv = Dr.vertex_cdf.ravel()
         desc = f"shared checkerboard grid, sizes {[len(c) for c in cuts]}"
         return _classify(cv, dv, pts, desc, True, tol)
-    res = grid if grid is not None else _default_resolution(C.dim)
+    res = grid if grid is not None else default_resolution(C.dim)
     axes = grid_axes([C, D], res)
     pts = grid_points(axes)
     desc = f"uniform {res}+breakpoints, sizes {[len(a) for a in axes]}"

@@ -27,9 +27,15 @@ from mincop import (
     tau_cm_defect,
     validate,
 )
-from mincop.core import RefutedCopula, grid_points
+from mincop.core import CheckerboardCopula, RefutedCopula, grid_points
 from mincop.errors import RefuterInternalError
-from mincop.negdep import _corner_surgery
+from mincop.negdep import (
+    BISECT_TOL,
+    _bisect_monotone,
+    _corner_surgery,
+    _first_max,
+    _scan_points,
+)
 
 
 def affine(alpha=1.0):
@@ -167,15 +173,8 @@ def test_corner_pair_masses_match_p():
 
 def test_corner_pair_bisects_upper_corner_on_skewed_board():
     # C(u) > Q[[u,1]] at the worst point: b stays at u, a comes from the
-    # ray bisection alpha -> C(alpha u)
-    from mincop import discretize, make_basic, make_mixture
-
-    mix = make_mixture(
-        [(make_basic("upper_frechet", 2), 0.3), (make_basic("product", 2), 0.7)]
-    )
-    board = discretize(
-        mix, [np.array([0, 0.2, 0.55, 0.8, 1.0]), np.array([0, 0.35, 0.6, 0.9, 1.0])]
-    )
+    # ray solve alpha -> C(alpha u)
+    board = skewed_board()
     _, u, _ = tau_cm_defect(board)
     pair = find_corner_pair(board)
     assert np.allclose(pair.b, u)
@@ -187,7 +186,7 @@ def test_corner_pair_bisects_upper_corner_on_skewed_board():
 
 def test_corner_pair_bisects_lower_corner_in_3d():
     # random d=3 boards have C(u) < Q[[u,1]] at the worst vertex: a stays,
-    # b comes from the survival-side bisection; the off-grid corner still
+    # b comes from the survival-side ray solve; the off-grid corner still
     # verifies exactly after grid refinement
     board = random_checkerboard(3, 6, seed=0)
     _, u, _ = tau_cm_defect(board)
@@ -197,6 +196,107 @@ def test_corner_pair_bisects_lower_corner_in_3d():
     cert = refute_minimality(board)
     assert isinstance(cert, RefutationCertificate)
     assert cert.order_check.exact
+
+
+# -- board-native scan and ray solve against the interpolated oracle ---------
+
+
+def oracle_scan(C):
+    # the interpolated vertex scan, with the same tie-break as the tensor scan
+    pts, _ = _scan_points(C, None)
+    lower = C.cdf_many(pts)
+    upper = C.box_mass_many(pts, np.ones_like(pts))
+    i = _first_max(np.minimum(lower, upper))
+    return min(lower[i], upper[i]), tuple(pts[i]), lower[i], upper[i]
+
+
+def oracle_pair(C):
+    # the same corner choice as find_corner_pair, with bisection on the ray
+    _, u, cu, su = oracle_scan(C)
+    u = np.asarray(u)
+    if su <= cu:
+        if abs(cu - su) <= BISECT_TOL:
+            return u, u, su
+        return _bisect_monotone(lambda t: C.cdf(t * u), su, 0.0, 1.0) * u, u, su
+    if abs(su - cu) <= BISECT_TOL:
+        return u, u, cu
+    ones = np.ones(C.dim)
+    beta = _bisect_monotone(lambda t: C.box_mass(1.0 - t * (1.0 - u), ones), cu, 0.0, 1.0)
+    return u, 1.0 - beta * (1.0 - u), cu
+
+
+def skewed_board():
+    # C(u) > Q[[u,1]] at the worst vertex, so a comes from the ray solve and
+    # lands off the grid
+    mix = make_mixture(
+        [(make_basic("upper_frechet", 2), 0.3), (make_basic("product", 2), 0.7)]
+    )
+    return discretize(
+        mix, [np.array([0, 0.2, 0.55, 0.8, 1.0]), np.array([0, 0.35, 0.6, 0.9, 1.0])]
+    )
+
+
+ORACLE_BOARDS = [
+    random_checkerboard(d, n, seed=s)
+    for d, n in ((2, 8), (2, 16), (3, 6), (3, 8), (4, 4), (4, 5))
+    for s in range(5)
+] + [skewed_board()]
+
+
+def test_board_scan_and_ray_match_the_oracle():
+    solved = {"lower": 0, "survival": 0}
+    for board in ORACLE_BOARDS:
+        defect, worst, _ = tau_cm_defect(board)
+        o_defect, o_worst, _, _ = oracle_scan(board)
+        assert worst == o_worst
+        assert abs(defect - o_defect) <= 1e-15
+        pair = find_corner_pair(board)
+        a, b, p = oracle_pair(board)
+        assert np.max(np.abs(pair.a - a)) <= 1e-12
+        assert np.max(np.abs(pair.b - b)) <= 1e-12
+        assert abs(pair.p - p) <= 1e-15
+        if not np.array_equal(pair.a, pair.b):
+            solved["lower" if np.array_equal(pair.b, worst) else "survival"] += 1
+    # both sides of the ray solve are exercised
+    assert min(solved.values()) >= 3
+
+
+def test_board_ray_crossing_on_a_breakpoint():
+    # the survival ray from 1-u = (3/4, 3/4) reaches p = 1/8 exactly at the
+    # breakpoint beta = 2/3, so b lands on the vertex (1/2, 1/2)
+    masses = np.array([[1, 0, 0, 1], [0, 0, 1, 1], [0, 2, 0, 0], [1, 0, 1, 0]]) / 8
+    board = CheckerboardCopula([np.linspace(0, 1, 5)] * 2, masses)
+    pair = find_corner_pair(board)
+    assert np.array_equal(pair.a, [0.25, 0.25])
+    assert np.array_equal(pair.b, [0.5, 0.5])
+    assert pair.p == 0.125
+    a, b, p = oracle_pair(board)
+    assert np.max(np.abs(pair.b - b)) <= 1e-12
+
+
+def test_board_scan_breaks_an_exact_tie_lexicographically():
+    # two vertices tie at 7/64; the tensor and interpolated scans round the
+    # upper masses differently, and both must still pick the first vertex
+    board = random_checkerboard(3, 8, seed=6)
+    defect, worst, _ = tau_cm_defect(board)
+    assert defect == pytest.approx(0.109375, abs=1e-15)
+    assert worst == (0.375, 0.625, 0.5)
+    assert oracle_scan(board)[1] == worst
+
+
+def test_board_corner_pair_cdf_calls_are_bounded(monkeypatch):
+    # two cdf calls solve the ray and 2 * 2^d verify the corners, however
+    # deep a bisection would have gone
+    calls = []
+    cdf_many = CheckerboardCopula.cdf_many
+    monkeypatch.setattr(
+        CheckerboardCopula, "cdf_many", lambda self, U: calls.append(len(U)) or cdf_many(self, U)
+    )
+    for board in (random_checkerboard(3, 16, seed=0), skewed_board()):
+        calls.clear()
+        pair = find_corner_pair(board)
+        assert not np.array_equal(pair.a, pair.b)
+        assert len(calls) <= 2 + 2 * 2**board.dim
 
 
 # -- the refuter ----------------------------------------------------------
@@ -289,17 +389,6 @@ def test_survival_of_surgery_node_closed_form():
     assert isinstance(tD, Node)
     U = grid_points([np.linspace(0, 1, 9)] * 2)
     assert np.max(np.abs(tD.cdf_many(U) - D.survival_many(U))) < 1e-10
-
-
-def skewed_board():
-    # C(u) > Q[[u,1]] at the worst vertex, so a comes from a bisection and
-    # lands off the grid
-    mix = make_mixture(
-        [(make_basic("upper_frechet", 2), 0.3), (make_basic("product", 2), 0.7)]
-    )
-    return discretize(
-        mix, [np.array([0, 0.2, 0.55, 0.8, 1.0]), np.array([0, 0.35, 0.6, 0.9, 1.0])]
-    )
 
 
 @pytest.mark.parametrize(

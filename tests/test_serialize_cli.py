@@ -234,6 +234,24 @@ def test_cli_segment_without_end_names_the_field(tmp_path, capsys):
     assert "'end'" in err and "unknown copula kind" not in err
 
 
+@pytest.mark.parametrize(
+    "verb, flag, value",
+    [
+        ("refute", "--tol", "nan"),
+        ("refute", "--tol", "-1"),
+        ("refute", "--tol", "inf"),
+        ("certify", "--eps", "nan"),
+        ("certify", "--eps", "-0.5"),
+    ],
+)
+def test_cli_rejects_bad_tolerance_naming_the_flag(tmp_path, capsys, verb, flag, value):
+    # --tol nan used to skip the tau-CM verdict and fail in the surgery
+    spec = write_spec(tmp_path, "tri.json", {"kind": "triangle", "dim": 3})
+    assert main([verb, spec, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "surgery corners" not in err
+
+
 # -- CLI robustness: mutated specs and arguments -----------------------
 
 VALID_SPECS = [
