@@ -127,11 +127,13 @@ def kendall_integral(
                 "exact_checkerboard requires a checkerboard copula"
             )
         return MeasureEstimate(C.kendall_self_integral(), "exact", 0.0, C.masses.size)
+    if method in ("auto", "segment_quadrature") and isinstance(
+        C, (UpperFrechet, LowerFrechet2d)
+    ):
+        C = _segment_twin(C)
     if method == "segment_quadrature" or (
         method == "auto" and isinstance(C, SegmentCopula)
     ):
-        if isinstance(C, (UpperFrechet, LowerFrechet2d)):
-            C = _segment_twin(C)
         if not isinstance(C, SegmentCopula):
             raise UnsupportedRepresentationError(
                 "segment_quadrature requires a segment copula"
@@ -144,9 +146,6 @@ def kendall_integral(
         err = 3.0 * float(vals.std(ddof=1)) / np.sqrt(samples)
         return MeasureEstimate(float(vals.mean()), "monte_carlo", err, samples)
     # auto dispatch for the remaining representations
-    if isinstance(C, (UpperFrechet, LowerFrechet2d)):
-        value, err = _simpson_segments(_segment_twin(C), panels)
-        return MeasureEstimate(value, "quadrature", err, 2 * panels + 1)
     if isinstance(C, ProductCopula):
         # E[prod U_k] under independence
         return MeasureEstimate(2.0 ** -C.dim, "exact", 0.0, 1)

@@ -77,6 +77,8 @@ EXACT_TOL = 1e-9
 CONSTRUCTION_TOL = 1e-12
 # cut points closer than this are one cut (see merge_cuts)
 CUT_GAP = 1e-13
+# grid_axes thins an axis with more nodes than this
+MAX_AXIS_NODES = 512
 
 _DIMENSION_CAP = 6
 
@@ -280,16 +282,14 @@ class CheckerboardCopula(Copula):
     the minimality refuter inserts cut planes at non-grid coordinates).
     ``masses`` has shape ``(len(cuts[0])-1, ..., len(cuts[d-1])-1)``.
 
-    Construction enforces, to 1e-12: nonnegative masses, total mass 1, and
-    uniform margins (each slab's mass equals its width).
+    Construction enforces, to max(1e-12, cells * 1e-16): nonnegative
+    masses, total mass 1, and uniform margins (each slab's mass equals its
+    width).  Sums over a tensor round at the cell-count scale; a bound that
+    grows with it accepts a board again after reflection, permutation,
+    refinement and surgery.
     """
 
-    def __init__(
-        self,
-        cuts: Sequence[np.ndarray],
-        masses: np.ndarray,
-        tol: float = CONSTRUCTION_TOL,
-    ):
+    def __init__(self, cuts: Sequence[np.ndarray], masses: np.ndarray):
         cuts = tuple(np.asarray(c, dtype=float) for c in cuts)
         d = _check_dim(len(cuts))
         if d < 2:
@@ -311,6 +311,7 @@ class CheckerboardCopula(Copula):
                 f"negative cell mass {masses.min():.3e} (beyond -1e-10)"
             )
         masses = np.clip(masses, 0.0, None)
+        tol = max(CONSTRUCTION_TOL, masses.size * 1e-16)
         total = masses.sum()
         if abs(total - 1.0) > tol:
             raise ValidationError(f"total mass {total!r} != 1 (tol {tol:.1e})")
@@ -1006,15 +1007,11 @@ def product_moment(C: Copula, lo, hi, codes: Sequence[int]) -> float:
     return C.product_moment(lo, hi, codes)
 
 
-def grid_axes(
-    copulas: Sequence[Copula],
-    resolution: int,
-    include_breakpoints: bool = True,
-    max_per_axis: int = 512,
-) -> list[np.ndarray]:
+def grid_axes(copulas: Sequence[Copula], resolution: int) -> list[np.ndarray]:
     """Per-axis evaluation nodes: a uniform grid augmented with every natural
-    breakpoint (cuts, segment endpoints, surgery corners) of the copulas.
-    Breakpoints are where piecewise-linear cdfs attain extreme differences.
+    breakpoint (cuts, segment endpoints, surgery corners) of the copulas,
+    thinned to at most about MAX_AXIS_NODES per axis.  Breakpoints are where
+    piecewise-linear cdfs attain extreme differences.
     """
     if not copulas:
         raise InputError("grid_axes needs at least one copula")
@@ -1024,15 +1021,13 @@ def grid_axes(
     axes = []
     for k in range(d):
         nodes = [np.linspace(0.0, 1.0, resolution + 1)]
-        if include_breakpoints:
-            for c in copulas:
-                nodes.append(np.clip(c.breakpoints(k), 0.0, 1.0))
+        nodes += [np.clip(c.breakpoints(k), 0.0, 1.0) for c in copulas]
         # drop near-duplicates; keep the grid bounded
         merged = merge_cuts(*nodes)
-        if len(merged) > max_per_axis:
+        if len(merged) > MAX_AXIS_NODES:
             merged = np.unique(
                 np.concatenate(
-                    [merged[:: len(merged) // max_per_axis + 1], merged[[0, -1]]]
+                    [merged[:: len(merged) // MAX_AXIS_NODES + 1], merged[[0, -1]]]
                 )
             )
         axes.append(merged)

@@ -14,14 +14,15 @@ constructively:
    masses at its vertices off the mass tensor and solves the ray exactly,
    as a piecewise polynomial between known breakpoints; other
    representations scan an interpolated grid and bisect.
-2. ``refute_minimality`` performs the corner surgery (``RefutedCopula``):
-   the two comonotone corner pieces are replaced by a cross-glued,
-   de-comonotonised pair, producing D with D <= C, tau(D) <= tau(C) and
-   D(a) = C(a) - p.  On a checkerboard the surgery is read off the mass
-   tensor refined by the cut planes at a and b, which makes every check
-   exact.  The certificate carries the verified order relation, validity
-   report and strict Spearman-rho drop; verification failure is an
-   internal error, never a silent pass.
+2. ``refute_minimality`` performs the corner surgery: the two comonotone
+   corner pieces are replaced by a cross-glued, de-comonotonised pair,
+   producing D with D <= C, tau(D) <= tau(C) and D(a) = C(a) - p.  On a
+   checkerboard D is the board read off the mass tensor refined by the cut
+   planes at a and b, which makes every check exact; on any other copula D
+   is a ``RefutedCopula`` node.  The D that is returned is the D that was
+   verified: the certificate carries its order relation, validity report
+   and strict Spearman-rho drop; verification failure is an internal
+   error, never a silent pass.
 3. ``descend`` iterates the tensor surgery on a checkerboard until the grid
    tau-CM defect vanishes; each step is measure-exact, so total mass and
    margins stay exact with no correction.  The loop is an artifact-level
@@ -473,11 +474,11 @@ class RefutationCertificate:
     a: np.ndarray
     b: np.ndarray
     p: float
-    copula: Copula  # D, as an evaluable surgery node
+    # D, the verified witness: a board for a board, else a surgery node
+    copula: Copula
     order_check: OrderResult
     margin_defect: float
     rho_drop: float
-    discretized: CheckerboardCopula | None = None
 
     @property
     def passed(self) -> bool:
@@ -518,6 +519,8 @@ def refute_minimality(
 ) -> RefutationCertificate | TauCmCertificate:
     """Either a grid tau-CM certificate, or a verified refutation.
 
+    The refutation's ``copula`` is the D that was verified: on a checkerboard
+    the tensor-surgery board, so refuting it again stays on boards.
     The refuter is one-sided: a TauCmCertificate does not prove minimality
     (tau-CM non-minimal copulas exist in dimension >= 4).
     """
@@ -525,16 +528,15 @@ def refute_minimality(
     if pair is None:
         return tau_cm_certificate(C, grid)
     a, b, p = pair.a, pair.b, pair.p
-    D: Copula = RefutedCopula(C, a, b, p)
-    discretized = None
     if isinstance(C, CheckerboardCopula):
-        # the surgery on the refined grid is exact, so all checks are exact
-        refined, discretized = _corner_surgery(C, a, b)
-        report = validate(discretized)
-        order_check = concordance_leq(discretized, refined)
+        # the surgery on the refined grid is exact, and the order check of
+        # two boards on their shared cuts (grid=None) is exact too
+        C, D = _corner_surgery(C, a, b)
+        grid = None
     else:
-        report = validate(D)
-        order_check = concordance_leq(D, C, grid)
+        D = RefutedCopula(C, a, b, p)
+    report = validate(D)
+    order_check = concordance_leq(D, C, grid)
     checks: list[str] = []
     if not report.passed:
         checks.append(f"validate failed: {report}")
@@ -544,7 +546,7 @@ def refute_minimality(
     if not gap >= p - 1e-9:
         checks.append(f"strict witness D(a) = C(a) - p failed: gap {gap:.3e} vs p {p:.3e}")
     rho_c = spearman_rho(C).value
-    rho_d = spearman_rho(discretized if discretized is not None else D).value
+    rho_d = spearman_rho(D).value
     rho_drop = rho_c - rho_d
     if not rho_drop > 0:
         checks.append(f"Spearman rho did not drop: {rho_c} -> {rho_d}")
@@ -558,7 +560,6 @@ def refute_minimality(
         order_check=order_check,
         margin_defect=max(report.worst_margin_defect, report.worst_grounding_defect),
         rho_drop=rho_drop,
-        discretized=discretized,
     )
 
 

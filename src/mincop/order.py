@@ -93,13 +93,6 @@ def _classify(c_vals, d_vals, points, grid_desc, exact, tol) -> OrderResult:
     )
 
 
-def _shared_grid(C: Copula, D: Copula):
-    if isinstance(C, CheckerboardCopula) and isinstance(D, CheckerboardCopula):
-        cuts = [merge_cuts(c, d) for c, d in zip(C.cuts, D.cuts)]
-        return discretize(C, cuts), discretize(D, cuts), cuts
-    return None
-
-
 def pointwise_leq(
     C: Copula, D: Copula, grid: int | None = None, tol: float = DEFAULT_TOL
 ) -> OrderResult:
@@ -107,14 +100,14 @@ def pointwise_leq(
     to their union cut grid, otherwise a grid-resolution certificate."""
     if C.dim != D.dim:
         raise DimensionMismatchError("operands must share a dimension")
-    shared = _shared_grid(C, D)
-    if shared is not None and grid is None:
-        Cr, Dr, cuts = shared
-        pts = grid_points(cuts)
-        cv = Cr.vertex_cdf.ravel()
-        dv = Dr.vertex_cdf.ravel()
+    if grid is None and isinstance(C, CheckerboardCopula) and isinstance(
+        D, CheckerboardCopula
+    ):
+        cuts = [merge_cuts(c, d) for c, d in zip(C.cuts, D.cuts)]
+        cv = discretize(C, cuts).vertex_cdf.ravel()
+        dv = discretize(D, cuts).vertex_cdf.ravel()
         desc = f"shared checkerboard grid, sizes {[len(c) for c in cuts]}"
-        return _classify(cv, dv, pts, desc, True, tol)
+        return _classify(cv, dv, grid_points(cuts), desc, True, tol)
     res = grid if grid is not None else default_resolution(C.dim)
     axes = grid_axes([C, D], res)
     pts = grid_points(axes)

@@ -164,16 +164,15 @@ def discretize(C: Copula, cuts) -> CheckerboardCopula:
     differences of the vertex cdf; the result agrees with C at every grid
     vertex.  A cell mass below -1e-10 means C was not a copula.  A
     checkerboard onto cuts that contain its own is refined on its mass
-    tensor instead, with no cdf round trip.
+    tensor instead, with no cdf round trip.  The O(cells * eps) rounding
+    that alternating differences accumulate is within the board's own
+    construction tolerance, which grows with its cell count.
     """
     cuts = _norm_cuts(C.dim, cuts)
-    # allow the O(cells * eps) rounding that alternating differences (and
-    # the clipping of -1e-15 cells) accumulate on analytic inputs
-    tol = max(1e-12, np.prod([len(c) - 1 for c in cuts]) * 1e-16)
     if isinstance(C, CheckerboardCopula) and all(
         np.isin(c, t).all() for c, t in zip(C.cuts, cuts)
     ):
-        return CheckerboardCopula(cuts, _split_cells(C, cuts), tol=tol)
+        return CheckerboardCopula(cuts, _split_cells(C, cuts))
     vals = C.cdf_many(grid_points(cuts)).reshape([len(c) for c in cuts])
     masses = vals
     for ax in range(C.dim):
@@ -183,4 +182,4 @@ def discretize(C: Copula, cuts) -> CheckerboardCopula:
             f"discretization produced cell mass {masses.min():.3e}; "
             "the input violates rectangle nonnegativity"
         )
-    return CheckerboardCopula(cuts, np.clip(masses, 0.0, None), tol=tol)
+    return CheckerboardCopula(cuts, np.clip(masses, 0.0, None))

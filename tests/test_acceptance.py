@@ -176,9 +176,7 @@ def test_criterion_09_refuter_soundness_suite():
         for C in _refutable_inputs():
             cert = refute_minimality(C)
             assert isinstance(cert, RefutationCertificate)
-            assert validate(
-                cert.discretized if cert.discretized is not None else cert.copula
-            ).passed
+            assert validate(cert.copula).passed
             assert cert.order_check.relation == Relation.STRICTLY_BELOW
             assert cert.rho_drop > 0
         for C in _tau_cm_inputs():

@@ -24,7 +24,7 @@ from mincop import (
     survival_value,
     validate,
 )
-from mincop.core import grid_points, merge_cuts
+from mincop.core import Copula, grid_points, merge_cuts
 from mincop.transforms import discretize, uniform_cuts
 
 
@@ -254,12 +254,19 @@ def test_validate_checkerboard_of_m_is_clean():
     assert rep.worst_margin_defect < 1e-14
 
 
+class _CornerCell(Copula):
+    """Uniform on [0, 1/2]^2: the board masses [[1,0],[0,0]] on a 2x2 grid,
+    which construction would reject, as a plain cdf."""
+
+    dim = 2
+
+    def cdf_many(self, U):
+        return np.prod(np.minimum(2.0 * U, 1.0), axis=1)
+
+
 def test_validate_flags_nonuniform_margins():
     # masses [[1,0],[0,0]]: all mass in one corner cell
-    bad = CheckerboardCopula(
-        uniform_cuts(2, 2), np.array([[1.0, 0.0], [0.0, 0.0]]), tol=np.inf
-    )
-    rep = validate(bad)
+    rep = validate(_CornerCell())
     assert not rep.passed
     assert rep.worst_margin_defect == pytest.approx(0.5, abs=1e-12)
 

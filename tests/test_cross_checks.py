@@ -16,7 +16,7 @@ from mincop import (
     sample,
     spearman_rho,
 )
-from mincop.core import MOMENT_1MV, MOMENT_V
+from mincop.core import MOMENT_1MV, MOMENT_V, RefutedCopula
 
 
 def _mc_box_moment(C, lo, hi, seed, n=300_000):
@@ -59,14 +59,17 @@ def test_surgery_moment_expansion_against_quadrature():
 
 
 def test_surgery_node_boxes_match_exact_board():
+    # the surgery node on the input board is the oracle for the exact board
+    # the refuter returns
     board = random_checkerboard(3, 5, seed=3)
     cert = refute_minimality(board)
+    node = RefutedCopula(board, cert.a, cert.b, cert.p)
     rng = np.random.default_rng(0)
     for _ in range(10):
         lo = rng.random(3) * 0.5
         hi = lo + rng.random(3) * (1 - lo)
-        assert cert.copula.box_mass(lo, hi) == pytest.approx(
-            cert.discretized.box_mass(lo, hi), abs=1e-10
+        assert node.box_mass(lo, hi) == pytest.approx(
+            cert.copula.box_mass(lo, hi), abs=1e-10
         )
 
 

@@ -10,6 +10,7 @@ from mincop import (
     RefutationCertificate,
     Relation,
     TauCmCertificate,
+    concordance_leq,
     descend,
     discretize,
     find_corner_pair,
@@ -20,7 +21,9 @@ from mincop import (
     make_mixture,
     make_reflected_upper,
     make_triangle_3d,
+    permute,
     random_checkerboard,
+    reflect,
     refute_minimality,
     spearman_rho,
     survival,
@@ -361,12 +364,41 @@ def test_refute_random_checkerboards_exact_verification():
         cert = refute_minimality(C)
         assert isinstance(cert, RefutationCertificate)
         assert cert.order_check.exact
-        assert cert.discretized is not None
-        # the exact discretization evaluates identically to the surgery node
+        assert isinstance(cert.copula, CheckerboardCopula)
+        # the returned board evaluates identically to the surgery node
+        node = RefutedCopula(C, cert.a, cert.b, cert.p)
         pts = grid_points([np.linspace(0, 1, 9)] * d)
-        gap = np.abs(cert.discretized.cdf_many(pts) - cert.copula.cdf_many(pts))
+        gap = np.abs(cert.copula.cdf_many(pts) - node.cdf_many(pts))
         assert np.max(gap) < 1e-10
-        assert validate(cert.discretized).passed
+        assert validate(cert.copula).passed
+
+
+@pytest.mark.parametrize(
+    "make_board",
+    [
+        lambda: discretize(make_basic("clayton_extreme", 3), 32),
+        lambda: discretize(
+            make_mixture(
+                [
+                    (make_basic("clayton_extreme", 3), 0.7),
+                    (make_basic("upper_frechet", 3, representation="analytic"), 0.3),
+                ]
+            ),
+            40,
+        ),
+    ],
+    ids=["clayton", "clayton_m_mixture"],
+)
+def test_discretized_boards_survive_every_board_operation(make_board):
+    # both boards carry a total-mass rounding above 1e-12 but within their
+    # cells * 1e-16 construction tolerance; no operation may reject them
+    board = make_board()
+    survival(board)
+    reflect(board, [0])
+    permute(board, [2, 0, 1])
+    concordance_leq(board, survival(board))
+    assert refute_minimality(board).passed
+    descend(board, n=8, max_iter=3)
 
 
 def test_refute_glue_w_m_tau_cm_but_not_minimal():
@@ -381,12 +413,10 @@ def test_survival_of_surgery_node_closed_form():
     # corners mapped through u -> 1-u; it must agree with the
     # inclusion-exclusion survival of D itself
     board = random_checkerboard(2, 6, seed=21)
-    cert = refute_minimality(board)
-    D = cert.copula
+    pair = find_corner_pair(board)
+    D = RefutedCopula(board, pair.a, pair.b, pair.p)
     tD = survival(D)
-    from mincop.core import RefutedCopula as Node
-
-    assert isinstance(tD, Node)
+    assert isinstance(tD, RefutedCopula)
     U = grid_points([np.linspace(0, 1, 9)] * 2)
     assert np.max(np.abs(tD.cdf_many(U) - D.survival_many(U))) < 1e-10
 

@@ -88,7 +88,7 @@ def test_refuter_sound_or_tau_cm(seed, d):
         assert cert.order_check.relation == Relation.STRICTLY_BELOW
         assert cert.rho_drop > 0
         # the strictly smaller copula really is concordance-below the input
-        again = concordance_leq(cert.discretized, board)
+        again = concordance_leq(cert.copula, board)
         assert again.relation == Relation.STRICTLY_BELOW
     else:
         assert cert.defect <= 1e-9

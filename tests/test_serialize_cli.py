@@ -110,6 +110,18 @@ def test_cli_refute_product(tmp_path, capsys):
     assert doc["witness_copula"]["kind"] == "refuted"
 
 
+def test_cli_refute_board_witness_is_a_board(tmp_path, capsys):
+    # a board's witness is the verified board itself, so refuting it again
+    # stays on the board path
+    spec = write_spec(tmp_path, "b.json", to_spec(random_checkerboard(3, 8, seed=0)))
+    for name in ("d1.json", "d2.json"):
+        assert main(["refute", spec]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"] == "refuted"
+        assert doc["witness_copula"]["kind"] == "checkerboard"
+        spec = write_spec(tmp_path, name, doc["witness_copula"])
+
+
 def test_cli_order_shuffles(tmp_path, capsys):
     a = write_spec(tmp_path, "a.json", {"kind": "shuffle_a", "dim": 2})
     b = write_spec(tmp_path, "b.json", {"kind": "shuffle_b", "dim": 2})
