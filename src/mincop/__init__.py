@@ -41,7 +41,7 @@ from .catalog import (
     shuffle_a,
     shuffle_b,
 )
-from .transforms import discretize, permute, reflect, survival
+from .transforms import as_board, discretize, permute, reflect, survival
 from .order import OrderResult, Relation, concordance_leq, pointwise_leq
 from .concordance import (
     FunctionalReport,

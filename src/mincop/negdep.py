@@ -10,14 +10,16 @@ constructively:
 1. ``find_corner_pair`` locates u with min{C(u), Q^C[[u,1]]} > 0, extracts
    p as the smaller corner mass, and moves the other corner along the
    continuous ray map alpha -> C(alpha u) (or its survival mirror) until
-   both corner boxes carry exactly p.  A checkerboard reads both corner
-   masses at its vertices off the mass tensor and solves the ray exactly,
-   as a piecewise polynomial between known breakpoints; other
+   both corner boxes carry exactly p.  A copula that is exactly a board
+   (``transforms.as_board``: a checkerboard, Pi, and mixtures, glues,
+   reflections and permutations of boards) is lowered to it, reads both
+   corner masses at its vertices off the mass tensor and solves the ray
+   exactly, as a piecewise polynomial between known breakpoints; other
    representations scan an interpolated grid and bisect.
 2. ``refute_minimality`` performs the corner surgery: the two comonotone
    corner pieces are replaced by a cross-glued, de-comonotonised pair,
    producing D with D <= C, tau(D) <= tau(C) and D(a) = C(a) - p.  On a
-   checkerboard D is the board read off the mass tensor refined by the cut
+   board D is the board read off the mass tensor refined by the cut
    planes at a and b, which makes every check exact; on any other copula D
    is a ``RefutedCopula`` node.  The D that is returned is the D that was
    verified: the certificate carries its order relation, validity report
@@ -48,6 +50,7 @@ from .core import (
     MixtureCopula,
     RefutedCopula,
     SegmentCopula,
+    default_resolution,
     grid_axes,
     grid_points,
     merge_cuts,
@@ -56,7 +59,7 @@ from .core import (
 from .concordance import spearman_rho
 from .errors import InputError, RefuterInternalError, UnsupportedRepresentationError
 from .order import OrderResult, Relation, concordance_leq
-from .transforms import discretize, reflect, uniform_cuts
+from .transforms import as_board, discretize, reflect, uniform_cuts
 
 __all__ = [
     "GFunc",
@@ -111,7 +114,7 @@ def _scan_points(C: Copula, grid: int | None) -> tuple[np.ndarray, str]:
         axes = [c[(c > 0) & (c < 1)] for c in C.cuts]
         desc = f"checkerboard vertices, sizes {[len(a) + 2 for a in axes]}"
     else:
-        res = grid if grid is not None else (32 if C.dim <= 3 else 16)
+        res = grid if grid is not None else default_resolution(C.dim)
         axes = [a[(a > 0) & (a < 1)] for a in grid_axes([C], res)]
         desc = f"uniform {res}+breakpoints, sizes {[len(a) + 2 for a in axes]}"
     if any(len(a) == 0 for a in axes):
@@ -151,9 +154,17 @@ def _board_scan(C: CheckerboardCopula) -> tuple[float, tuple, str, float, float]
     return float(defect[idx]), worst, desc, float(lower[idx]), float(upper[idx])
 
 
+def _lowered(C: Copula, grid: int | None) -> Copula:
+    """C as the board that equals it (``as_board``) when no grid is given,
+    so that the exact board paths apply; otherwise C itself."""
+    board = as_board(C) if grid is None else None
+    return C if board is None else board
+
+
 def _scan(C: Copula, grid: int | None) -> tuple[float, tuple, str, float, float]:
     """(defect, worst point, grid description, C(u), Q^C[[u,1]] at the worst
     point u): the one scan behind ``tau_cm_defect`` and ``find_corner_pair``."""
+    C = _lowered(C, grid)
     if grid is None and isinstance(C, CheckerboardCopula):
         return _board_scan(C)
     pts, desc = _scan_points(C, grid)
@@ -173,8 +184,9 @@ def tau_cm_defect(
     Returns (defect, worst_point, grid description).  A defect <= 1e-9 is a
     grid-level tau-CM certificate; a larger defect exhibits a point whose
     two corner boxes both carry mass.  Ties break lexicographically.
-    Checkerboards (with ``grid=None``) read both corner masses at their
-    interior vertices off the mass tensor, with no interpolation.
+    Copulas that are boards (with ``grid=None``; see ``as_board``) read
+    both corner masses at their interior vertices off the mass tensor, with
+    no interpolation.
     """
     defect, worst, desc, _, _ = _scan(C, grid)
     return float(defect), worst, desc
@@ -417,10 +429,12 @@ def find_corner_pair(
     the upper corner is the smaller one, p := Q^C[[u,1]], b := u and a is
     where the continuous ray map alpha -> C(alpha u) reaches p; otherwise the
     same is done on the survival side and mapped back through u -> 1-u.
-    Checkerboards (with ``grid=None``) solve the ray exactly, the survival
-    side on the total reflection at 1-u; other copulas bisect.  Returns None
-    iff the defect is already below ``tol`` (grid tau-CM).
+    With ``grid=None`` a copula that is a board (``as_board``) is scanned at
+    its vertices and solves the ray exactly, the survival side on the total
+    reflection at 1-u; other copulas bisect.  Returns None iff the defect is
+    already below ``tol`` (grid tau-CM).
     """
+    C = _lowered(C, grid)
     defect, u, _, cu, su = _scan(C, grid)
     if defect <= tol:
         return None
@@ -519,11 +533,16 @@ def refute_minimality(
 ) -> RefutationCertificate | TauCmCertificate:
     """Either a grid tau-CM certificate, or a verified refutation.
 
-    The refutation's ``copula`` is the D that was verified: on a checkerboard
-    the tensor-surgery board, so refuting it again stays on boards.
+    The refutation's ``copula`` is the D that was verified.  With
+    ``grid=None`` a copula that is exactly a board (a checkerboard, Pi, and
+    mixtures, glues, reflections and permutations of boards; see
+    ``as_board``) is refuted as that board: D is the tensor-surgery board,
+    so refuting it again stays on boards.  Other inputs, and every input but
+    a checkerboard when a ``grid`` is given, get a ``RefutedCopula`` node.
     The refuter is one-sided: a TauCmCertificate does not prove minimality
     (tau-CM non-minimal copulas exist in dimension >= 4).
     """
+    C = _lowered(C, grid)
     pair = find_corner_pair(C, grid, tol)
     if pair is None:
         return tau_cm_certificate(C, grid)
@@ -636,22 +655,25 @@ def descend(
 ) -> DescentResult:
     """Iterated surgery toward a grid tau-CM copula.
 
-    Materialises C on an n-cell grid, then repeatedly applies the corner
-    surgery on the board's mass tensor, inserting the new cut planes at a
-    and b (so each step is measure-exact, with no drift to correct) and
-    coarsening mass-preservingly when an axis exceeds ``cut_cap`` (default
-    4n) cells.  Stops when the vertex tau-CM defect is <= tol
-    ("converged"), when int C dQ^C has not dropped for ``stall_patience``
-    consecutive surgeries ("stalled"), or at ``max_iter``.  The trace shows
+    Materialises C on an n-cell grid (a copula that is a board keeps its
+    own cuts too, with Pi laid on the n-cell grid), then repeatedly applies
+    the corner surgery on the board's mass tensor, inserting the new cut
+    planes at a and b (so each step is measure-exact, with no drift to
+    correct) and coarsening mass-preservingly when an axis exceeds
+    ``cut_cap`` (default 4n) cells.  Stops when the vertex tau-CM defect is
+    <= tol ("converged"), when int C dQ^C has not dropped for
+    ``stall_patience`` consecutive surgeries ("stalled"), or at
+    ``max_iter``.  The trace shows
     int C dQ^C non-increasing and rho strictly decreasing across exact
     (non-coarsened) steps.
     """
     if n < 4 or max_iter < 1:
         raise InputError("descend needs n >= 4 and max_iter >= 1")
     cap = 4 * n if cut_cap is None else cut_cap
-    if isinstance(C, CheckerboardCopula):
+    board = as_board(C, n)
+    if board is not None:
         grid = np.linspace(0, 1, n + 1)
-        board = discretize(C, [merge_cuts(c, grid) for c in C.cuts])
+        board = discretize(board, [merge_cuts(c, grid) for c in board.cuts])
     else:
         board = discretize(C, uniform_cuts(C.dim, n))
     trace: list[DescentStep] = []

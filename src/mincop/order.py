@@ -4,10 +4,10 @@ C precedes D in the concordance order iff C(u) <= D(u) and
 (tau C)(u) <= (tau D)(u) everywhere.  Verdicts are grid certificates: the
 evaluation grid is a uniform lattice augmented with both operands' natural
 breakpoints, since piecewise-(multi)linear differences attain their extrema
-there.  When both operands are checkerboards they are refined onto their
-common cut grid first, which makes the verdict exact rather than
-grid-limited (vertex domination of multilinear interpolants is global
-domination); ``OrderResult.exact`` records which kind was obtained.
+there.  When both operands are boards (``transforms.as_board``) they are
+refined onto their common cut grid first, which makes the verdict exact
+rather than grid-limited (vertex domination of multilinear interpolants is
+global domination); ``OrderResult.exact`` records which kind was obtained.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CheckerboardCopula,
     Copula,
     default_resolution,
     grid_axes,
@@ -25,7 +24,7 @@ from .core import (
     merge_cuts,
 )
 from .errors import DimensionMismatchError
-from .transforms import discretize, survival
+from .transforms import as_board, discretize, survival
 
 __all__ = ["OrderResult", "Relation", "pointwise_leq", "concordance_leq"]
 
@@ -96,16 +95,17 @@ def _classify(c_vals, d_vals, points, grid_desc, exact, tol) -> OrderResult:
 def pointwise_leq(
     C: Copula, D: Copula, grid: int | None = None, tol: float = DEFAULT_TOL
 ) -> OrderResult:
-    """Check C(u) <= D(u) on a grid; exact for checkerboards after refinement
-    to their union cut grid, otherwise a grid-resolution certificate."""
+    """Check C(u) <= D(u) on a grid; exact when both sides are boards
+    (``as_board``) after refinement to their union cut grid, otherwise a
+    grid-resolution certificate."""
     if C.dim != D.dim:
         raise DimensionMismatchError("operands must share a dimension")
-    if grid is None and isinstance(C, CheckerboardCopula) and isinstance(
-        D, CheckerboardCopula
-    ):
-        cuts = [merge_cuts(c, d) for c, d in zip(C.cuts, D.cuts)]
-        cv = discretize(C, cuts).vertex_cdf.ravel()
-        dv = discretize(D, cuts).vertex_cdf.ravel()
+    bc = as_board(C) if grid is None else None
+    bd = as_board(D) if bc is not None else None
+    if bd is not None:
+        cuts = [merge_cuts(c, d) for c, d in zip(bc.cuts, bd.cuts)]
+        cv = discretize(bc, cuts).vertex_cdf.ravel()
+        dv = discretize(bd, cuts).vertex_cdf.ravel()
         desc = f"shared checkerboard grid, sizes {[len(c) for c in cuts]}"
         return _classify(cv, dv, grid_points(cuts), desc, True, tol)
     res = grid if grid is not None else default_resolution(C.dim)

@@ -9,6 +9,9 @@ only generic analytic nodes fall back to an inclusion-exclusion wrapper.
 ``discretize`` projects any copula onto a checkerboard by measuring every
 grid cell, never by sampling; the result matches the original cdf at every
 grid vertex exactly and inherits exact uniform margins from the input's.
+``as_board`` instead returns the checkerboard that *equals* a copula, for
+the copulas that are boards: Pi, and mixtures, glue products, reflections
+and permutations built from boards and Pi.
 """
 
 from __future__ import annotations
@@ -23,14 +26,16 @@ from .core import (
     GlueProduct,
     MixtureCopula,
     Permuted,
+    ProductCopula,
     Reflected,
     RefutedCopula,
     SegmentCopula,
+    default_resolution,
     grid_points,
 )
 from .errors import InputError, ValidationError
 
-__all__ = ["reflect", "permute", "survival", "discretize", "uniform_cuts"]
+__all__ = ["reflect", "permute", "survival", "discretize", "as_board", "uniform_cuts"]
 
 
 def _norm_reflection(C: Copula, K: Iterable[int]) -> frozenset[int]:
@@ -183,3 +188,63 @@ def discretize(C: Copula, cuts) -> CheckerboardCopula:
             "the input violates rectangle nonnegativity"
         )
     return CheckerboardCopula(cuts, np.clip(masses, 0.0, None))
+
+
+def as_board(C: Copula, resolution: int | None = None) -> CheckerboardCopula | None:
+    """The checkerboard that equals C exactly, or None if C is not one.
+
+    A board is returned as it is.  Pi has no cuts of its own: it becomes the
+    uniform board with ``resolution`` cells per axis (default the scan
+    resolution ``default_resolution(d)``), never one cell, which would have
+    no interior vertex to scan.  A mixture of boards is the weighted sum of
+    their masses on the union of their cuts, a glue product the outer
+    product of its halves' masses (a one-dimensional half is Lebesgue
+    measure, as every one-dimensional copula is), and a reflection or a
+    permutation of a board is ``reflect`` or ``permute`` of that board.
+    Everything else (M, W, segments, Clayton, surgery nodes) gives None.
+    """
+    if C.dim < 2:
+        return None
+    return _lower(C, default_resolution(C.dim) if resolution is None else resolution)
+
+
+def _lower(C: Copula, res: int) -> CheckerboardCopula | None:
+    if isinstance(C, CheckerboardCopula):
+        return C
+    if isinstance(C, ProductCopula):
+        return CheckerboardCopula(*_uniform_masses(C.dim, res))
+    if isinstance(C, Reflected):
+        inner = _lower(C.inner, res)
+        return None if inner is None else reflect(inner, C.K)
+    if isinstance(C, Permuted):
+        inner = _lower(C.inner, res)
+        return None if inner is None else permute(inner, C.sigma)
+    if isinstance(C, MixtureCopula):
+        parts = [(_lower(c, res), w) for c, w in C.parts]
+        if any(b is None for b, _ in parts):
+            return None
+        cuts = [np.unique(np.concatenate(cs)) for cs in zip(*(b.cuts for b, _ in parts))]
+        return CheckerboardCopula(cuts, sum(w * _split_cells(b, cuts) for b, w in parts))
+    if isinstance(C, GlueProduct):
+        halves = [_glue_half(h, res) for h in (C.left, C.right)]
+        if any(h is None for h in halves):
+            return None
+        (cl, ml), (cr, mr) = halves
+        return CheckerboardCopula(cl + cr, np.multiply.outer(ml, mr))
+    return None
+
+
+def _uniform_masses(dim: int, res: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Pi on the uniform grid: each cell's mass is the product of its widths."""
+    cuts = uniform_cuts(dim, res)
+    masses = np.ones(())
+    for c in cuts:
+        masses = np.multiply.outer(masses, np.diff(c))
+    return cuts, masses
+
+
+def _glue_half(C: Copula, res: int) -> tuple[list[np.ndarray], np.ndarray] | None:
+    if C.dim == 1:
+        return _uniform_masses(1, res)
+    board = _lower(C, res)
+    return None if board is None else (list(board.cuts), board.masses)

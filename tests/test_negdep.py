@@ -30,7 +30,7 @@ from mincop import (
     tau_cm_defect,
     validate,
 )
-from mincop.core import CheckerboardCopula, RefutedCopula, grid_points
+from mincop.core import CheckerboardCopula, RefutedCopula, default_resolution, grid_points
 from mincop.errors import RefuterInternalError
 from mincop.negdep import (
     BISECT_TOL,
@@ -310,6 +310,63 @@ def test_refute_product_yields_certificate():
     assert isinstance(cert, RefutationCertificate)
     assert cert.order_check.relation == Relation.STRICTLY_BELOW
     assert cert.rho_drop > 0
+    assert cert.passed
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_refute_product_is_a_board_refutation(d):
+    # Pi is refuted as the uniform board at the scan resolution; a one-cell
+    # board has no interior vertex and would give a tau-CM certificate
+    Pi = make_basic("product", d)
+    cert = refute_minimality(Pi)
+    assert isinstance(cert, RefutationCertificate)
+    assert cert.passed
+    assert isinstance(cert.copula, CheckerboardCopula)
+    # oracle: the interpolated scan and bisection on the same grid, and the
+    # surgery node on Pi itself
+    pair = find_corner_pair(Pi, grid=default_resolution(d))
+    node = RefutedCopula(Pi, pair.a, pair.b, pair.p)
+    rho_drop = spearman_rho(Pi).value - spearman_rho(node).value
+    assert np.max(np.abs(cert.a - node.a)) <= 1e-12
+    assert np.max(np.abs(cert.b - node.b)) <= 1e-12
+    assert abs(cert.p - node.p) <= 1e-12
+    assert abs(cert.rho_drop - rho_drop) <= 1e-12
+    D = cert.copula
+    assert np.max(np.abs(D.masses - discretize(node, D.cuts).masses)) <= 1e-12
+
+
+M5 = make_basic("upper_frechet", 5)
+PI5 = make_basic("product", 5)
+
+
+@pytest.mark.parametrize(
+    "C, p, rho_drop",
+    [
+        (PI5, 1 / 32, 0.03605769230769231),
+        (M5, 0.5, 0.8384615384615383),
+        (make_mixture([(M5, 0.5), (PI5, 0.5)]), 0.265625, 0.4372596153846152),
+    ],
+    ids=["product", "upper_frechet", "mixture"],
+)
+def test_refute_d5_refutes_at_the_centre(C, p, rho_drop):
+    # d = 5 scans at default_resolution(5) = 8 cells per axis; the corners,
+    # p and rho drop are those the 16-cell scan gave
+    cert = refute_minimality(C)
+    assert isinstance(cert, RefutationCertificate)
+    assert cert.passed
+    assert np.all(cert.a == 0.5) and np.all(cert.b == 0.5)
+    assert cert.p == pytest.approx(p, abs=1e-12)
+    assert cert.rho_drop == pytest.approx(rho_drop, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "C",
+    [make_basic("clayton_extreme", 5), make_reflected_upper(5, [0, 1])],
+    ids=["clayton_extreme", "reflected_upper"],
+)
+def test_refute_d5_tau_cm(C):
+    cert = refute_minimality(C)
+    assert isinstance(cert, TauCmCertificate)
     assert cert.passed
 
 

@@ -102,12 +102,16 @@ def test_cli_measure_triangle_rho(tmp_path, capsys):
 
 
 def test_cli_refute_product(tmp_path, capsys):
+    # Pi is exactly a board, so its witness is a board, and refuting the
+    # witness once more stays on boards
     spec = write_spec(tmp_path, "pi.json", {"kind": "product", "dim": 2})
-    assert main(["refute", spec]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["result"] == "refuted"
-    assert doc["rho_drop"] > 0
-    assert doc["witness_copula"]["kind"] == "refuted"
+    for name in ("d1.json", "d2.json"):
+        assert main(["refute", spec]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"] == "refuted"
+        assert doc["rho_drop"] > 0
+        assert doc["witness_copula"]["kind"] == "checkerboard"
+        spec = write_spec(tmp_path, name, doc["witness_copula"])
 
 
 def test_cli_refute_board_witness_is_a_board(tmp_path, capsys):

@@ -5,11 +5,13 @@ import pytest
 
 from mincop import (
     InputError,
+    as_board,
     cdf,
     discretize,
     kendall_tau,
     make_basic,
     make_glue_product,
+    make_mixture,
     make_reflected_upper,
     make_triangle_3d,
     permute,
@@ -18,7 +20,7 @@ from mincop import (
     shuffle_a,
     survival,
 )
-from mincop.core import CheckerboardCopula, grid_points
+from mincop.core import CheckerboardCopula, Permuted, Reflected, default_resolution, grid_points
 from mincop.errors import ValidationError
 
 
@@ -223,3 +225,60 @@ def test_discretize_rejects_non_copulas():
 
     with pytest.raises(ValidationError):
         discretize(NotACopula(2), 4)
+
+
+# -- lowering exact boards ------------------------------------------------
+
+
+def lowerable_copulas():
+    Pi2 = make_basic("product", 2)
+    mix = make_mixture([(random_checkerboard(2, 6, seed=3), 0.4), (Pi2, 0.6)])
+    glue = make_glue_product(random_checkerboard(2, 5, seed=4), make_basic("product", 1))
+    out = []
+    for C in (Pi2, make_basic("product", 3), mix, glue):
+        out += [C, reflect(C, [0]), permute(C, [*range(1, C.dim), 0])]
+    # the wrapper nodes themselves, as a spec or a caller may build them
+    out += [Reflected(glue, [1, 2]), Permuted(mix, [1, 0])]
+    return out
+
+
+@pytest.mark.parametrize("C", lowerable_copulas())
+def test_as_board_equals_the_copula(C):
+    board = as_board(C)
+    assert isinstance(board, CheckerboardCopula)
+    U = np.random.default_rng(7).random((500, C.dim))
+    assert np.max(np.abs(board.cdf_many(U) - C.cdf_many(U))) <= 1e-14
+
+
+def test_as_board_lays_pi_on_the_scan_grid():
+    # one cell per axis would have no interior vertex to scan
+    for d in (2, 3, 4, 5):
+        n = default_resolution(d)
+        board = as_board(make_basic("product", d))
+        assert board.masses.shape == (n,) * d
+        assert np.all(board.masses == n**-d)
+    assert as_board(make_basic("product", 3), 4).masses.shape == (4, 4, 4)
+
+
+def test_as_board_returns_a_board_as_it_is():
+    board = random_checkerboard(3, 4, seed=0)
+    assert as_board(board) is board
+
+
+@pytest.mark.parametrize(
+    "C",
+    [
+        make_basic("upper_frechet", 2),
+        make_basic("upper_frechet", 3, representation="analytic"),
+        make_basic("lower_frechet_2d", 2),
+        make_basic("lower_frechet_2d", 2, representation="analytic"),
+        make_reflected_upper(3, [0]),
+        make_triangle_3d(),
+        make_basic("clayton_extreme", 3),
+        make_mixture([(make_basic("upper_frechet", 2), 0.5), (make_basic("product", 2), 0.5)]),
+        make_glue_product(make_basic("lower_frechet_2d", 2), make_basic("product", 1)),
+        make_basic("product", 1),
+    ],
+)
+def test_as_board_none_for_copulas_that_are_not_boards(C):
+    assert as_board(C) is None
