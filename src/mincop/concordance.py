@@ -86,6 +86,17 @@ class FunctionalReport:
 
 
 _KENDALL_METHODS = ("auto", "exact_checkerboard", "segment_quadrature", "monte_carlo")
+# rho and the Pi-integral read "exact_checkerboard" as "exact" and
+# "segment_quadrature" as "quadrature", so one --method serves all three
+_MOMENT_METHODS = ("auto", "exact", "exact_checkerboard", "quadrature", "segment_quadrature",
+                   "monte_carlo")
+
+
+def _check_method(name: str, method: str, accepted: tuple[str, ...]) -> None:
+    if method not in accepted:
+        raise InputError(
+            f"unknown {name} method {method!r}; expected one of {', '.join(accepted)}"
+        )
 
 
 def _simpson_segments(C: SegmentCopula, panels: int) -> tuple[float, float]:
@@ -117,8 +128,7 @@ def kendall_integral(
     panels: int = SIMPSON_PANELS,
 ) -> MeasureEstimate:
     """int C dQ^C (the un-normalised Kendall functional)."""
-    if method not in _KENDALL_METHODS:
-        raise InputError(f"unknown kendall method {method!r}")
+    _check_method("kendall", method, _KENDALL_METHODS)
     if method == "exact_checkerboard" or (
         method == "auto" and isinstance(C, CheckerboardCopula)
     ):
@@ -253,7 +263,9 @@ def spearman_rho(
     quad_nodes: int = 24,
 ) -> FunctionalReport:
     """Spearman's rho: strictly concordance order preserving, hence
-    minimised by minimal copulas only."""
+    minimised by minimal copulas only.  ``method`` is one of
+    ``_MOMENT_METHODS``; any other name raises InputError."""
+    _check_method("spearman_rho", method, _MOMENT_METHODS)
     d = C.dim
     norm = spearman_normalization(d)
     if method in ("exact", "exact_checkerboard", "auto"):
@@ -295,10 +307,12 @@ def pi_integral(
     quad_nodes: int = 24,
 ) -> FunctionalReport:
     """int Pi dQ^C = E[prod_k V_k]: continuous and strictly concordance
-    order preserving."""
+    order preserving.  ``method`` is one of ``_MOMENT_METHODS``; any other
+    name raises InputError."""
+    _check_method("pi_integral", method, _MOMENT_METHODS)
     d = C.dim
     lo, hi = np.zeros(d), np.ones(d)
-    if method in ("exact", "auto"):
+    if method in ("exact", "exact_checkerboard", "auto"):
         try:
             value = C.product_moment(lo, hi, [MOMENT_V] * d)
             return FunctionalReport(
@@ -307,7 +321,7 @@ def pi_integral(
         except UnsupportedRepresentationError:
             if method != "auto":
                 raise
-    if method in ("auto", "quadrature") and d <= 4:
+    if method in ("auto", "quadrature", "segment_quadrature") and d <= 4:
         # E[prod V_k] = int Q^C[[x, 1]] dx (Fubini on the indicator of [x, 1])
         integrand = lambda pts: C.box_mass_many(pts, np.ones_like(pts))
         fine, n_pts = _cube_quadrature(C, quad_nodes, integrand)

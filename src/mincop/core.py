@@ -130,6 +130,16 @@ def _corner_masks(d: int) -> list[tuple[int, ...]]:
     return list(itertools.product((0, 1), repeat=d))
 
 
+def _cumulative(masses: np.ndarray) -> np.ndarray:
+    """S[i] = the mass of the cells below vertex i, for every vertex of a
+    mass tensor's grid: Q[[0, vertex_i]]."""
+    S = np.zeros([n + 1 for n in masses.shape])
+    S[(slice(1, None),) * masses.ndim] = masses
+    for ax in range(masses.ndim):
+        S = np.cumsum(S, axis=ax)
+    return S
+
+
 # Per-axis factor codes for product moments: E[ 1_box(V) * prod_k f_k(V_k) ].
 MOMENT_ONE = 0  # f(v) = 1
 MOMENT_V = 1  # f(v) = v
@@ -328,11 +338,7 @@ class CheckerboardCopula(Copula):
         self.cuts = cuts
         self.masses = masses
         self.masses.setflags(write=False)
-        # vertex cdf tensor: S[i] = Q[[0, vertex_i]]
-        S = masses
-        for ax in range(d):
-            S = np.cumsum(S, axis=ax)
-        self._vertex_cdf = np.pad(S, [(1, 0)] * d)
+        self._vertex_cdf = _cumulative(masses)
         self._vertex_cdf.setflags(write=False)
 
     @property

@@ -7,15 +7,15 @@ Every minimal copula (in the concordance order) is tau-CM, so exhibiting an
 interior point with both corner masses positive refutes minimality
 constructively:
 
-1. ``find_corner_pair`` locates u with min{C(u), Q^C[[u,1]]} > 0, extracts
-   p as the smaller corner mass, and moves the other corner along the
-   continuous ray map alpha -> C(alpha u) (or its survival mirror) until
-   both corner boxes carry exactly p.  A copula that is exactly a board
-   (``transforms.as_board``: a checkerboard, Pi, and mixtures, glues,
-   reflections and permutations of boards) is lowered to it, reads both
-   corner masses at its vertices off the mass tensor and solves the ray
-   exactly, as a piecewise polynomial between known breakpoints; other
-   representations scan an interpolated grid and bisect.
+1. ``find_corner_pair`` reads both corner masses at the interior vertices
+   off the orthant-mass tensors (``transforms.orthant_masses``), picks u
+   with the largest min{C(u), Q^C[[u,1]]} = p, and moves the larger corner
+   along the ray map alpha -> C(alpha u) (or the survival copula's, from
+   1-u) until both corner boxes carry exactly p.  A copula that is exactly
+   a board (``transforms.as_board``: a checkerboard, Pi, and mixtures,
+   glues, reflections and permutations of boards) is scanned at its own
+   vertices and solves the ray exactly; other representations scan a
+   uniform grid augmented with their breakpoints and bisect.
 2. ``refute_minimality`` performs the corner surgery: the two comonotone
    corner pieces are replaced by a cross-glued, de-comonotonised pair,
    producing D with D <= C, tau(D) <= tau(C) and D(a) = C(a) - p.  On a
@@ -52,14 +52,13 @@ from .core import (
     SegmentCopula,
     default_resolution,
     grid_axes,
-    grid_points,
     merge_cuts,
     validate,
 )
 from .concordance import spearman_rho
 from .errors import InputError, RefuterInternalError, UnsupportedRepresentationError
 from .order import OrderResult, Relation, concordance_leq
-from .transforms import as_board, discretize, reflect, uniform_cuts
+from .transforms import as_board, discretize, orthant_masses, survival, uniform_cuts
 
 __all__ = [
     "GFunc",
@@ -102,56 +101,15 @@ class TauCmCertificate:
         return self.defect <= DEFECT_TOL
 
 
-def _scan_points(C: Copula, grid: int | None) -> tuple[np.ndarray, str]:
-    """Interior scan points for corner-mass checks.
-
-    Checkerboards scan their own interior cell vertices (the extrema of the
-    piecewise-multilinear corner masses certified at grid scale; evaluated
-    by interpolation, this is the reference for ``_board_scan``); other
-    representations take a uniform lattice augmented with breakpoints.
-    """
-    if grid is None and isinstance(C, CheckerboardCopula):
-        axes = [c[(c > 0) & (c < 1)] for c in C.cuts]
-        desc = f"checkerboard vertices, sizes {[len(a) + 2 for a in axes]}"
-    else:
-        res = grid if grid is not None else default_resolution(C.dim)
-        axes = [a[(a > 0) & (a < 1)] for a in grid_axes([C], res)]
-        desc = f"uniform {res}+breakpoints, sizes {[len(a) + 2 for a in axes]}"
-    if any(len(a) == 0 for a in axes):
-        return np.empty((0, C.dim)), desc
-    return grid_points(axes), desc
-
-
 def _first_max(values: np.ndarray) -> int:
     """Index of the first value (C-order) within TIE_TOL of the maximum.
 
-    The tensor and the interpolated scans round differently, so an exact tie
-    can come out a few ulps apart; counting such values as tied keeps the
-    lexicographic tie-break the same on both paths.
+    The orthant-mass scan and its interpolated test oracle round differently,
+    so an exact tie can come out a few ulps apart; counting such values as
+    tied keeps the lexicographic tie-break the same on both.
     """
     flat = values.ravel()
     return int(np.argmax(flat >= flat.max() - TIE_TOL))
-
-
-def _board_scan(C: CheckerboardCopula) -> tuple[float, tuple, str, float, float]:
-    """The vertex scan of a board, read off its tensors: C at the interior
-    vertices is ``vertex_cdf`` and Q^C[[v,1]] a cumulative sum over the
-    flipped axes."""
-    axes = [c[1:-1] for c in C.cuts]
-    desc = f"checkerboard vertices, sizes {[len(a) + 2 for a in axes]}"
-    if any(len(a) == 0 for a in axes):
-        return 0.0, (), desc, 0.0, 0.0
-    flip = (slice(None, None, -1),) * C.dim
-    upper = C.masses[flip]
-    for ax in range(C.dim):
-        upper = np.cumsum(upper, axis=ax)
-    # upper[i] is the mass of the cells >= i, i.e. Q[[vertex_i, 1]]
-    upper = upper[flip][(slice(1, None),) * C.dim]
-    lower = C.vertex_cdf[(slice(1, -1),) * C.dim]
-    defect = np.minimum(lower, upper)
-    idx = np.unravel_index(_first_max(defect), defect.shape)
-    worst = tuple(a[i] for a, i in zip(axes, idx))
-    return float(defect[idx]), worst, desc, float(lower[idx]), float(upper[idx])
 
 
 def _lowered(C: Copula, grid: int | None) -> Copula:
@@ -163,17 +121,23 @@ def _lowered(C: Copula, grid: int | None) -> Copula:
 
 def _scan(C: Copula, grid: int | None) -> tuple[float, tuple, str, float, float]:
     """(defect, worst point, grid description, C(u), Q^C[[u,1]] at the worst
-    point u): the one scan behind ``tau_cm_defect`` and ``find_corner_pair``."""
+    point u) over the interior vertices: the one scan behind
+    ``tau_cm_defect`` and ``find_corner_pair``."""
     C = _lowered(C, grid)
     if grid is None and isinstance(C, CheckerboardCopula):
-        return _board_scan(C)
-    pts, desc = _scan_points(C, grid)
-    if len(pts) == 0:
+        cuts, kind = C.cuts, "checkerboard vertices"
+    else:
+        res = grid if grid is not None else default_resolution(C.dim)
+        cuts, kind = grid_axes([C], res), f"uniform {res}+breakpoints"
+    desc = f"{kind}, sizes {[len(c) for c in cuts]}"
+    if any(len(c) < 3 for c in cuts):
         return 0.0, (), desc, 0.0, 0.0
-    lower = C.cdf_many(pts)
-    upper = C.box_mass_many(pts, np.ones_like(pts))
-    i = _first_max(np.minimum(lower, upper))
-    return min(lower[i], upper[i]), tuple(pts[i]), desc, lower[i], upper[i]
+    interior = (slice(1, -1),) * C.dim
+    lower, upper = (X[interior] for X in orthant_masses(C, cuts))
+    defect = np.minimum(lower, upper)
+    idx = np.unravel_index(_first_max(defect), defect.shape)
+    worst = tuple(c[i + 1] for c, i in zip(cuts, idx))
+    return float(defect[idx]), worst, desc, float(lower[idx]), float(upper[idx])
 
 
 def tau_cm_defect(
@@ -189,7 +153,7 @@ def tau_cm_defect(
     no interpolation.
     """
     defect, worst, desc, _, _ = _scan(C, grid)
-    return float(defect), worst, desc
+    return defect, worst, desc
 
 
 def tau_cm_certificate(C: Copula, grid: int | None = None) -> TauCmCertificate:
@@ -382,27 +346,30 @@ def _bisect_monotone(f, target: float, lo: float, hi: float) -> float:
     return hi
 
 
-def _board_ray(C: CheckerboardCopula, u: np.ndarray, p: float) -> float:
-    """The smallest alpha in [0,1] with C(alpha u) = p, solved exactly.
+def _ray(X: Copula, u: np.ndarray, p: float) -> float:
+    """The smallest alpha in [0,1] with X(alpha u) = p: solved exactly on a
+    board, bisected on the continuous nondecreasing map otherwise.
 
-    The ray map alpha -> C(alpha u) kinks only at the breakpoints
+    On a board the ray map alpha -> X(alpha u) kinks only at the breakpoints
     cuts[k] / u[k]; between two of them alpha u stays in one cell, where the
-    multilinear C is a polynomial of degree <= d in alpha.  One cdf call at
+    multilinear X is a polynomial of degree <= d in alpha.  One cdf call at
     the breakpoints brackets the crossing, a second at d+1 nodes gives the
     polynomial, and the crossing is its root inside the bracket.
     """
+    if not isinstance(X, CheckerboardCopula):
+        return _bisect_monotone(lambda t: X.cdf(t * u), p, 0.0, 1.0)
     t = np.unique(
-        np.concatenate([[0.0, 1.0]] + [c[(c > 0) & (c < x)] / x for c, x in zip(C.cuts, u)])
+        np.concatenate([[0.0, 1.0]] + [c[(c > 0) & (c < x)] / x for c, x in zip(X.cuts, u)])
     )
-    f = C.cdf_many(t[:, None] * u)
+    f = X.cdf_many(t[:, None] * u)
     j = int(np.argmax(f >= p))
     if f[j] < p:
         raise RefuterInternalError(f"ray bracket broken: C(u)={f[-1]}, target={p}")
     if j == 0 or f[j] == p:
         return float(t[j])
     lo, hi = t[j - 1], t[j]
-    s = np.linspace(0.0, 1.0, C.dim + 1)
-    vals = C.cdf_many((lo + s * (hi - lo))[:, None] * u)
+    s = np.linspace(0.0, 1.0, X.dim + 1)
+    vals = X.cdf_many((lo + s * (hi - lo))[:, None] * u)
     coef = np.linalg.solve(np.vander(s), vals - p)  # highest power first
     # leading coefficients at rounding level would give spurious huge roots
     roots = np.roots(coef[np.argmax(np.abs(coef) > 1e-15 * np.abs(coef).max()):])
@@ -430,42 +397,24 @@ def find_corner_pair(
     where the continuous ray map alpha -> C(alpha u) reaches p; otherwise the
     same is done on the survival side and mapped back through u -> 1-u.
     With ``grid=None`` a copula that is a board (``as_board``) is scanned at
-    its vertices and solves the ray exactly, the survival side on the total
-    reflection at 1-u; other copulas bisect.  Returns None iff the defect is
-    already below ``tol`` (grid tau-CM).
+    its vertices.  The ray runs on C at u or on its survival copula at 1-u,
+    and is solved exactly on a board and bisected otherwise.  Returns None
+    iff the defect is already below ``tol`` (grid tau-CM).
     """
     C = _lowered(C, grid)
     defect, u, _, cu, su = _scan(C, grid)
     if defect <= tol:
         return None
+    # the smaller corner mass is p, and the other corner moves along its ray:
+    # C's from u, or the survival copula's from 1-u, whose cdf at beta(1-u)
+    # is Q^C[[1 - beta(1-u), 1]]
     u = np.asarray(u)
-    board = grid is None and isinstance(C, CheckerboardCopula)
-    if su <= cu:
-        p = su
-        b = u
-        if abs(cu - p) <= BISECT_TOL:
-            a = u.copy()
-        elif board:
-            a = _board_ray(C, u, p) * u
-        else:
-            a = _bisect_monotone(lambda t: C.cdf(t * u), p, 0.0, 1.0) * u
-    else:
-        p = cu
-        a = u
-        if abs(su - p) <= BISECT_TOL:
-            b = u.copy()
-        elif board:
-            # Q^C[[1 - beta(1-u), 1]] is the survival board's cdf at beta(1-u)
-            b = 1.0 - _board_ray(reflect(C, range(C.dim)), 1.0 - u, p) * (1.0 - u)
-        else:
-            # beta -> Q^C[[1 - beta(1-u), 1]] is continuous and nondecreasing
-            beta = _bisect_monotone(
-                lambda t: C.box_mass(1.0 - t * (1.0 - u), np.ones(C.dim)),
-                p,
-                0.0,
-                1.0,
-            )
-            b = 1.0 - beta * (1.0 - u)
+    p = min(cu, su)
+    a, b = u, u.copy()
+    if cu - p > BISECT_TOL:
+        a = _ray(C, u, p) * u
+    elif su - p > BISECT_TOL:
+        b = 1.0 - _ray(survival(C), 1.0 - u, p) * (1.0 - u)
     pa = C.box_mass(np.zeros(C.dim), a)
     pb = C.box_mass(b, np.ones(C.dim))
     if abs(pa - p) > 1e-9 or abs(pb - p) > 1e-9:

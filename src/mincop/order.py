@@ -4,10 +4,15 @@ C precedes D in the concordance order iff C(u) <= D(u) and
 (tau C)(u) <= (tau D)(u) everywhere.  Verdicts are grid certificates: the
 evaluation grid is a uniform lattice augmented with both operands' natural
 breakpoints, since piecewise-(multi)linear differences attain their extrema
-there.  When both operands are boards (``transforms.as_board``) they are
-refined onto their common cut grid first, which makes the verdict exact
-rather than grid-limited (vertex domination of multilinear interpolants is
-global domination); ``OrderResult.exact`` records which kind was obtained.
+there.  When both operands are boards (``transforms.as_board``) the grid is
+their common cut grid, which makes the verdict exact rather than
+grid-limited (vertex domination of multilinear interpolants is global
+domination); ``OrderResult.exact`` records which kind was obtained.
+
+Both halves read each operand's orthant-mass tensors at the grid's
+vertices (``transforms.orthant_masses``): C(v) for the pointwise half, and
+Q^C[[v,1]] = (tau C)(1-v) for the survival half, read on the reflected grid
+in its own order.
 """
 
 from __future__ import annotations
@@ -16,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Copula,
-    default_resolution,
-    grid_axes,
-    grid_points,
-    merge_cuts,
-)
+from .core import Copula, default_resolution, grid_axes, grid_points, merge_cuts
 from .errors import DimensionMismatchError
-from .transforms import as_board, discretize, survival
+from .transforms import as_board, orthant_masses
 
 __all__ = ["OrderResult", "Relation", "pointwise_leq", "concordance_leq"]
 
@@ -64,82 +63,66 @@ class OrderResult:
         return self.relation in (Relation.EQUAL, Relation.STRICTLY_ABOVE)
 
 
-def _classify(c_vals, d_vals, points, grid_desc, exact, tol) -> OrderResult:
-    diff = c_vals - d_vals
+def _classify(c_vals, d_vals, cuts, grid_desc, exact, tol) -> OrderResult:
+    """The relation of two value tensors on the vertices of ``cuts``."""
+    diff = (c_vals - d_vals).ravel()
+    points = grid_points(cuts)
+    point = lambda i: tuple(points[i])
     over = float(diff.max(initial=0.0))  # C above D
     under = float((-diff).max(initial=0.0))  # D above C
     if over <= tol and under <= tol:
-        return OrderResult(Relation.EQUAL, (), max(over, under), grid_desc, exact, tol)
-    if over <= tol:
-        w = points[int(np.argmax(-diff))]
-        return OrderResult(
-            Relation.STRICTLY_BELOW, (tuple(w),), over, grid_desc, exact, tol
-        )
-    if under <= tol:
-        w = points[int(np.argmax(diff))]
-        return OrderResult(
-            Relation.STRICTLY_ABOVE, (tuple(w),), under, grid_desc, exact, tol
-        )
-    w1 = points[int(np.argmax(diff))]
-    w2 = points[int(np.argmax(-diff))]
-    return OrderResult(
-        Relation.INCOMPARABLE,
-        (tuple(w1), tuple(w2)),
-        max(over, under),
-        grid_desc,
-        exact,
-        tol,
-    )
+        rel, witnesses, viol = Relation.EQUAL, (), max(over, under)
+    elif over <= tol:
+        rel, witnesses, viol = Relation.STRICTLY_BELOW, (point(np.argmax(-diff)),), over
+    elif under <= tol:
+        rel, witnesses, viol = Relation.STRICTLY_ABOVE, (point(np.argmax(diff)),), under
+    else:
+        rel, viol = Relation.INCOMPARABLE, max(over, under)
+        witnesses = (point(np.argmax(diff)), point(np.argmax(-diff)))
+    return OrderResult(rel, witnesses, viol, grid_desc, exact, tol)
 
 
-def pointwise_leq(
-    C: Copula, D: Copula, grid: int | None = None, tol: float = DEFAULT_TOL
-) -> OrderResult:
-    """Check C(u) <= D(u) on a grid; exact when both sides are boards
-    (``as_board``) after refinement to their union cut grid, otherwise a
-    grid-resolution certificate."""
+def _operands(C: Copula, D: Copula, grid: int | None):
+    """(C, D, cuts, grid description, exact): the operands and the vertex
+    grid they are compared on.  Two boards (``as_board``, with ``grid=None``)
+    are compared on their shared cuts; other operands on a uniform lattice
+    augmented with both operands' breakpoints."""
     if C.dim != D.dim:
         raise DimensionMismatchError("operands must share a dimension")
     bc = as_board(C) if grid is None else None
     bd = as_board(D) if bc is not None else None
     if bd is not None:
         cuts = [merge_cuts(c, d) for c, d in zip(bc.cuts, bd.cuts)]
-        cv = discretize(bc, cuts).vertex_cdf.ravel()
-        dv = discretize(bd, cuts).vertex_cdf.ravel()
-        desc = f"shared checkerboard grid, sizes {[len(c) for c in cuts]}"
-        return _classify(cv, dv, grid_points(cuts), desc, True, tol)
+        return bc, bd, cuts, f"shared checkerboard grid, sizes {[len(c) for c in cuts]}", True
     res = grid if grid is not None else default_resolution(C.dim)
-    axes = grid_axes([C, D], res)
-    pts = grid_points(axes)
-    desc = f"uniform {res}+breakpoints, sizes {[len(a) for a in axes]}"
-    return _classify(C.cdf_many(pts), D.cdf_many(pts), pts, desc, False, tol)
+    cuts = grid_axes([C, D], res)
+    return C, D, cuts, f"uniform {res}+breakpoints, sizes {[len(c) for c in cuts]}", False
+
+
+def pointwise_leq(
+    C: Copula, D: Copula, grid: int | None = None, tol: float = DEFAULT_TOL
+) -> OrderResult:
+    """Check C(u) <= D(u) on a grid; exact when both sides are boards
+    (``as_board``) compared on their union cut grid, otherwise a
+    grid-resolution certificate."""
+    C, D, cuts, desc, exact = _operands(C, D, grid)
+    lc, _ = orthant_masses(C, cuts)
+    ld, _ = orthant_masses(D, cuts)
+    return _classify(lc, ld, cuts, desc, exact, tol)
 
 
 def _combine(r1: OrderResult, r2: OrderResult, tol: float) -> OrderResult:
     grid = f"cdf[{r1.grid_used}]; survival[{r2.grid_used}]"
-    exact = r1.exact and r2.exact
     viol = max(r1.max_violation, r2.max_violation)
-    rels = {r1.relation, r2.relation}
-    if Relation.INCOMPARABLE in rels or rels == {
-        Relation.STRICTLY_BELOW,
-        Relation.STRICTLY_ABOVE,
-    }:
-        witnesses = (r1.witness_points + r2.witness_points)[:2]
-        return OrderResult(Relation.INCOMPARABLE, witnesses, viol, grid, exact, tol)
-    if rels == {Relation.EQUAL}:
-        return OrderResult(Relation.EQUAL, (), viol, grid, exact, tol)
-    rel = (
-        Relation.STRICTLY_BELOW
-        if Relation.STRICTLY_BELOW in rels
-        else Relation.STRICTLY_ABOVE
-    )
-    witnesses = tuple(
-        w
-        for r in (r1, r2)
-        if r.relation == rel
-        for w in r.witness_points
-    )[:2]
-    return OrderResult(rel, witnesses, viol, grid, exact, tol)
+    rels = {r1.relation, r2.relation} - {Relation.EQUAL}
+    if len(rels) > 1 or Relation.INCOMPARABLE in rels:
+        rel, witnesses = Relation.INCOMPARABLE, r1.witness_points + r2.witness_points
+    elif rels:
+        rel = rels.pop()
+        witnesses = tuple(w for r in (r1, r2) if r.relation == rel for w in r.witness_points)
+    else:
+        rel, witnesses = Relation.EQUAL, ()
+    return OrderResult(rel, witnesses[:2], viol, grid, r1.exact and r2.exact, tol)
 
 
 def concordance_leq(
@@ -147,8 +130,15 @@ def concordance_leq(
 ) -> OrderResult:
     """The concordance order: conjunction of C <= D and tau(C) <= tau(D)
     pointwise.  ``equal`` requires both gaps <= tol everywhere."""
-    if C.dim != D.dim:
-        raise DimensionMismatchError("operands must share a dimension")
-    r1 = pointwise_leq(C, D, grid, tol)
-    r2 = pointwise_leq(survival(C), survival(D), grid, tol)
-    return _combine(r1, r2, tol)
+    C, D, cuts, desc, exact = _operands(C, D, grid)
+    lc, uc = orthant_masses(C, cuts)
+    ld, ud = orthant_masses(D, cuts)
+    # (tau C)(w) = Q^C[[1-w, 1]]: the upper masses read on the reflected
+    # grid, in its own C-order, so witnesses and ties follow that grid
+    flip = (slice(None, None, -1),) * len(cuts)
+    reflected = [1.0 - c[::-1] for c in cuts]
+    return _combine(
+        _classify(lc, ld, cuts, desc, exact, tol),
+        _classify(uc[flip], ud[flip], reflected, desc, exact, tol),
+        tol,
+    )

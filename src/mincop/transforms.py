@@ -11,7 +11,9 @@ grid cell, never by sampling; the result matches the original cdf at every
 grid vertex exactly and inherits exact uniform margins from the input's.
 ``as_board`` instead returns the checkerboard that *equals* a copula, for
 the copulas that are boards: Pi, and mixtures, glue products, reflections
-and permutations built from boards and Pi.
+and permutations built from boards and Pi.  ``orthant_masses`` gives the
+lower- and upper-orthant masses C(v) and Q^C[[v,1]] at every vertex of a
+grid, the numbers the tau-CM scan and the concordance order compare.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .core import (
     Reflected,
     RefutedCopula,
     SegmentCopula,
+    _corner_masks,
+    _cumulative,
     default_resolution,
     grid_points,
 )
@@ -48,14 +52,15 @@ def _norm_reflection(C: Copula, K: Iterable[int]) -> frozenset[int]:
 def reflect(C: Copula, K: Iterable[int]) -> Copula:
     """nu_K(C): flip the coordinates in K at the measure level.
 
-    Checkerboards reverse tensor axes (with cut lists mapped through
-    c -> 1-c), segments flip endpoint coordinates, reflections of
-    reflections collapse through the symmetric difference, and the total
-    reflection of a surgery node is again a surgery node on the survival
-    copula.  nu_K is an involution: reflect(reflect(C, K), K) == C.
+    Pi is invariant and comes back as it is.  Checkerboards reverse tensor
+    axes (with cut lists mapped through c -> 1-c), segments flip endpoint
+    coordinates, reflections of reflections collapse through the symmetric
+    difference, and the total reflection of a surgery node is again a
+    surgery node on the survival copula.  nu_K is an involution:
+    reflect(reflect(C, K), K) == C.
     """
     K = _norm_reflection(C, K)
-    if not K:
+    if not K or isinstance(C, ProductCopula):
         return C
     if isinstance(C, CheckerboardCopula):
         cuts = [
@@ -97,13 +102,13 @@ def survival(C: Copula) -> Copula:
 def permute(C: Copula, sigma: Sequence[int]) -> Copula:
     """pi_sigma(C): (pi_sigma C)(u) = C(u[sigma[0]], ..., u[sigma[d-1]]).
 
-    Checkerboards and segments permute their axes structurally; permutations
-    of permutations compose.
+    Pi is invariant and comes back as it is.  Checkerboards and segments
+    permute their axes structurally; permutations of permutations compose.
     """
     sigma = tuple(int(s) for s in sigma)
     if sorted(sigma) != list(range(C.dim)):
         raise InputError(f"{sigma} is not a permutation of 0..{C.dim - 1}")
-    if sigma == tuple(range(C.dim)):
+    if sigma == tuple(range(C.dim)) or isinstance(C, ProductCopula):
         return C
     inv = [0] * C.dim
     for i, s in enumerate(sigma):
@@ -148,6 +153,13 @@ def _norm_cuts(dim: int, cuts) -> list[np.ndarray]:
     return out
 
 
+def _refines(cuts: Sequence[np.ndarray], C: Copula) -> bool:
+    """Whether C is a board whose cuts are contained in ``cuts``."""
+    return isinstance(C, CheckerboardCopula) and all(
+        c is t or np.isin(c, t).all() for c, t in zip(C.cuts, cuts)
+    )
+
+
 def _split_cells(C: CheckerboardCopula, cuts: list[np.ndarray]) -> np.ndarray:
     """C's masses on cuts that contain its own: each cell's mass is split by
     width fractions, so empty cells stay exactly 0."""
@@ -174,9 +186,7 @@ def discretize(C: Copula, cuts) -> CheckerboardCopula:
     construction tolerance, which grows with its cell count.
     """
     cuts = _norm_cuts(C.dim, cuts)
-    if isinstance(C, CheckerboardCopula) and all(
-        np.isin(c, t).all() for c, t in zip(C.cuts, cuts)
-    ):
+    if _refines(cuts, C):
         return CheckerboardCopula(cuts, _split_cells(C, cuts))
     vals = C.cdf_many(grid_points(cuts)).reshape([len(c) for c in cuts])
     masses = vals
@@ -188,6 +198,33 @@ def discretize(C: Copula, cuts) -> CheckerboardCopula:
             "the input violates rectangle nonnegativity"
         )
     return CheckerboardCopula(cuts, np.clip(masses, 0.0, None))
+
+
+def orthant_masses(C: Copula, cuts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(L, U) with L[i] = C(v_i) and U[i] = Q^C[[v_i, 1]] at every vertex v_i
+    of the grid with the given cuts (one node list per axis, 0 to 1).
+
+    A board on its own cuts, or on a refinement of them, reads both off its
+    masses' cumulative sums.  Any other copula is evaluated once, at the
+    vertices off the zero faces (where C vanishes), and U is the 2^d-term
+    inclusion-exclusion over those values, as in ``Copula.box_mass_many``.
+    """
+    d = C.dim
+    if _refines(cuts, C):
+        own = cuts is C.cuts
+        masses = C.masses if own else _split_cells(C, cuts)
+        L = C.vertex_cdf if own else _cumulative(masses)
+        # on the flipped axes, the mass below a vertex is the mass above it
+        flip = (slice(None, None, -1),) * d
+        return L, _cumulative(masses[flip])[flip]
+    inner = [c[1:] for c in cuts]
+    L = np.zeros([len(c) for c in cuts])
+    L[(slice(1, None),) * d] = C.cdf_many(grid_points(inner)).reshape([len(c) for c in inner])
+    U = np.zeros(L.shape)
+    for mask in _corner_masks(d):  # a 1 takes the corner coordinate 1, a 0 takes v
+        sign = -1.0 if (d - sum(mask)) % 2 else 1.0
+        U += sign * L[tuple(slice(-1, None) if m else slice(None) for m in mask)]
+    return L, U
 
 
 def as_board(C: Copula, resolution: int | None = None) -> CheckerboardCopula | None:

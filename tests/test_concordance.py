@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mincop import (
+    InputError,
     UnsupportedRepresentationError,
     discretize,
     kendall_tau,
@@ -227,3 +228,21 @@ def test_tau_cm_members_sit_at_kendall_minimum():
         ),
     ):
         assert kendall_tau(C).value == pytest.approx(kendall_min(C.dim), abs=1e-9)
+
+
+@pytest.mark.parametrize("functional", [spearman_rho, pi_integral])
+def test_moment_functionals_reject_unknown_methods(functional):
+    board = random_checkerboard(2, 4, seed=0)
+    with pytest.raises(InputError, match="exact_checkerboard.*monte_carlo"):
+        functional(board, method="nonsense")
+    # every name the CLI passes to all three functionals is still accepted;
+    # the checkerboard and segment names read as exact and quadrature
+    exact = functional(board, method="exact").value
+    assert functional(board, method="exact_checkerboard").estimate.method == "exact"
+    assert functional(board, method="exact_checkerboard").value == exact
+    quad = functional(board, method="segment_quadrature")
+    assert quad.estimate.method == "quadrature"
+    assert quad.value == functional(board, method="quadrature").value
+    mc = functional(board, method="monte_carlo", samples=20_000)
+    assert mc.estimate.method == "monte_carlo"
+    assert abs(mc.value - exact) <= mc.estimate.error_bound

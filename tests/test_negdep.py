@@ -25,19 +25,26 @@ from mincop import (
     random_checkerboard,
     reflect,
     refute_minimality,
+    shuffle_a,
     spearman_rho,
     survival,
     tau_cm_defect,
     validate,
 )
-from mincop.core import CheckerboardCopula, RefutedCopula, default_resolution, grid_points
+from mincop.core import (
+    CheckerboardCopula,
+    RefutedCopula,
+    default_resolution,
+    grid_axes,
+    grid_points,
+)
 from mincop.errors import RefuterInternalError
 from mincop.negdep import (
     BISECT_TOL,
     _bisect_monotone,
     _corner_surgery,
     _first_max,
-    _scan_points,
+    _scan,
 )
 
 
@@ -204,9 +211,19 @@ def test_corner_pair_bisects_lower_corner_in_3d():
 # -- board-native scan and ray solve against the interpolated oracle ---------
 
 
-def oracle_scan(C):
+def scan_points(C, grid=None):
+    # a board's own interior vertices, or the interior of a uniform lattice
+    # augmented with the copula's breakpoints
+    if grid is None and isinstance(C, CheckerboardCopula):
+        axes = C.cuts
+    else:
+        axes = grid_axes([C], grid if grid is not None else default_resolution(C.dim))
+    return grid_points([a[(a > 0) & (a < 1)] for a in axes])
+
+
+def oracle_scan(C, grid=None):
     # the interpolated vertex scan, with the same tie-break as the tensor scan
-    pts, _ = _scan_points(C, None)
+    pts = scan_points(C, grid)
     lower = C.cdf_many(pts)
     upper = C.box_mass_many(pts, np.ones_like(pts))
     i = _first_max(np.minimum(lower, upper))
@@ -262,6 +279,31 @@ def test_board_scan_and_ray_match_the_oracle():
             solved["lower" if np.array_equal(pair.b, worst) else "survival"] += 1
     # both sides of the ray solve are exercised
     assert min(solved.values()) >= 3
+
+
+NON_BOARD_SCANS = [
+    (lambda: make_basic("upper_frechet", 3), None),
+    (make_triangle_3d, None),
+    (lambda: make_reflected_upper(4, [0, 2]), None),
+    (shuffle_a, None),
+    (lambda: make_basic("clayton_extreme", 3), None),
+    (lambda: make_basic("clayton_extreme", 4), None),
+    (lambda: refute_minimality(make_basic("upper_frechet", 3)).copula, None),
+    (lambda: make_basic("product", 3), 16),
+    (lambda: random_checkerboard(3, 6, seed=1), 16),
+]
+
+
+@pytest.mark.parametrize("make, grid", NON_BOARD_SCANS)
+def test_orthant_scan_matches_the_interpolated_oracle(make, grid):
+    C = make()
+    defect, worst, _, cu, su = _scan(C, grid)
+    o_defect, o_worst, o_cu, o_su = oracle_scan(C, grid)
+    assert abs(defect - o_defect) <= 1e-12
+    assert abs(cu - o_cu) <= 1e-12
+    assert abs(su - o_su) <= 1e-12
+    if o_defect > 1e-9:
+        assert worst == o_worst
 
 
 def test_board_ray_crossing_on_a_breakpoint():

@@ -19,6 +19,7 @@ from mincop import (
     shuffle_b,
     survival,
 )
+from mincop.order import DEFAULT_TOL, _combine
 
 
 def catalog_2d():
@@ -115,3 +116,48 @@ def test_concordance_symmetric_under_survival():
 def test_max_violation_reported_for_incomparable():
     res = concordance_leq(make_reflected_upper(3, [0]), make_basic("product", 3))
     assert res.max_violation > 1e-3
+
+
+def survival_oracle(C, D, grid):
+    # the concordance order as it reads by definition: pointwise on the
+    # copulas and pointwise on their survival copulas
+    return _combine(
+        pointwise_leq(C, D, grid), pointwise_leq(survival(C), survival(D), grid), DEFAULT_TOL
+    )
+
+
+def gap(X, Y, w):
+    # the larger of the two defining gaps at w: a witness moves only among
+    # points where this is tied
+    w = np.asarray([w])
+    tau = lambda C: survival(C).cdf_many(w)[0]
+    return max(abs(X.cdf_many(w)[0] - Y.cdf_many(w)[0]), abs(tau(X) - tau(Y)))
+
+
+def order_pairs():
+    W, Pi2, M2 = (make_basic(k, 2) for k in ("lower_frechet_2d", "product", "upper_frechet"))
+    boards = [
+        (random_checkerboard(2, 6, seed=4), discretize(Pi2, 6)),
+        (random_checkerboard(3, 4, seed=1), random_checkerboard(3, 5, seed=2)),
+        (random_checkerboard(2, 5, seed=3), discretize(random_checkerboard(2, 5, seed=3), 10)),
+    ]
+    return boards + [
+        (shuffle_a(), shuffle_b()),
+        (make_glue_product(W, Pi2), make_glue_product(W, M2)),
+        (make_basic("clayton_extreme", 3), make_basic("product", 3)),
+    ]
+
+
+@pytest.mark.parametrize("grid", [None, 16])
+@pytest.mark.parametrize("pair", range(6))
+def test_concordance_reads_the_survival_side_off_the_upper_masses(pair, grid):
+    C, D = order_pairs()[pair]
+    for X, Y in ((C, D), (D, C)):
+        res = concordance_leq(X, Y, grid)
+        want = survival_oracle(X, Y, grid)
+        assert res.relation == want.relation
+        assert abs(res.max_violation - want.max_violation) <= 1e-12
+        assert len(res.witness_points) == len(want.witness_points)
+        for w, v in zip(res.witness_points, want.witness_points):
+            assert abs(gap(X, Y, w) - gap(X, Y, v)) <= 1e-12
+        assert res.exact == want.exact

@@ -101,6 +101,14 @@ def test_cli_measure_triangle_rho(tmp_path, capsys):
     assert doc["seed"] == 0
 
 
+def test_cli_measure_rejects_an_unknown_method(tmp_path, capsys):
+    # an unknown name used to fall through to Monte Carlo and exit 0
+    spec = write_spec(tmp_path, "m3.json", {"kind": "upper_frechet", "dim": 3})
+    assert main(["measure", spec, "--rho", "--method", "nonsense"]) == 2
+    err = capsys.readouterr().err
+    assert "nonsense" in err and "monte_carlo" in err
+
+
 def test_cli_refute_product(tmp_path, capsys):
     # Pi is exactly a board, so its witness is a board, and refuting the
     # witness once more stays on boards

@@ -282,3 +282,30 @@ def test_as_board_returns_a_board_as_it_is():
 )
 def test_as_board_none_for_copulas_that_are_not_boards(C):
     assert as_board(C) is None
+
+
+def contains_node(C, cls):
+    if isinstance(C, cls):
+        return True
+    inner = [getattr(C, "inner", None), getattr(C, "left", None), getattr(C, "right", None)]
+    inner += [c for c, _ in getattr(C, "parts", ())]
+    return any(contains_node(c, cls) for c in inner if c is not None)
+
+
+def test_pi_is_invariant_under_reflection_and_permutation():
+    Pi = make_basic("product", 4)
+    assert reflect(Pi, [0, 2]) is Pi
+    assert permute(Pi, (3, 1, 0, 2)) is Pi
+    glued = make_glue_product(make_basic("lower_frechet_2d", 2), make_basic("product", 1))
+    assert not contains_node(survival(glued), Reflected)
+
+
+def test_survival_of_a_pi_mixture_has_no_reflected_node():
+    M5, Pi5 = make_basic("upper_frechet", 5), make_basic("product", 5)
+    C = make_mixture([(M5, 0.5), (Pi5, 0.5)])
+    tau = survival(C)
+    assert not contains_node(tau, Reflected)
+    # the node the survival used to build: Pi wrapped in a total reflection
+    old = make_mixture([(reflect(M5, range(5)), 0.5), (Reflected(Pi5, range(5)), 0.5)])
+    U = np.random.default_rng(0).random((2000, 5))
+    assert float(np.max(np.abs(tau.cdf_many(U) - old.cdf_many(U)))) <= 1e-14
