@@ -21,7 +21,10 @@ Exact paths and their justifications:
   through ``product_moment`` for checkerboards, segments, glue products,
   mixtures and surgery nodes.  Only representations without a moment path
   (e.g. the extreme Clayton) fall back to tensor Gauss-Legendre quadrature
-  (d <= 4) or Monte Carlo over uniform draws (d >= 5).
+  (d <= 4) or Monte Carlo over uniform draws (d >= 5).  Both fallbacks read
+  tau C as a box mass of C (``Reflected.cdf_many``), and the Pi-integral's
+  quadrature integrates Q^C[[x, 1]]; the extreme Clayton computes such box
+  masses in one separable pass (``ClaytonExtreme.box_mass_many``).
 
 Normalisation constants are recomputed from d at call time and echoed in
 every report so unit errors stay visible.
@@ -85,38 +88,44 @@ class FunctionalReport:
         return self.estimate.value
 
 
-_KENDALL_METHODS = ("auto", "exact_checkerboard", "segment_quadrature", "monte_carlo")
-# rho and the Pi-integral read "exact_checkerboard" as "exact" and
-# "segment_quadrature" as "quadrature", so one --method serves all three
-_MOMENT_METHODS = ("auto", "exact", "exact_checkerboard", "quadrature", "segment_quadrature",
-                   "monte_carlo")
+# One --method serves all three functionals: "exact" and "exact_checkerboard"
+# name the same path, as do "quadrature" and "segment_quadrature".
+_METHODS = ("auto", "exact", "exact_checkerboard", "quadrature", "segment_quadrature",
+            "monte_carlo")
+_KENDALL_ALIASES = {"exact": "exact_checkerboard", "quadrature": "segment_quadrature"}
 
 
-def _check_method(name: str, method: str, accepted: tuple[str, ...]) -> None:
-    if method not in accepted:
+def _check_method(name: str, method: str) -> None:
+    if method not in _METHODS:
         raise InputError(
-            f"unknown {name} method {method!r}; expected one of {', '.join(accepted)}"
+            f"unknown {name} method {method!r}; expected one of {', '.join(_METHODS)}"
         )
 
 
 def _simpson_segments(C: SegmentCopula, panels: int) -> tuple[float, float]:
     """Composite Simpson of int_0^1 C(gamma_s(t)) dt per segment, with the
-    Richardson difference against half the panel count as error bound."""
+    Richardson difference against half the panel count as error bound; the
+    half-panel nodes are every second full-panel node, so both rules read
+    one set of cdf values, which needs an even panel count."""
+    if panels < 2 or panels % 2:
+        raise InputError(f"Simpson panels must be even and at least 2, got {panels}")
 
-    def integrate(n: int) -> float:
-        t = np.linspace(0.0, 1.0, 2 * n + 1)
+    def simpson_weights(n: int) -> np.ndarray:
         w = np.ones(2 * n + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        w /= 6.0 * n
-        total = 0.0
-        for s in range(len(C.masses)):
-            pts = C.starts[s][None, :] + t[:, None] * C.dirs[s][None, :]
-            total += C.masses[s] * float(w @ C.cdf_many(pts))
-        return total
+        return w / (6.0 * n)
 
-    full = integrate(panels)
-    half = integrate(panels // 2)
+    t = np.linspace(0.0, 1.0, 2 * panels + 1)
+    w_full = simpson_weights(panels)
+    w_half = simpson_weights(panels // 2)
+    full = half = 0.0
+    for s in range(len(C.masses)):
+        pts = C.starts[s][None, :] + t[:, None] * C.dirs[s][None, :]
+        vals = C.cdf_many(pts)
+        full += C.masses[s] * float(w_full @ vals)
+        # a strided dot sums in another order than a contiguous one
+        half += C.masses[s] * float(w_half @ vals[::2].copy())
     return full, abs(full - half)
 
 
@@ -127,8 +136,11 @@ def kendall_integral(
     seed: int = 0,
     panels: int = SIMPSON_PANELS,
 ) -> MeasureEstimate:
-    """int C dQ^C (the un-normalised Kendall functional)."""
-    _check_method("kendall", method, _KENDALL_METHODS)
+    """int C dQ^C (the un-normalised Kendall functional).  ``method`` is one
+    of ``_METHODS``; "exact" reads as "exact_checkerboard" and "quadrature"
+    as "segment_quadrature"."""
+    _check_method("kendall", method)
+    method = _KENDALL_ALIASES.get(method, method)
     if method == "exact_checkerboard" or (
         method == "auto" and isinstance(C, CheckerboardCopula)
     ):
@@ -264,8 +276,8 @@ def spearman_rho(
 ) -> FunctionalReport:
     """Spearman's rho: strictly concordance order preserving, hence
     minimised by minimal copulas only.  ``method`` is one of
-    ``_MOMENT_METHODS``; any other name raises InputError."""
-    _check_method("spearman_rho", method, _MOMENT_METHODS)
+    ``_METHODS``; any other name raises InputError."""
+    _check_method("spearman_rho", method)
     d = C.dim
     norm = spearman_normalization(d)
     if method in ("exact", "exact_checkerboard", "auto"):
@@ -307,9 +319,9 @@ def pi_integral(
     quad_nodes: int = 24,
 ) -> FunctionalReport:
     """int Pi dQ^C = E[prod_k V_k]: continuous and strictly concordance
-    order preserving.  ``method`` is one of ``_MOMENT_METHODS``; any other
+    order preserving.  ``method`` is one of ``_METHODS``; any other
     name raises InputError."""
-    _check_method("pi_integral", method, _MOMENT_METHODS)
+    _check_method("pi_integral", method)
     d = C.dim
     lo, hi = np.zeros(d), np.ones(d)
     if method in ("exact", "exact_checkerboard", "auto"):

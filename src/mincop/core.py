@@ -21,9 +21,11 @@ Analytic nodes (``UpperFrechet``, ``LowerFrechet2d``, ``ProductCopula``,
 ``ClaytonExtreme``, ``Reflected``, ``Permuted``, ``GlueProduct``,
 ``MixtureCopula``, ``RefutedCopula``)
     Immutable closed-form expression trees.  Rectangle masses are evaluated
-    by inclusion-exclusion over the 2^d corners, so evaluation cost is
+    by inclusion-exclusion over the 2^d corners (corners on an all-zero lo
+    face drop out, since copulas are grounded), so evaluation cost is
     O(2^d) per point for survival-type queries; a dimension cap (default 6)
-    keeps that honest.
+    keeps that honest.  The extreme Clayton's cdf is separable, so its box
+    masses take the per-axis powers once and only the outer power per corner.
 
 All values are immutable after construction and safe to share.  Evaluation
 is vectorised with numpy and deterministic; sampling is deterministic given
@@ -71,10 +73,15 @@ __all__ = [
     "set_dimension_cap",
 ]
 
+# Rows per block of ClaytonExtreme.box_mass_many: bounds its temporaries.
+_BOX_ROWS = 1 << 15
+
 # Exact paths report and test against this tolerance; it is never silently
 # absorbed into results.
 EXACT_TOL = 1e-9
 CONSTRUCTION_TOL = 1e-12
+# values this close to a maximum tie with it (see _first_max)
+TIE_TOL = 1e-15
 # cut points closer than this are one cut (see merge_cuts)
 CUT_GAP = 1e-13
 # grid_axes thins an axis with more nodes than this
@@ -124,6 +131,16 @@ def as_points(u, dim: int) -> np.ndarray:
     if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
         raise InputError("point coordinates must lie in [0, 1]")
     return np.clip(arr, 0.0, 1.0)
+
+
+def _first_max(values: np.ndarray) -> int:
+    """Index of the first value (C-order) within TIE_TOL of the maximum.
+
+    Two evaluation paths can round an exact tie a few ulps apart; counting
+    such values as tied keeps the lexicographic tie-break the same on both.
+    """
+    flat = values.ravel()
+    return int(np.argmax(flat >= flat.max() - TIE_TOL))
 
 
 def _corner_masks(d: int) -> list[tuple[int, ...]]:
@@ -230,12 +247,16 @@ class Copula:
         return float(self.cdf_many(as_points(u, self.dim))[0])
 
     def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        """Q^C[[lo, hi]] by inclusion-exclusion over the 2^d box corners."""
-        d = self.dim
+        """Q^C[[lo, hi]] by inclusion-exclusion over the box corners.
+
+        C is grounded, so a corner that takes lo on an axis where every lo
+        is 0 adds nothing: such an axis always takes hi, which leaves one
+        ``cdf_many`` call per corner of the free axes.
+        """
         out = np.zeros(len(Lo))
-        for mask in _corner_masks(d):
+        for mask in itertools.product(*[(0, 1) if f else (1,) for f in Lo.any(axis=0)]):
             corner = np.where(np.asarray(mask, bool), Hi, Lo)
-            sign = -1.0 if (d - sum(mask)) % 2 else 1.0
+            sign = -1.0 if (self.dim - sum(mask)) % 2 else 1.0
             out += sign * self.cdf_many(corner)
         return out
 
@@ -648,10 +669,12 @@ class ProductCopula(Copula):
 class ClaytonExtreme(Copula):
     """The Clayton copula at its extreme parameter -1/(d-1):
 
-        C(u) = max( sum_k u_k^{1/(d-1)} - (d-1), 0 )^{d-1}
+        C(u) = phi( sum_k g(u_k) ),  g(u) = u^{1/(d-1)},
+        phi(s) = max( s - (d-1), 0 )^{d-1}.
 
-    Its measure concentrates on the surface sum_k u_k^{1/(d-1)} = d-1.
-    At d=2 the formula reduces to W.
+    Its measure concentrates on the surface sum_k g(u_k) = d-1.
+    At d=2 the formula reduces to W.  The sum is separable, so a box mass
+    takes g once per axis at lo and at hi and only phi once per corner.
     """
 
     def __init__(self, dim: int):
@@ -664,15 +687,58 @@ class ClaytonExtreme(Copula):
         s = np.power(U, e).sum(axis=1) - (self.dim - 1)
         return np.power(np.clip(s, 0.0, None), self.dim - 1)
 
+    def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
+        """Q^C[[lo, hi]] in one separable pass over blocks of _BOX_ROWS rows.
+
+        The corners are walked depth first in the generic order, each one's
+        g-sum built in axis order from its parent's partial sum, so every
+        corner value is the one ``cdf_many`` gives; axes where every lo is 0
+        always take hi, as in ``Copula.box_mass_many``.
+        """
+        d = self.dim
+        e = 1.0 / (d - 1)
+        free = Lo.any(axis=0)
+        out = np.zeros(len(Hi))
+        for r in range(0, len(Hi), _BOX_ROWS):
+            acc = out[r : r + _BOX_ROWS]
+            x = np.empty(len(acc))
+            # one contiguous row of g per axis
+            g_lo = np.power(Lo[r : r + _BOX_ROWS].T, e, order="C")
+            g_hi = np.power(Hi[r : r + _BOX_ROWS].T, e, order="C")
+            for lows, s in _corner_sums(g_lo, g_hi, free):
+                np.subtract(s, d - 1, out=x)
+                np.maximum(x, 0.0, out=x)
+                np.power(x, d - 1, out=x)
+                if lows % 2:
+                    acc -= x
+                else:
+                    acc += x
+        return out
+
+
+def _corner_sums(g_lo, g_hi, free, k=0, s=None, lows=0):
+    """(number of lo sides, sum_k g_k) for each box corner, from g at lo and
+    at hi (one row per axis), depth first with the lo side first (the order
+    of ``Copula.box_mass_many``); an axis that is not ``free`` takes only its
+    hi side.  Each sum runs in axis order, as ``sum(axis=1)`` does, and
+    shares its partial sums with its siblings."""
+    if k == len(free):
+        yield lows, s
+        return
+    for side, g in ((1, g_lo), (0, g_hi)) if free[k] else ((0, g_hi),):
+        col = g[k]
+        yield from _corner_sums(g_lo, g_hi, free, k + 1, col if s is None else s + col, lows + side)
+
 
 class Reflected(Copula):
     """nu_K(C): the distribution of eta_K(U, 1-U) when U ~ Q^C.
 
-    Evaluated by inclusion-exclusion over the reflected coordinates:
+    Its cdf is a box mass of the inner copula:
 
-        (nu_K C)(u) = sum_{L subseteq K} (-1)^{|L|} C(w_L),
+        (nu_K C)(u) = Q^C[ prod_k I_k ],  I_k = [1-u_k, 1] on K, [0, u_k] off K,
 
-    where w_L takes u_k outside K, 1 on K\\L and 1-u_k on L.
+    so the inner copula's ``box_mass_many`` does the inclusion-exclusion,
+    over the 2^|K| corners of the reflected axes (lo is 0 elsewhere).
     """
 
     def __init__(self, inner: Copula, K: Iterable[int]):
@@ -684,14 +750,10 @@ class Reflected(Copula):
         self.dim = inner.dim
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        K = sorted(self.K)
-        out = np.zeros(len(U))
-        for bits in itertools.product((0, 1), repeat=len(K)):
-            W = U.copy()
-            for k, b in zip(K, bits):
-                W[:, k] = 1.0 - U[:, k] if b else 1.0
-            out += (-1.0) ** sum(bits) * self.inner.cdf_many(W)
-        return out
+        on_K = np.array([k in self.K for k in range(self.dim)])
+        Lo = 1.0 - U
+        Lo[:, ~on_K] = 0.0
+        return self.inner.box_mass_many(Lo, np.where(on_K, 1.0, U))
 
     @property
     def is_samplable(self) -> bool:

@@ -50,6 +50,7 @@ from .core import (
     MixtureCopula,
     RefutedCopula,
     SegmentCopula,
+    _first_max,
     default_resolution,
     grid_axes,
     merge_cuts,
@@ -79,7 +80,6 @@ __all__ = [
 
 DEFECT_TOL = 1e-9
 BISECT_TOL = 1e-12
-TIE_TOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +99,6 @@ class TauCmCertificate:
     @property
     def passed(self) -> bool:
         return self.defect <= DEFECT_TOL
-
-
-def _first_max(values: np.ndarray) -> int:
-    """Index of the first value (C-order) within TIE_TOL of the maximum.
-
-    The orthant-mass scan and its interpolated test oracle round differently,
-    so an exact tie can come out a few ulps apart; counting such values as
-    tied keeps the lexicographic tie-break the same on both.
-    """
-    flat = values.ravel()
-    return int(np.argmax(flat >= flat.max() - TIE_TOL))
 
 
 def _lowered(C: Copula, grid: int | None) -> Copula:

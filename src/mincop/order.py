@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Copula, default_resolution, grid_axes, grid_points, merge_cuts
+from .core import Copula, _first_max, default_resolution, grid_axes, grid_points, merge_cuts
 from .errors import DimensionMismatchError
 from .transforms import as_board, orthant_masses
 
@@ -73,12 +73,12 @@ def _classify(c_vals, d_vals, cuts, grid_desc, exact, tol) -> OrderResult:
     if over <= tol and under <= tol:
         rel, witnesses, viol = Relation.EQUAL, (), max(over, under)
     elif over <= tol:
-        rel, witnesses, viol = Relation.STRICTLY_BELOW, (point(np.argmax(-diff)),), over
+        rel, witnesses, viol = Relation.STRICTLY_BELOW, (point(_first_max(-diff)),), over
     elif under <= tol:
-        rel, witnesses, viol = Relation.STRICTLY_ABOVE, (point(np.argmax(diff)),), under
+        rel, witnesses, viol = Relation.STRICTLY_ABOVE, (point(_first_max(diff)),), under
     else:
         rel, viol = Relation.INCOMPARABLE, max(over, under)
-        witnesses = (point(np.argmax(diff)), point(np.argmax(-diff)))
+        witnesses = (point(_first_max(diff)), point(_first_max(-diff)))
     return OrderResult(rel, witnesses, viol, grid_desc, exact, tol)
 
 

@@ -14,6 +14,7 @@ from mincop import (
     make_mixture,
     make_reflected_upper,
     make_triangle_3d,
+    mixture_all_reflections,
     permute,
     pi_integral,
     random_checkerboard,
@@ -68,6 +69,38 @@ def test_tau_shuffles_agree():
 def test_tau_exact_checkerboard_requires_checkerboard():
     with pytest.raises(UnsupportedRepresentationError):
         kendall_tau(make_basic("product", 2), method="exact_checkerboard")
+
+
+def test_tau_reads_the_method_names_rho_and_pi_read():
+    board = random_checkerboard(3, 4, seed=0)
+    exact = kendall_tau(board, method="exact")
+    assert exact.value == kendall_tau(board, method="exact_checkerboard").value
+    tri = make_triangle_3d()
+    assert kendall_tau(tri, method="quadrature").value == kendall_tau(tri).value
+    with pytest.raises(InputError, match="exact_checkerboard.*monte_carlo"):
+        kendall_tau(tri, method="nonsense")
+
+
+def test_simpson_rules_share_one_cdf_evaluation_per_segment(monkeypatch):
+    # the half-panel rule reads every second full-panel node, so each
+    # segment's cdf is evaluated once; the oracle below evaluates the half
+    # rule on its own nodes
+    C, panels = mixture_all_reflections(3), 6
+    sizes, cdf_many = [], C.cdf_many
+    monkeypatch.setattr(C, "cdf_many", lambda U: sizes.append(len(U)) or cdf_many(U))
+    est = kendall_integral(C, method="segment_quadrature", panels=panels)
+    monkeypatch.undo()
+    assert sizes == [2 * panels + 1] * len(C.masses)
+    t = np.linspace(0.0, 1.0, panels + 1)
+    w = np.ones(panels + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w /= 3.0 * panels
+    half = sum(m * float(w @ C.cdf_many(a + t[:, None] * (b - a)))
+               for a, b, m in zip(C.starts, C.ends, C.masses))
+    assert abs(abs(est.value - half) - est.error_bound) <= 1e-15
+    # an odd panel count has no half rule on the same nodes
+    with pytest.raises(InputError, match="even"):
+        kendall_integral(C, method="segment_quadrature", panels=7)
 
 
 def test_tau_monte_carlo_within_its_own_bound():

@@ -2,6 +2,8 @@
 a second computation that shares none of its code (Monte Carlo on samplers,
 tensor quadrature on cdfs, exact boards against analytic nodes)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,15 @@ from mincop import (
     sample,
     spearman_rho,
 )
-from mincop.core import MOMENT_1MV, MOMENT_V, RefutedCopula
+from mincop.core import (
+    _BOX_ROWS,
+    MOMENT_1MV,
+    MOMENT_V,
+    ClaytonExtreme,
+    Copula,
+    ProductCopula,
+    RefutedCopula,
+)
 
 
 def _mc_box_moment(C, lo, hi, seed, n=300_000):
@@ -131,3 +141,91 @@ def test_structural_transforms_match_generic_nodes():
             - Reflected(board, [0, 2]).cdf_many(U3)
         )
     ) < 1e-12
+
+
+# -- the separable Clayton box mass against the generic inclusion-exclusion --
+
+
+def clayton_boxes(d, seed):
+    # random boxes with degenerate rows (lo == hi), coordinates exactly 0 and
+    # 1, and one more row than a block holds
+    rng = np.random.default_rng(seed)
+    A, B = rng.random((2, _BOX_ROWS + 1, d))
+    Lo, Hi = np.minimum(A, B), np.maximum(A, B)
+    Lo[::7] = Hi[::7]
+    Lo[::5, 0] = 0.0
+    Hi[::3, -1] = 1.0
+    Lo[::11, d - 1] = Hi[::11, d - 1] = 1.0
+    Lo[::13, 0] = Hi[::13, 0] = 0.0
+    return Lo, Hi
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_clayton_box_mass_matches_generic_inclusion_exclusion(d):
+    C = ClaytonExtreme(d)
+    Lo, Hi = clayton_boxes(d, seed=d)
+    zero_col = Lo.copy()
+    zero_col[:, d // 2] = 0.0  # an axis that is not free
+    b = np.linspace(0.3, 0.6, d)  # broadcast lo, as RefutedCopula passes it
+    for lo, hi in ((Lo, Hi), (zero_col, Hi), (np.broadcast_to(b, Hi.shape), np.maximum(Hi, b))):
+        fast = C.box_mass_many(lo, hi)
+        oracle = Copula.box_mass_many(C, lo, hi)
+        assert np.max(np.abs(fast - oracle)) <= 1e-13
+    assert C.box_mass_many(np.zeros((1, d)), np.ones((1, d)))[0] == 1.0
+
+
+def per_subset_reflection(C, K, U):
+    # (nu_K C)(u) = sum_{L subseteq K} (-1)^{|L|} C(w_L), where w_L takes u
+    # off K, 1 on K \ L and 1 - u on L
+    out = np.zeros(len(U))
+    for r in range(len(K) + 1):
+        for L in itertools.combinations(K, r):
+            W = U.copy()
+            W[:, K] = 1.0
+            W[:, list(L)] = 1.0 - U[:, list(L)]
+            out += (-1.0) ** r * C.cdf_many(W)
+    return out
+
+
+def reflection_inners(d):
+    a = np.array([0.4, 0.5, 0.6, 0.5][:d])  # Q^Pi[[0,a]] = Q^Pi[[a,1]]
+    return [
+        ClaytonExtreme(d),
+        RefutedCopula(ProductCopula(d), a, a, float(np.prod(a))),
+        Permuted(ClaytonExtreme(d), list(range(d))[::-1]),
+    ]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_reflected_box_mass_matches_the_per_subset_loop(d):
+    U = np.random.default_rng(d).random((500, d))
+    U[::9, 0] = 0.0
+    U[::7, -1] = 1.0
+    for C in reflection_inners(d):
+        for r in range(d + 1):
+            for K in itertools.combinations(range(d), r):
+                got = Reflected(C, K).cdf_many(U)
+                assert np.max(np.abs(got - per_subset_reflection(C, list(K), U))) <= 1e-13
+
+
+class CountingCopula(Copula):
+    """A generic copula (no box-mass override) that counts cdf_many calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = 0
+
+    def cdf_many(self, U):
+        self.calls += 1
+        return self.inner.cdf_many(U)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_reflected_over_a_generic_inner_makes_one_call_per_reflected_corner(d):
+    U = np.random.default_rng(0).random((50, d))
+    for r in range(d + 1):
+        for K in itertools.combinations(range(d), r):
+            C = CountingCopula(ClaytonExtreme(d))
+            Reflected(C, K).cdf_many(U)
+            assert C.calls == 2 ** len(K)

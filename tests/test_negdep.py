@@ -33,7 +33,9 @@ from mincop import (
 )
 from mincop.core import (
     CheckerboardCopula,
+    Copula,
     RefutedCopula,
+    _first_max,
     default_resolution,
     grid_axes,
     grid_points,
@@ -43,7 +45,6 @@ from mincop.negdep import (
     BISECT_TOL,
     _bisect_monotone,
     _corner_surgery,
-    _first_max,
     _scan,
 )
 
@@ -222,10 +223,12 @@ def scan_points(C, grid=None):
 
 
 def oracle_scan(C, grid=None):
-    # the interpolated vertex scan, with the same tie-break as the tensor scan
+    # the interpolated vertex scan, with the same tie-break as the tensor scan;
+    # the generic inclusion-exclusion, so that no box-mass override is its own
+    # oracle
     pts = scan_points(C, grid)
     lower = C.cdf_many(pts)
-    upper = C.box_mass_many(pts, np.ones_like(pts))
+    upper = Copula.box_mass_many(C, pts, np.ones_like(pts))
     i = _first_max(np.minimum(lower, upper))
     return min(lower[i], upper[i]), tuple(pts[i]), lower[i], upper[i]
 

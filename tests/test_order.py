@@ -19,7 +19,8 @@ from mincop import (
     shuffle_b,
     survival,
 )
-from mincop.order import DEFAULT_TOL, _combine
+from mincop.core import Copula, grid_axes, grid_points
+from mincop.order import DEFAULT_TOL, _classify, _combine
 
 
 def catalog_2d():
@@ -161,3 +162,36 @@ def test_concordance_reads_the_survival_side_off_the_upper_masses(pair, grid):
         for w, v in zip(res.witness_points, want.witness_points):
             assert abs(gap(X, Y, w) - gap(X, Y, v)) <= 1e-12
         assert res.exact == want.exact
+
+
+def test_witness_is_the_first_tied_vertex_in_c_order():
+    # the survival gap of clayton_extreme 3 below Pi_3 ties at three
+    # permutations of one vertex; the witness is the first of them, however
+    # the arithmetic rounds the tie
+    C, Pi = make_basic("clayton_extreme", 3), make_basic("product", 3)
+    result = concordance_leq(C, Pi, grid=16)
+    assert result.relation == Relation.STRICTLY_BELOW
+    cuts = grid_axes([C, Pi], 16)
+    witnesses = []
+    for axes, gap in (
+        (cuts, lambda pts: Pi.cdf_many(pts) - C.cdf_many(pts)),
+        # (tau C)(w) = Q^C[[1-w, 1]], on the reflected grid in its own order
+        (
+            [1.0 - c[::-1] for c in cuts],
+            lambda pts: Pi.cdf_many(pts)
+            - Copula.box_mass_many(C, 1.0 - pts, np.ones_like(pts)),
+        ),
+    ):
+        pts = grid_points(axes)
+        g = gap(pts)
+        tied = np.flatnonzero(g >= g.max() - 1e-12)
+        witnesses.append(tuple(pts[tied[0]]))
+        if len(tied) > 1:
+            # a later tie rounded one ulp higher does not move the witness
+            nudged = g.copy()
+            nudged[tied[-1]] = np.nextafter(g.max(), 1.0)
+            shape = [len(a) for a in axes]
+            res = _classify(np.zeros(shape), nudged.reshape(shape), axes, "", False, DEFAULT_TOL)
+            assert res.witness_points == (tuple(pts[tied[0]]),)
+    assert result.witness_points == tuple(witnesses)
+    assert witnesses[1] == (0.625, 0.6875, 0.6875)

@@ -109,6 +109,23 @@ def test_cli_measure_rejects_an_unknown_method(tmp_path, capsys):
     assert "nonsense" in err and "monte_carlo" in err
 
 
+@pytest.mark.parametrize(
+    "doc, method",
+    [
+        ({"kind": "upper_frechet", "dim": 3}, "quadrature"),
+        (to_spec(random_checkerboard(3, 4, seed=0)), "exact"),
+    ],
+)
+def test_cli_measure_method_serves_all_three_functionals(tmp_path, capsys, doc, method):
+    # tau reads "quadrature" as segment quadrature and "exact" as the exact
+    # checkerboard path, as rho and the Pi-integral do
+    spec = write_spec(tmp_path, "c.json", doc)
+    assert main(["measure", spec, "--method", method]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for name in ("kendall_tau", "spearman_rho", "pi_integral"):
+        assert doc[name]["method"] == method
+
+
 def test_cli_refute_product(tmp_path, capsys):
     # Pi is exactly a board, so its witness is a board, and refuting the
     # witness once more stays on boards
