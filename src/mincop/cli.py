@@ -381,7 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="copula axiom check on a grid")
     common(p)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument(
+        "--grid",
+        type=int,
+        default=None,
+        help="uniform cells per axis, plus breakpoints; without it a board is "
+        "checked at its own vertices",
+    )
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("reproduce", help="recompute the published-values table")

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import catalog
 from .concordance import kendall_tau, reflection_sum, spearman_rho
-from .core import validate
 from .negdep import (
     GFunc,
     HyperplaneSpec,

@@ -24,7 +24,8 @@ from mincop import (
     survival_value,
     validate,
 )
-from mincop.core import Copula, grid_points, merge_cuts
+from mincop.core import Copula, _cumulative, default_resolution, grid_points, merge_cuts
+from mincop.negdep import RefutationCertificate, refute_minimality
 from mincop.transforms import discretize, uniform_cuts
 
 
@@ -269,6 +270,49 @@ def test_validate_flags_nonuniform_margins():
     rep = validate(_CornerCell())
     assert not rep.passed
     assert rep.worst_margin_defect == pytest.approx(0.5, abs=1e-12)
+
+
+def test_validate_board_vertices_match_grid_oracle():
+    # a board without a resolution is read off vertex_cdf at its own cuts;
+    # the uniform+breakpoints grid is the oracle
+    boards = [
+        random_checkerboard(d, n, seed)
+        for d, n in ((2, 8), (3, 6), (4, 4))
+        for seed in range(10)
+    ]
+    witnesses = [refute_minimality(B) for B in boards]
+    boards += [w.copula for w in witnesses if isinstance(w, RefutationCertificate)]
+    assert len(boards) > 30
+    for B in boards:
+        fast, oracle = validate(B), validate(B, default_resolution(B.dim))
+        assert fast.grid.startswith("checkerboard vertices")
+        assert fast.passed == oracle.passed
+        for field in ("worst_negative_mass", "worst_margin_defect", "worst_grounding_defect"):
+            assert abs(getattr(fast, field) - getattr(oracle, field)) <= 1e-15
+
+
+def _unchecked_board(masses):
+    """A 2x2 board that skips the constructor's checks."""
+    B = object.__new__(CheckerboardCopula)
+    B.dim = 2
+    B.cuts = (np.array([0.0, 0.5, 1.0]),) * 2
+    B.masses = np.asarray(masses, dtype=float)
+    B._vertex_cdf = _cumulative(B.masses)
+    return B
+
+
+def test_validate_board_vertices_reject_bad_boards():
+    corner = validate(_unchecked_board([[1.0, 0.0], [0.0, 0.0]]))
+    assert not corner.passed
+    assert corner.worst_margin_defect == 0.5
+    assert corner.grid.startswith("checkerboard vertices")
+    B = _unchecked_board([[0.6, -0.1], [-0.1, 0.6]])
+    vertex, grid = validate(B), validate(B, 8)
+    assert not vertex.passed and not grid.passed
+    # the vertices see the whole negative cell, a finer grid a fraction of it
+    assert vertex.worst_negative_mass == pytest.approx(0.1, abs=1e-15)
+    assert grid.worst_negative_mass == pytest.approx(0.00625, abs=1e-15)
+    assert grid.grid.startswith("uniform 8+breakpoints")
 
 
 def test_validate_analytic_nodes_pass():

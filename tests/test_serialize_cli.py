@@ -184,6 +184,18 @@ def test_cli_validate_failure_exit_code(tmp_path, capsys):
     assert code in (1, 2)
 
 
+def test_cli_validate_reads_a_board_at_its_vertices(tmp_path, capsys):
+    board = write_spec(tmp_path, "b.json", to_spec(random_checkerboard(3, 8, seed=0)))
+    assert main(["validate", board]) == 0
+    assert json.loads(capsys.readouterr().out)["grid"].startswith("checkerboard vertices")
+    assert main(["validate", board, "--grid", "32"]) == 0
+    assert json.loads(capsys.readouterr().out)["grid"].startswith("uniform 32+breakpoints")
+    # Pi is exactly a board, but validate does not lower it
+    pi = write_spec(tmp_path, "pi.json", {"kind": "product", "dim": 3})
+    assert main(["validate", pi]) == 0
+    assert json.loads(capsys.readouterr().out)["grid"].startswith("uniform 32+breakpoints")
+
+
 def test_cli_descend_emits_trace(tmp_path, capsys):
     spec = write_spec(tmp_path, "pi.json", {"kind": "product", "dim": 2})
     trace = tmp_path / "trace.csv"
