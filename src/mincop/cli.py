@@ -341,7 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", action="store_true")
     p.add_argument("--rho", action="store_true")
     p.add_argument("--pi", action="store_true")
-    p.add_argument("--method", default="auto")
+    p.add_argument(
+        "--method",
+        default="auto",
+        help="auto, exact, quadrature or monte_carlo, for all three functionals; "
+        "auto takes each functional's first path that applies, a named method "
+        "the first path of that kind (exact_checkerboard and segment_quadrature "
+        "are aliases of exact and quadrature)",
+    )
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_measure)

@@ -5,29 +5,31 @@ Multivariate Kendall's tau and Spearman's rho, normalised so M scores 1:
     tau(C) = 2^d / (2^{d-1} - 1) * ( int C dQ^C - 2^{-d} )
     rho(C) = 2^d (d+1) / (2^d - (d+1)) * ( int (C + tau C)/2 dQ^Pi - 2^{-d} )
 
-Exact paths and their justifications:
+Each functional tries one ordered table of paths (``_dispatch``): "auto"
+takes the first that applies, a named method the first of its kind.
 
-* checkerboard Kendall integral: C is multilinear on every cell of its own
-  grid, so the cell average equals the corner average; int C dQ^C is the
-  mass-weighted corner average, computed in closed form.
-* segment Kendall integral: composite Simpson along each segment.  The cdf
-  restricted to a line is piecewise linear, so Simpson is exact away from
-  finitely many kink panels; the reported error bound is the observed
-  Richardson difference between the half and full panel counts, never an
-  assumption.
+* Kendall's tau: the checkerboard corner average (exact: C is multilinear
+  on every cell of its own grid, so the cell average is the corner
+  average); composite Simpson along segments, M and W read as their
+  one-segment twins (quadrature: the cdf is piecewise linear on a line, so
+  Simpson is exact away from finitely many kink panels, and the bound is
+  the observed Richardson difference, never an assumption); Pi's 2^{-d}
+  (exact); the product of a glue product's halves (whatever they report);
+  sampling (monte_carlo); two grid projections (quadrature).
 * rho and the Pi-integral reduce to polynomial moments of the copula
-  measure: int C dQ^Pi = E[prod_k (1 - V_k)] and
-  int (tau C) dQ^Pi = E[prod_k V_k] with V ~ Q^C, both available exactly
-  through ``product_moment`` for checkerboards, segments, glue products,
-  mixtures and surgery nodes.  Only representations without a moment path
-  (e.g. the extreme Clayton) fall back to tensor Gauss-Legendre quadrature
-  (d <= 4) or Monte Carlo over uniform draws (d >= 5).  Both fallbacks read
-  tau C as a box mass of C (``Reflected.cdf_many``), and the Pi-integral's
-  quadrature integrates Q^C[[x, 1]]; the extreme Clayton computes such box
-  masses in one separable pass (``ClaytonExtreme.box_mass_many``).
+  measure, int C dQ^Pi = E[prod_k (1 - V_k)] and
+  int (tau C) dQ^Pi = E[prod_k V_k] with V ~ Q^C, exact through
+  ``product_moment`` for boards, segments, the Frechet bounds, Pi, glue
+  products, mixtures and surgery nodes.  Without a moment path (e.g. the
+  extreme Clayton) they take tensor Gauss-Legendre for d <= 4, then Monte
+  Carlo: rho over uniform draws, the Pi-integral over C's sampler.  rho
+  reads tau C as a box mass of C (``Reflected.cdf_many``), and the
+  Pi-integral's quadrature integrates Q^C[[x, 1]]; the extreme Clayton
+  computes such box masses in one separable pass.
 
-Normalisation constants are recomputed from d at call time and echoed in
-every report so unit errors stay visible.
+Quadrature reports the difference to a coarser rule, Monte Carlo a 3-sigma
+half-width.  Normalisation constants are recomputed from d at call time
+and echoed in every report so unit errors stay visible.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .core import (
     GlueProduct,
     LowerFrechet2d,
     MeasureEstimate,
-    MixtureCopula,
     ProductCopula,
     SegmentCopula,
     UpperFrechet,
@@ -88,25 +89,113 @@ class FunctionalReport:
         return self.estimate.value
 
 
-# One --method serves all three functionals: "exact" and "exact_checkerboard"
-# name the same path, as do "quadrature" and "segment_quadrature".
+# One --method serves all three functionals.  A named method takes the first
+# path of its kind that applies; "exact_checkerboard" and "segment_quadrature"
+# are older names of "exact" and "quadrature".
 _METHODS = ("auto", "exact", "exact_checkerboard", "quadrature", "segment_quadrature",
             "monte_carlo")
-_KENDALL_ALIASES = {"exact": "exact_checkerboard", "quadrature": "segment_quadrature"}
+_ALIASES = {"exact_checkerboard": "exact", "segment_quadrature": "quadrature"}
 
 
-def _check_method(name: str, method: str) -> None:
+def _dispatch(name: str, C: Copula, method: str, paths) -> MeasureEstimate:
+    """The estimate of the first path in ``paths`` that applies to C and
+    serves ``method``.
+
+    Each path is ``(kind, compute)``, in the order "auto" tries them;
+    ``compute(C)`` returns None where the path does not apply.  "auto"
+    takes the first path that applies, a named method the first that
+    applies among the paths of its kind.  A path of kind None serves
+    whichever method its estimate reports.
+    """
     if method not in _METHODS:
         raise InputError(
             f"unknown {name} method {method!r}; expected one of {', '.join(_METHODS)}"
         )
+    method = _ALIASES.get(method, method)
+    for kind, compute in paths:
+        if method != "auto" and kind not in (None, method):
+            continue
+        est = compute(C)
+        if est is not None and method in ("auto", est.method):
+            return est
+    raise UnsupportedRepresentationError(
+        f"{name} has no {method} path for {type(C).__name__} (d={C.dim})"
+    )
 
 
-def _simpson_segments(C: SegmentCopula, panels: int) -> tuple[float, float]:
+def _exact(value: float, nodes: int = 1) -> MeasureEstimate:
+    return MeasureEstimate(value, "exact", 0.0, nodes)
+
+
+def _monte_carlo(vals: np.ndarray) -> MeasureEstimate:
+    """The mean of i.i.d. ``vals`` with a 3-sigma half-width."""
+    err = 3.0 * float(vals.std(ddof=1)) / np.sqrt(len(vals))
+    return MeasureEstimate(float(vals.mean()), "monte_carlo", err, len(vals))
+
+
+def _refined(rule, n: int, coarse: int) -> MeasureEstimate:
+    """``rule(n) -> (value, nodes)`` at n, bounded by the observed difference
+    to the same rule at ``coarse``."""
+    fine, nodes = rule(n)
+    return MeasureEstimate(fine, "quadrature", abs(fine - rule(coarse)[0]), nodes)
+
+
+def _moment_mean(C: Copula, *codes: int) -> MeasureEstimate | None:
+    """The mean over ``codes`` of E[prod_k f(V_k)], V ~ Q^C, with f chosen
+    by the code; None without an exact moment path."""
+    d = C.dim
+    try:
+        ms = [C.product_moment(np.zeros(d), np.ones(d), [code] * d) for code in codes]
+    except UnsupportedRepresentationError:
+        return None
+    return _exact(sum(ms) / len(ms))
+
+
+def _cube_quadrature(C: Copula, nodes: int, integrand) -> MeasureEstimate | None:
+    """Tensor Gauss-Legendre of ``integrand(points)`` over the unit cube at
+    ``nodes`` and at half as many (at least 4) per axis; None for d > 4."""
+    if C.dim > 4:
+        return None
+
+    def rule(n: int) -> tuple[float, int]:
+        xs, ws = _gauss_nodes(n, 0.0, 1.0)
+        pts = np.column_stack(
+            [m.ravel() for m in np.meshgrid(*([xs] * C.dim), indexing="ij")]
+        )
+        w = np.ones(len(pts))
+        for m in np.meshgrid(*([ws] * C.dim), indexing="ij"):
+            w = w * m.ravel()
+        return float(w @ integrand(pts)), len(pts)
+
+    return _refined(rule, nodes, max(4, nodes // 2))
+
+
+def _normalised(
+    name: str, d: int, inner: MeasureEstimate, norm: float
+) -> FunctionalReport:
+    """The report of norm * (inner - 2^-d), as tau and rho are normalised."""
+    est = MeasureEstimate(
+        norm * (inner.value - 2.0**-d),
+        inner.method,
+        norm * inner.error_bound,
+        inner.samples_or_nodes,
+    )
+    return FunctionalReport(name, d, est, norm)
+
+
+def _simpson_segments(C: Copula, panels: int) -> MeasureEstimate | None:
     """Composite Simpson of int_0^1 C(gamma_s(t)) dt per segment, with the
     Richardson difference against half the panel count as error bound; the
     half-panel nodes are every second full-panel node, so both rules read
-    one set of cdf values, which needs an even panel count."""
+    one set of cdf values, which needs an even panel count.  M and W are
+    read as their one-segment twins; other non-segment copulas give None."""
+    d = C.dim
+    if isinstance(C, UpperFrechet):
+        C = SegmentCopula(np.zeros((1, d)), np.ones((1, d)), [1.0])
+    elif isinstance(C, LowerFrechet2d):
+        C = SegmentCopula([[0.0, 1.0]], [[1.0, 0.0]], [1.0])
+    if not isinstance(C, SegmentCopula):
+        return None
     if panels < 2 or panels % 2:
         raise InputError(f"Simpson panels must be even and at least 2, got {panels}")
 
@@ -126,7 +215,47 @@ def _simpson_segments(C: SegmentCopula, panels: int) -> tuple[float, float]:
         full += C.masses[s] * float(w_full @ vals)
         # a strided dot sums in another order than a contiguous one
         half += C.masses[s] * float(w_half @ vals[::2].copy())
-    return full, abs(full - half)
+    return MeasureEstimate(full, "quadrature", abs(full - half), 2 * panels + 1)
+
+
+def _kendall_board(C: Copula) -> MeasureEstimate | None:
+    if isinstance(C, CheckerboardCopula):
+        return _exact(C.kendall_self_integral(), C.masses.size)
+    return None
+
+
+def _kendall_product(C: Copula) -> MeasureEstimate | None:
+    # E[prod U_k] under independence
+    return _exact(2.0**-C.dim) if isinstance(C, ProductCopula) else None
+
+
+def _kendall_glue(
+    C: Copula, samples: int, seed: int, panels: int
+) -> MeasureEstimate | None:
+    """int (C x D) d(Q^C x Q^D) factorises into the halves' "auto"
+    estimates; the product is exact only if both halves are."""
+    if not isinstance(C, GlueProduct):
+        return None
+    left = kendall_integral(C.left, "auto", samples, seed, panels)
+    right = kendall_integral(C.right, "auto", samples, seed, panels)
+    value = left.value * right.value
+    nodes = left.samples_or_nodes + right.samples_or_nodes
+    tags = {left.method, right.method}
+    if tags == {"exact"}:
+        return _exact(value, nodes)
+    err = (
+        abs(left.value) * right.error_bound
+        + abs(right.value) * left.error_bound
+        + left.error_bound * right.error_bound
+    )
+    tag = "monte_carlo" if "monte_carlo" in tags else "quadrature"
+    return MeasureEstimate(value, tag, err, nodes)
+
+
+def _kendall_grids(C: Copula) -> MeasureEstimate:
+    """The corner average of C projected onto grids of n and n/2 cells."""
+    n = {2: 64, 3: 48, 4: 20}.get(C.dim, 10)
+    return _refined(lambda k: (discretize(C, k).kendall_self_integral(), k), n, n // 2)
 
 
 def kendall_integral(
@@ -137,78 +266,16 @@ def kendall_integral(
     panels: int = SIMPSON_PANELS,
 ) -> MeasureEstimate:
     """int C dQ^C (the un-normalised Kendall functional).  ``method`` is one
-    of ``_METHODS``; "exact" reads as "exact_checkerboard" and "quadrature"
-    as "segment_quadrature"."""
-    _check_method("kendall", method)
-    method = _KENDALL_ALIASES.get(method, method)
-    if method == "exact_checkerboard" or (
-        method == "auto" and isinstance(C, CheckerboardCopula)
-    ):
-        if not isinstance(C, CheckerboardCopula):
-            raise UnsupportedRepresentationError(
-                "exact_checkerboard requires a checkerboard copula"
-            )
-        return MeasureEstimate(C.kendall_self_integral(), "exact", 0.0, C.masses.size)
-    if method in ("auto", "segment_quadrature") and isinstance(
-        C, (UpperFrechet, LowerFrechet2d)
-    ):
-        C = _segment_twin(C)
-    if method == "segment_quadrature" or (
-        method == "auto" and isinstance(C, SegmentCopula)
-    ):
-        if not isinstance(C, SegmentCopula):
-            raise UnsupportedRepresentationError(
-                "segment_quadrature requires a segment copula"
-            )
-        value, err = _simpson_segments(C, panels)
-        return MeasureEstimate(value, "quadrature", err, 2 * panels + 1)
-    if method == "monte_carlo":
-        rng_pts = C.sample(seed, samples)
-        vals = C.cdf_many(rng_pts)
-        err = 3.0 * float(vals.std(ddof=1)) / np.sqrt(samples)
-        return MeasureEstimate(float(vals.mean()), "monte_carlo", err, samples)
-    # auto dispatch for the remaining representations
-    if isinstance(C, ProductCopula):
-        # E[prod U_k] under independence
-        return MeasureEstimate(2.0 ** -C.dim, "exact", 0.0, 1)
-    if isinstance(C, GlueProduct):
-        # int (C x D) d(Q^C x Q^D) factorises
-        left = kendall_integral(C.left, "auto", samples, seed, panels)
-        right = kendall_integral(C.right, "auto", samples, seed, panels)
-        err = (
-            abs(left.value) * right.error_bound
-            + abs(right.value) * left.error_bound
-            + left.error_bound * right.error_bound
-        )
-        tags = {left.method, right.method}
-        if tags == {"exact"}:
-            method_tag = "exact"
-        elif "monte_carlo" in tags:
-            method_tag = "monte_carlo"
-        else:
-            method_tag = "quadrature"
-        return MeasureEstimate(
-            left.value * right.value,
-            method_tag,
-            0.0 if method_tag == "exact" else err,
-            left.samples_or_nodes + right.samples_or_nodes,
-        )
-    if C.is_samplable:
-        return kendall_integral(C, "monte_carlo", samples, seed, panels)
-    # last resort: project onto a grid and report the refinement difference
-    n = {2: 64, 3: 48, 4: 20}.get(C.dim, 10)
-    coarse = discretize(C, n // 2).kendall_self_integral()
-    fine = discretize(C, n).kendall_self_integral()
-    return MeasureEstimate(fine, "quadrature", abs(fine - coarse), n)
-
-
-def _segment_twin(C: Copula) -> SegmentCopula:
-    d = C.dim
-    if isinstance(C, UpperFrechet):
-        return SegmentCopula(np.zeros((1, d)), np.ones((1, d)), [1.0])
-    if isinstance(C, LowerFrechet2d):
-        return SegmentCopula([[0.0, 1.0]], [[1.0, 0.0]], [1.0])
-    raise UnsupportedRepresentationError(f"no segment twin for {type(C).__name__}")
+    of ``_METHODS``; any other name raises InputError."""
+    return _dispatch("kendall_tau", C, method, (
+        ("exact", _kendall_board),
+        ("quadrature", lambda C: _simpson_segments(C, panels)),
+        ("exact", _kendall_product),
+        (None, lambda C: _kendall_glue(C, samples, seed, panels)),
+        ("monte_carlo", lambda C: _monte_carlo(C.cdf_many(C.sample(seed, samples)))
+         if C.is_samplable else None),
+        ("quadrature", _kendall_grids),
+    ))
 
 
 def kendall_tau(
@@ -220,51 +287,8 @@ def kendall_tau(
 ) -> FunctionalReport:
     """Kendall's tau; minimised (value -1/(2^{d-1}-1)) exactly by the
     Kendall-countermonotonic copulas."""
-    d = C.dim
-    norm = kendall_normalization(d)
     inner = kendall_integral(C, method, samples, seed, panels)
-    est = MeasureEstimate(
-        norm * (inner.value - 2.0**-d),
-        inner.method,
-        norm * inner.error_bound,
-        inner.samples_or_nodes,
-    )
-    return FunctionalReport("kendall_tau", d, est, norm)
-
-
-def _lebesgue_mean_cdf_pair(C: Copula) -> tuple[float, float] | None:
-    """(int C dQ^Pi, int (tau C) dQ^Pi) via exact moments, or None.
-
-    int C dLebesgue = E[prod (1-V_k)] and int (tau C) dLebesgue =
-    E[prod V_k] for V ~ Q^C (Fubini on the indicator of [0,u]).
-    """
-    d = C.dim
-    lo, hi = np.zeros(d), np.ones(d)
-    try:
-        m1 = C.product_moment(lo, hi, [MOMENT_1MV] * d)
-        m2 = C.product_moment(lo, hi, [MOMENT_V] * d)
-    except UnsupportedRepresentationError:
-        return None
-    return m1, m2
-
-
-def _cube_quadrature(C: Copula, nodes: int, integrand) -> tuple[float, int]:
-    """Tensor Gauss-Legendre over the unit cube of ``integrand(points)``."""
-    xs, ws = _gauss_nodes(nodes, 0.0, 1.0)
-    pts = np.column_stack(
-        [m.ravel() for m in np.meshgrid(*([xs] * C.dim), indexing="ij")]
-    )
-    w = np.ones(len(pts))
-    for m in np.meshgrid(*([ws] * C.dim), indexing="ij"):
-        w = w * m.ravel()
-    return float(w @ integrand(pts)), len(pts)
-
-
-def _rho_quadrature(C: Copula, nodes: int) -> tuple[float, int]:
-    tC = survival(C)
-    return _cube_quadrature(
-        C, nodes, lambda pts: 0.5 * (C.cdf_many(pts) + tC.cdf_many(pts))
-    )
+    return _normalised("kendall_tau", C.dim, inner, kendall_normalization(C.dim))
 
 
 def spearman_rho(
@@ -277,38 +301,21 @@ def spearman_rho(
     """Spearman's rho: strictly concordance order preserving, hence
     minimised by minimal copulas only.  ``method`` is one of
     ``_METHODS``; any other name raises InputError."""
-    _check_method("spearman_rho", method)
     d = C.dim
-    norm = spearman_normalization(d)
-    if method in ("exact", "exact_checkerboard", "auto"):
-        pair = _lebesgue_mean_cdf_pair(C)
-        if pair is not None:
-            value = norm * (0.5 * (pair[0] + pair[1]) - 2.0**-d)
-            return FunctionalReport(
-                "spearman_rho", d, MeasureEstimate(value, "exact", 0.0, 1), norm
-            )
-        if method != "auto":
-            raise UnsupportedRepresentationError(
-                "no exact moment path for this representation"
-            )
-    if method in ("auto", "quadrature", "segment_quadrature") and d <= 4:
-        fine, n_pts = _rho_quadrature(C, quad_nodes)
-        coarse, _ = _rho_quadrature(C, max(4, quad_nodes // 2))
-        value = norm * (fine - 2.0**-d)
-        err = norm * abs(fine - coarse)
-        return FunctionalReport(
-            "spearman_rho", d, MeasureEstimate(value, "quadrature", err, n_pts), norm
-        )
-    # Monte Carlo over uniform cube draws: needs only cdf evaluations
-    rng = np.random.default_rng(seed)
-    U = rng.random((samples, d))
-    tC = survival(C)
-    vals = 0.5 * (C.cdf_many(U) + tC.cdf_many(U))
-    err = norm * 3.0 * float(vals.std(ddof=1)) / np.sqrt(samples)
-    value = norm * (float(vals.mean()) - 2.0**-d)
-    return FunctionalReport(
-        "spearman_rho", d, MeasureEstimate(value, "monte_carlo", err, samples), norm
-    )
+
+    def mean_cdf_pair(pts: np.ndarray) -> np.ndarray:
+        return 0.5 * (C.cdf_many(pts) + survival(C).cdf_many(pts))
+
+    inner = _dispatch("spearman_rho", C, method, (
+        # int C dQ^Pi = E[prod (1-V_k)] and int (tau C) dQ^Pi = E[prod V_k]
+        # for V ~ Q^C (Fubini on the indicator of [0, u])
+        ("exact", lambda C: _moment_mean(C, MOMENT_1MV, MOMENT_V)),
+        ("quadrature", lambda C: _cube_quadrature(C, quad_nodes, mean_cdf_pair)),
+        # uniform cube draws: needs only cdf evaluations
+        ("monte_carlo", lambda C: _monte_carlo(
+            mean_cdf_pair(np.random.default_rng(seed).random((samples, d))))),
+    ))
+    return _normalised("spearman_rho", d, inner, spearman_normalization(d))
 
 
 def pi_integral(
@@ -321,42 +328,15 @@ def pi_integral(
     """int Pi dQ^C = E[prod_k V_k]: continuous and strictly concordance
     order preserving.  ``method`` is one of ``_METHODS``; any other
     name raises InputError."""
-    _check_method("pi_integral", method)
-    d = C.dim
-    lo, hi = np.zeros(d), np.ones(d)
-    if method in ("exact", "exact_checkerboard", "auto"):
-        try:
-            value = C.product_moment(lo, hi, [MOMENT_V] * d)
-            return FunctionalReport(
-                "pi_integral", d, MeasureEstimate(value, "exact", 0.0, 1), 1.0
-            )
-        except UnsupportedRepresentationError:
-            if method != "auto":
-                raise
-    if method in ("auto", "quadrature", "segment_quadrature") and d <= 4:
+    est = _dispatch("pi_integral", C, method, (
+        ("exact", lambda C: _moment_mean(C, MOMENT_V)),
         # E[prod V_k] = int Q^C[[x, 1]] dx (Fubini on the indicator of [x, 1])
-        integrand = lambda pts: C.box_mass_many(pts, np.ones_like(pts))
-        fine, n_pts = _cube_quadrature(C, quad_nodes, integrand)
-        coarse, _ = _cube_quadrature(C, max(4, quad_nodes // 2), integrand)
-        return FunctionalReport(
-            "pi_integral",
-            d,
-            MeasureEstimate(fine, "quadrature", abs(fine - coarse), n_pts),
-            1.0,
-        )
-    if not C.is_samplable:
-        raise UnsupportedRepresentationError(
-            "pi_integral needs a moment path, quadrature (d <= 4) or a sampler"
-        )
-    pts = C.sample(seed, samples)
-    vals = pts.prod(axis=1)
-    err = 3.0 * float(vals.std(ddof=1)) / np.sqrt(samples)
-    return FunctionalReport(
-        "pi_integral",
-        d,
-        MeasureEstimate(float(vals.mean()), "monte_carlo", err, samples),
-        1.0,
-    )
+        ("quadrature", lambda C: _cube_quadrature(
+            C, quad_nodes, lambda pts: C.box_mass_many(pts, np.ones_like(pts)))),
+        ("monte_carlo", lambda C: _monte_carlo(C.sample(seed, samples).prod(axis=1))
+         if C.is_samplable else None),
+    ))
+    return FunctionalReport("pi_integral", C.dim, est, 1.0)
 
 
 def reflection_sum(functional, C: Copula, **kwargs) -> float:

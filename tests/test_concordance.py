@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from mincop import (
+    ClaytonExtreme,
     InputError,
+    Permuted,
+    Reflected,
     UnsupportedRepresentationError,
+    as_board,
     discretize,
     kendall_tau,
     make_basic,
@@ -19,6 +23,7 @@ from mincop import (
     pi_integral,
     random_checkerboard,
     reflection_sum,
+    refute_minimality,
     sample,
     shuffle_a,
     shuffle_b,
@@ -26,6 +31,7 @@ from mincop import (
     survival,
 )
 from mincop.concordance import kendall_integral, kendall_normalization
+from mincop.core import RefutedCopula
 
 
 def kendall_min(d):
@@ -67,8 +73,13 @@ def test_tau_shuffles_agree():
 
 
 def test_tau_exact_checkerboard_requires_checkerboard():
-    with pytest.raises(UnsupportedRepresentationError):
-        kendall_tau(make_basic("product", 2), method="exact_checkerboard")
+    # a segment copula has no exact Kendall path under either name; Pi's
+    # 2^-d is exact, as "auto" reports it
+    for method in ("exact", "exact_checkerboard"):
+        with pytest.raises(UnsupportedRepresentationError):
+            kendall_tau(make_triangle_3d(), method=method)
+    rep = kendall_tau(make_basic("product", 2), method="exact")
+    assert rep.value == 0.0 and rep.estimate.method == "exact"
 
 
 def test_tau_reads_the_method_names_rho_and_pi_read():
@@ -279,3 +290,142 @@ def test_moment_functionals_reject_unknown_methods(functional):
     mc = functional(board, method="monte_carlo", samples=20_000)
     assert mc.estimate.method == "monte_carlo"
     assert abs(mc.value - exact) <= mc.estimate.error_bound
+
+
+# -- one method dispatch ---------------------------------------------------
+
+
+def dispatch_inputs():
+    clayton = ClaytonExtreme(3)
+    witness = refute_minimality(make_basic("upper_frechet", 2)).copula
+    assert isinstance(witness, RefutedCopula)
+    return {
+        "board_d3": random_checkerboard(3, 4, seed=5),
+        "pi_2": make_basic("product", 2),
+        "pi_3": make_basic("product", 3),
+        "m3_segment": make_basic("upper_frechet", 3),
+        "m3_analytic": make_basic("upper_frechet", 3, "analytic"),
+        "w_analytic": make_basic("lower_frechet_2d", 2, "analytic"),
+        "triangle": make_triangle_3d(),
+        "clayton_3": clayton,
+        "clayton_4": ClaytonExtreme(4),
+        "clayton_5": ClaytonExtreme(5),
+        "glue_shuffle_a_pi1": make_glue_product(shuffle_a(), make_basic("product", 1)),
+        "glue_w_m2": make_glue_product(
+            make_basic("lower_frechet_2d", 2), make_basic("upper_frechet", 2)
+        ),
+        "glue_boards": make_glue_product(
+            random_checkerboard(2, 4, 1), random_checkerboard(2, 4, 2)
+        ),
+        "mixture_m2_pi2": make_mixture(
+            [(make_basic("upper_frechet", 2), 0.5), (make_basic("product", 2), 0.5)]
+        ),
+        "nu1_m_d5": make_reflected_upper(5, [0]),
+        "reflected_clayton": Reflected(clayton, [0]),
+        "permuted_clayton": Permuted(clayton, [1, 2, 0]),
+        "refuted_witness": witness,
+    }
+
+
+def report_bits(rep):
+    est = rep.estimate
+    return (
+        float(est.value).hex(),
+        est.method,
+        float(est.error_bound).hex(),
+        est.samples_or_nodes,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(dispatch_inputs()))
+def test_named_method_reproduces_auto(name):
+    # asking for the method "auto" reports must give the same estimate, bit
+    # for bit; where "auto" finds no path, no named method finds one either
+    C = dispatch_inputs()[name]
+    for functional in (kendall_tau, spearman_rho, pi_integral):
+        try:
+            auto = functional(C, samples=20_000)
+        except UnsupportedRepresentationError:
+            for method in ("exact", "quadrature", "monte_carlo"):
+                with pytest.raises(UnsupportedRepresentationError):
+                    functional(C, method=method, samples=20_000)
+            continue
+        named = functional(C, method=auto.estimate.method, samples=20_000)
+        assert report_bits(named) == report_bits(auto), functional.__name__
+
+
+@pytest.mark.parametrize("functional", [spearman_rho, pi_integral])
+def test_quadrature_above_d4_raises(functional):
+    # Gauss-Legendre stops at d = 4; a named method never falls through to
+    # another method's path
+    C = make_reflected_upper(5, [0])
+    for method in ("quadrature", "segment_quadrature"):
+        with pytest.raises(
+            UnsupportedRepresentationError,
+            match=f"{functional.__name__}.*quadrature.*SegmentCopula",
+        ):
+            functional(C, method=method)
+    assert functional(C, method="monte_carlo", samples=2000).estimate.method == (
+        "monte_carlo"
+    )
+
+
+def test_dispatch_errors_name_functional_method_and_representation():
+    W = make_basic("lower_frechet_2d", 2, "analytic")
+    with pytest.raises(UnsupportedRepresentationError, match="kendall_tau.*exact.*Lower"):
+        kendall_tau(W, method="exact")
+    C = ClaytonExtreme(3)
+    with pytest.raises(UnsupportedRepresentationError, match="pi_integral.*monte_carlo.*Clayton"):
+        pi_integral(C, method="monte_carlo")
+    with pytest.raises(UnsupportedRepresentationError, match="pi_integral.*auto.*Clayton"):
+        pi_integral(ClaytonExtreme(5))
+
+
+def test_tau_glue_rule_serves_the_method_its_halves_report():
+    # glue(W, M_2): both halves are Simpson estimates, so "quadrature" takes
+    # the glue rule and not the d=4 grid projection
+    glue = make_glue_product(
+        make_basic("lower_frechet_2d", 2), make_basic("upper_frechet", 2)
+    )
+    rep = kendall_tau(glue, method="quadrature")
+    assert rep.value == pytest.approx(kendall_min(4), abs=1e-12)
+    assert rep.estimate.error_bound <= 1e-12
+    with pytest.raises(UnsupportedRepresentationError):
+        kendall_tau(glue, method="exact")
+
+
+# -- exact moment paths against their twins -------------------------------
+
+
+def test_glue_moments_match_its_board():
+    G = make_glue_product(random_checkerboard(2, 4, 1), random_checkerboard(2, 4, 2))
+    B = as_board(G)
+    for functional in (spearman_rho, pi_integral):
+        rep = functional(G)
+        assert rep.estimate.method == "exact"
+        assert abs(rep.value - functional(B).value) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, d, rho, pi",
+    [
+        ("upper_frechet", 2, 1.0, 1 / 3),
+        ("upper_frechet", 3, 1.0, 1 / 4),
+        ("upper_frechet", 4, 1.0, 1 / 5),
+        ("lower_frechet_2d", 2, -1.0, 1 / 6),
+    ],
+)
+def test_analytic_frechet_bounds_match_their_segment_twins(kind, d, rho, pi):
+    C = make_basic(kind, d, "analytic")
+    twin = make_basic(kind, d)
+    for functional, expected in ((spearman_rho, rho), (pi_integral, pi)):
+        rep = functional(C)
+        assert rep.estimate.method == "exact"
+        assert rep.value == pytest.approx(expected, abs=1e-12)
+        assert abs(rep.value - functional(twin).value) <= 1e-12
+    pts = sample(C, seed=4, n=500)
+    assert pts.shape == (500, d)
+    if kind == "upper_frechet":
+        assert np.all(pts == pts[:, :1])
+    else:
+        assert np.max(np.abs(pts.sum(axis=1) - 1.0)) <= 1e-15

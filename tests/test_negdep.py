@@ -33,7 +33,9 @@ from mincop import (
 )
 from mincop.core import (
     CheckerboardCopula,
+    ClaytonExtreme,
     Copula,
+    Reflected,
     RefutedCopula,
     _first_max,
     default_resolution,
@@ -623,3 +625,20 @@ def test_descend_product_64_converges_without_false_stall():
 def test_descend_rejects_tiny_grids():
     with pytest.raises(Exception):
         descend(make_basic("product", 2), n=2)
+
+
+def test_ray_bisects_off_a_board(monkeypatch):
+    # a reflected extreme Clayton is no board, so its corner ray is bisected
+    # on the continuous map alpha -> C(alpha u)
+    calls = []
+    monkeypatch.setattr(
+        "mincop.negdep._bisect_monotone",
+        lambda *args: calls.append(args) or _bisect_monotone(*args),
+    )
+    C = Reflected(ClaytonExtreme(3), [0])
+    cert = refute_minimality(C)
+    assert calls
+    assert isinstance(cert, RefutationCertificate) and cert.passed
+    assert cert.order_check.relation == Relation.STRICTLY_BELOW
+    assert abs(C.box_mass(np.zeros(3), cert.a) - cert.p) <= 1e-9
+    assert abs(C.box_mass(cert.b, np.ones(3)) - cert.p) <= 1e-9

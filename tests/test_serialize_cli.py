@@ -114,16 +114,32 @@ def test_cli_measure_rejects_an_unknown_method(tmp_path, capsys):
     [
         ({"kind": "upper_frechet", "dim": 3}, "quadrature"),
         (to_spec(random_checkerboard(3, 4, seed=0)), "exact"),
+        ({"kind": "clayton_extreme", "dim": 3}, "quadrature"),
+        ({"kind": "product", "dim": 3}, "exact"),
     ],
 )
 def test_cli_measure_method_serves_all_three_functionals(tmp_path, capsys, doc, method):
-    # tau reads "quadrature" as segment quadrature and "exact" as the exact
-    # checkerboard path, as rho and the Pi-integral do
+    # a named method takes each functional's first path of that kind: for
+    # the extreme Clayton tau's grid projection, rho's and the Pi-integral's
+    # Gauss-Legendre; for Pi its exact 2^-d and moments
     spec = write_spec(tmp_path, "c.json", doc)
     assert main(["measure", spec, "--method", method]) == 0
     doc = json.loads(capsys.readouterr().out)
     for name in ("kendall_tau", "spearman_rho", "pi_integral"):
         assert doc[name]["method"] == method
+
+
+def test_cli_measure_method_without_a_path_exits_one(tmp_path, capsys):
+    spec = write_spec(tmp_path, "m3.json", {"kind": "upper_frechet", "dim": 3})
+    assert main(["measure", spec, "--method", "exact"]) == 1
+    err = capsys.readouterr().err
+    assert "kendall_tau" in err and "exact" in err
+    assert "Traceback" not in err
+    assert main(["measure", "--help"]) == 0
+    out = capsys.readouterr().out
+    for name in ("auto", "exact", "quadrature", "monte_carlo", "exact_checkerboard",
+                 "segment_quadrature"):
+        assert name in out
 
 
 def test_cli_refute_product(tmp_path, capsys):
