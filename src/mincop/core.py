@@ -454,7 +454,11 @@ class SegmentCopula(Copula):
     parameter, which is what makes box and hyperplane masses exact interval
     computations.  Constructors must yield uniform margins; this is checked
     exactly at the endpoint projections (the margin cdf is piecewise linear
-    with kinks only there).
+    with kinks only there), reading C at points that are 1 off the axis.
+
+    ``cdf_many``, ``box_mass_many`` and ``product_moment`` share one kernel,
+    ``_param_interval``: each segment's parameter interval inside a box,
+    taken in one (segments, points) pass per axis.
     """
 
     def __init__(self, starts, ends, masses, _skip_margin_check: bool = False):
@@ -491,39 +495,47 @@ class SegmentCopula(Copula):
         if not _skip_margin_check:
             self._check_uniform_margins()
 
-    def _margin_cdf(self, axis: int, t: np.ndarray) -> np.ndarray:
-        s = self.starts[:, axis][:, None]
-        dirv = self.dirs[:, axis][:, None]
-        r = (t[None, :] - s) / dirv
-        length = np.where(dirv > 0, np.clip(r, 0, 1), np.clip(1 - r, 0, 1))
-        return self.masses @ length
-
     def _check_uniform_margins(self) -> None:
         for k in range(self.dim):
             pts = np.unique(
                 np.concatenate([[0.0, 1.0], self.starts[:, k], self.ends[:, k]])
             )
-            defect = np.max(np.abs(self._margin_cdf(k, pts) - pts))
+            # the margin cdf on axis k is C at points that are 1 off axis k
+            U = np.ones((len(pts), self.dim))
+            U[:, k] = pts
+            defect = np.max(np.abs(self.cdf_many(U) - pts))
             if defect > CONSTRUCTION_TOL:
                 raise ValidationError(
                     f"segment system has non-uniform margin on axis {k} "
                     f"(defect {defect:.3e}); not a copula"
                 )
 
-    def _param_interval(self, Lo: np.ndarray, Hi: np.ndarray):
-        """Per (segment, point): t-interval where lo <= gamma(t) <= hi."""
-        s = self.starts[:, None, :]
-        dirv = self.dirs[:, None, :]
-        r_lo = (Lo[None, :, :] - s) / dirv
-        r_hi = (Hi[None, :, :] - s) / dirv
-        lower = np.minimum(r_lo, r_hi)
-        upper = np.maximum(r_lo, r_hi)
-        t0 = np.clip(lower.max(axis=2), 0.0, 1.0)
-        t1 = np.clip(upper.min(axis=2), 0.0, 1.0)
-        return t0, t1
+    def _param_interval(self, Lo: np.ndarray | None, Hi: np.ndarray):
+        """Per (segment, point): t-interval where lo <= gamma(t) <= hi.
+
+        One pass per axis k folds the two crossings (lo_k - s_k)/dir_k and
+        (hi_k - s_k)/dir_k, each a (segments, points) array, into running
+        bounds t0 (their max over axes of the smaller) and t1 (min of the
+        larger), then clips both to [0, 1].  ``Lo=None`` is the origin: the
+        lower crossing is (0 - s_k)/dir_k, one value per segment; otherwise
+        Lo has Hi's shape.
+        """
+        for k in range(self.dim):
+            s = self.starts[:, k, None]
+            dirv = self.dirs[:, k, None]
+            r_lo = (0.0 - s) / dirv if Lo is None else (Lo[None, :, k] - s) / dirv
+            r_hi = (Hi[None, :, k] - s) / dirv
+            upper = np.maximum(r_lo, r_hi)
+            lower = np.minimum(r_lo, r_hi, out=r_hi)
+            if k == 0:
+                t0, t1 = lower, upper
+            else:
+                np.maximum(t0, lower, out=t0)
+                np.minimum(t1, upper, out=t1)
+        return np.clip(t0, 0.0, 1.0, out=t0), np.clip(t1, 0.0, 1.0, out=t1)
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        t0, t1 = self._param_interval(np.zeros_like(U), U)
+        t0, t1 = self._param_interval(None, U)
         return self.masses @ np.clip(t1 - t0, 0.0, None)
 
     def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:

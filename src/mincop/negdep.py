@@ -391,7 +391,12 @@ def find_corner_pair(
     iff the defect is already below ``tol`` (grid tau-CM).
     """
     C = _lowered(C, grid)
-    defect, u, _, cu, su = _scan(C, grid)
+    return _corner_pair(C, _scan(C, grid), tol)
+
+
+def _corner_pair(C: Copula, scan: tuple, tol: float) -> CornerPair | None:
+    """``find_corner_pair`` on a lowered C from its ``_scan`` result."""
+    defect, u, _, cu, su = scan
     if defect <= tol:
         return None
     # the smaller corner mass is p, and the other corner moves along its ray:
@@ -481,9 +486,12 @@ def refute_minimality(
     (tau-CM non-minimal copulas exist in dimension >= 4).
     """
     C = _lowered(C, grid)
-    pair = find_corner_pair(C, grid, tol)
+    # one scan serves both outcomes: the corner pair, or the certificate
+    scan = _scan(C, grid)
+    pair = _corner_pair(C, scan, tol)
     if pair is None:
-        return tau_cm_certificate(C, grid)
+        defect, worst, desc, _, _ = scan
+        return TauCmCertificate(desc, defect, worst)
     a, b, p = pair.a, pair.b, pair.p
     if isinstance(C, CheckerboardCopula):
         # the surgery on the refined grid is exact, and the order check of

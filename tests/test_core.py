@@ -227,6 +227,13 @@ def test_margin_defect_message_shows_tolerance():
         CheckerboardCopula(uniform_cuts(2, 2), np.array([[0.5, 0.0], [0.25, 0.25]]))
 
 
+def test_segment_system_with_non_uniform_margins_rejected():
+    # one segment from (0, 0) to (1/2, 1): axis 0 carries all its mass on
+    # [0, 1/2], so its margin cdf misses t by 1/2 at t = 1/2
+    with pytest.raises(ValidationError, match=r"axis 0 \(defect 5\.000e-01\)"):
+        SegmentCopula([[0.0, 0.0]], [[0.5, 1.0]], [1.0])
+
+
 def test_merge_cuts_keeps_earlier_lists_points():
     merged = merge_cuts([0.0, 0.5, 1.0], [0.5 - 1e-14, 0.7, 0.7 + 1e-14])
     assert merged.tolist() == [0.0, 0.5, 0.7, 1.0]

@@ -12,10 +12,14 @@ from mincop import (
     Reflected,
     make_basic,
     make_glue_product,
+    make_reflected_upper,
     make_triangle_3d,
+    mixture_all_reflections,
     random_checkerboard,
     refute_minimality,
     sample,
+    shuffle_a,
+    shuffle_b,
     spearman_rho,
 )
 from mincop.core import (
@@ -26,6 +30,7 @@ from mincop.core import (
     Copula,
     ProductCopula,
     RefutedCopula,
+    SegmentCopula,
 )
 
 
@@ -229,3 +234,99 @@ def test_reflected_over_a_generic_inner_makes_one_call_per_reflected_corner(d):
             C = CountingCopula(ClaytonExtreme(d))
             Reflected(C, K).cdf_many(U)
             assert C.calls == 2 ** len(K)
+
+
+# -- the per-axis segment kernel against the broadcast (S, N, d) formula --
+
+
+def broadcast_param_interval(C, Lo, Hi):
+    # every axis at once in (segments, points, axes) temporaries, reduced
+    # over the last axis
+    s = C.starts[:, None, :]
+    dirv = C.dirs[:, None, :]
+    r_lo = (Lo[None, :, :] - s) / dirv
+    r_hi = (Hi[None, :, :] - s) / dirv
+    lower = np.minimum(r_lo, r_hi)
+    upper = np.maximum(r_lo, r_hi)
+    t0 = np.clip(lower.max(axis=2), 0.0, 1.0)
+    t1 = np.clip(upper.min(axis=2), 0.0, 1.0)
+    return t0, t1
+
+
+def broadcast_box_mass(C, Lo, Hi):
+    t0, t1 = broadcast_param_interval(C, Lo, Hi)
+    return C.masses @ np.clip(t1 - t0, 0.0, None)
+
+
+def random_segments(d, seed, count=9):
+    # endpoints with coordinates exactly 0 and 1 and mixed direction signs;
+    # the margins need not be uniform, so the margin check is skipped
+    rng = np.random.default_rng(seed)
+    starts, ends = rng.random((2, count, d))
+    starts[::3, 0] = 0.0
+    ends[1::3, -1] = 1.0
+    ends[1::4, 0] = 0.0
+    flip = rng.random((count, d)) < 0.5
+    starts, ends = np.where(flip, ends, starts), np.where(flip, starts, ends)
+    assert np.all(np.abs(ends - starts) > 1e-6)
+    masses = rng.random(count)
+    return SegmentCopula(starts, ends, masses / masses.sum(), _skip_margin_check=True)
+
+
+def kernel_points(d, seed, n=300):
+    rng = np.random.default_rng(seed)
+    A, B = rng.random((2, n, d))
+    Lo, Hi = np.minimum(A, B), np.maximum(A, B)
+    Lo[::5, 0] = 0.0
+    Hi[::3, -1] = 1.0
+    Lo[::11, d - 1] = Hi[::11, d - 1] = 1.0
+    Lo[::13, 0] = Hi[::13, 0] = 0.0
+    # boxes with lo > hi on one axis
+    Lo[::7, d // 2], Hi[::7, d // 2] = Hi[::7, d // 2].copy(), Lo[::7, d // 2].copy()
+    return Lo, Hi
+
+
+KERNEL_SEGMENTS = {
+    **{f"random_d{d}": random_segments(d, seed=d) for d in (2, 3, 4, 5)},
+    "triangle": make_triangle_3d(),
+    "reflected_upper_3": make_reflected_upper(3, [1]),
+    "reflected_upper_4": make_reflected_upper(4, [0, 2]),
+    "all_reflections_3": mixture_all_reflections(3),
+    "all_reflections_4": mixture_all_reflections(4),
+    "shuffle_a": shuffle_a(),
+    "shuffle_b": shuffle_b(),
+}
+
+
+@pytest.mark.parametrize("C", KERNEL_SEGMENTS.values(), ids=KERNEL_SEGMENTS.keys())
+def test_segment_kernel_matches_broadcast_formula_bit_for_bit(C):
+    d = C.dim
+    Lo, Hi = kernel_points(d, seed=10 + d)
+    assert_bits = np.testing.assert_array_equal
+    zero = np.zeros_like(Hi)
+    # (lo, hi, the oracle's lo): the boxes, the origin as None, and
+    # product_moment's one box as (1, d) broadcast views of lo and hi
+    cases = [(Lo, Hi, Lo), (None, Hi, zero)]
+    for lo, hi in zip(Lo[:20], Hi[:20]):
+        lo1, hi1 = np.broadcast_to(lo, (1, d)), np.broadcast_to(hi, (1, d))
+        cases.append((lo1, hi1, lo1))
+    for lo, hi, oracle_lo in cases:
+        for got, want in zip(C._param_interval(lo, hi), broadcast_param_interval(C, oracle_lo, hi)):
+            assert_bits(got, want)
+    assert_bits(C.box_mass_many(Lo, Hi), broadcast_box_mass(C, Lo, Hi))
+    assert_bits(C.cdf_many(Hi), broadcast_box_mass(C, zero, Hi))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_segment_margins_through_the_kernel_match_the_margin_formula(d):
+    # the margin cdf on axis k, read through cdf_many at points 1 off axis
+    # k, against the direct per-axis formula
+    C = random_segments(d, seed=20 + d)
+    t = np.linspace(0.0, 1.0, 41)
+    for k in range(d):
+        s, dirv = C.starts[:, k, None], C.dirs[:, k, None]
+        r = (t[None, :] - s) / dirv
+        want = C.masses @ np.where(dirv > 0, np.clip(r, 0, 1), np.clip(1 - r, 0, 1))
+        U = np.ones((len(t), d))
+        U[:, k] = t
+        assert np.max(np.abs(C.cdf_many(U) - want)) <= 1e-15

@@ -28,6 +28,7 @@ from mincop import (
     shuffle_a,
     spearman_rho,
     survival,
+    tau_cm_certificate,
     tau_cm_defect,
     validate,
 )
@@ -42,6 +43,7 @@ from mincop.core import (
     grid_axes,
     grid_points,
 )
+import mincop.negdep as negdep
 from mincop.errors import RefuterInternalError
 from mincop.negdep import (
     BISECT_TOL,
@@ -455,6 +457,27 @@ def test_refute_tau_cm_iff_defect_below_tol():
         defect, _, _ = tau_cm_defect(C)
         cert = refute_minimality(C)
         assert isinstance(cert, TauCmCertificate) == (defect <= 1e-9)
+
+
+@pytest.mark.parametrize(
+    "make, tau_cm",
+    [
+        (make_triangle_3d, True),
+        (lambda: make_basic("lower_frechet_2d", 2), True),
+        (lambda: make_basic("upper_frechet", 3), False),
+        (lambda: random_checkerboard(2, 8, seed=3), False),
+    ],
+    ids=["triangle", "W", "M_3", "board"],
+)
+def test_refute_scans_once(monkeypatch, make, tau_cm):
+    C = make()
+    calls = []
+    monkeypatch.setattr(negdep, "_scan", lambda *args: calls.append(1) or _scan(*args))
+    cert = refute_minimality(C)
+    assert len(calls) == 1
+    assert isinstance(cert, TauCmCertificate) == tau_cm
+    if tau_cm:
+        assert cert == tau_cm_certificate(C)
 
 
 def test_refuted_node_checks_corner_masses():
