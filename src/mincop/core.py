@@ -24,8 +24,12 @@ Analytic nodes (``UpperFrechet``, ``LowerFrechet2d``, ``ProductCopula``,
     by inclusion-exclusion over the 2^d corners (corners on an all-zero lo
     face drop out, since copulas are grounded), so evaluation cost is
     O(2^d) per point for survival-type queries; a dimension cap (default 6)
-    keeps that honest.  The extreme Clayton's cdf is separable, so its box
-    masses take the per-axis powers once and only the outer power per corner.
+    keeps that honest.  The generic path, which checkerboards use too,
+    stacks every corner of a block of rows into one ``cdf_many`` call and
+    adds the signed values in corner order, so a board locates its points
+    in the cuts once per block, not once per corner.  The extreme Clayton's
+    cdf is separable, so its box masses take the per-axis powers once and
+    only the outer power per corner.
 
 All values are immutable after construction and safe to share.  Evaluation
 is vectorised with numpy and deterministic; sampling is deterministic given
@@ -73,7 +77,8 @@ __all__ = [
     "set_dimension_cap",
 ]
 
-# Rows per block of ClaytonExtreme.box_mass_many: bounds its temporaries.
+# Rows per block of a box-mass evaluation (the stacked corners of the generic
+# inclusion-exclusion, ClaytonExtreme's kernel): bounds their temporaries.
 _BOX_ROWS = 1 << 15
 
 # Exact paths report and test against this tolerance; it is never silently
@@ -250,14 +255,23 @@ class Copula:
         """Q^C[[lo, hi]] by inclusion-exclusion over the box corners.
 
         C is grounded, so a corner that takes lo on an axis where every lo
-        is 0 adds nothing: such an axis always takes hi, which leaves one
-        ``cdf_many`` call per corner of the free axes.
+        is 0 adds nothing: such an axis always takes hi.  The 2^f corners of
+        the f free axes are stacked into one ``cdf_many`` call per block of
+        ``_BOX_ROWS >> f`` rows, so no call holds more than _BOX_ROWS rows,
+        and their signed values are added in corner order, lo side first:
+        each row gets the bits that one call per corner gives.
         """
+        free = Lo.any(axis=0)
+        masks = np.array(list(itertools.product(*[(0, 1) if f else (1,) for f in free])), bool)
+        signs = np.where((self.dim - masks.sum(axis=1)) % 2, -1.0, 1.0)
+        step = max(_BOX_ROWS >> int(free.sum()), 1)
         out = np.zeros(len(Lo))
-        for mask in itertools.product(*[(0, 1) if f else (1,) for f in Lo.any(axis=0)]):
-            corner = np.where(np.asarray(mask, bool), Hi, Lo)
-            sign = -1.0 if (self.dim - sum(mask)) % 2 else 1.0
-            out += sign * self.cdf_many(corner)
+        for r in range(0, len(Lo), step):
+            corners = np.where(masks[:, None, :], Hi[r : r + step], Lo[r : r + step])
+            vals = self.cdf_many(corners.reshape(-1, self.dim)).reshape(len(masks), -1)
+            acc = out[r : r + step]
+            for sign, v in zip(signs, vals):
+                acc += sign * v
         return out
 
     def box_mass(self, lo, hi) -> float:

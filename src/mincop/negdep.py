@@ -59,7 +59,14 @@ from .core import (
 from .concordance import spearman_rho
 from .errors import InputError, RefuterInternalError, UnsupportedRepresentationError
 from .order import OrderResult, Relation, concordance_leq
-from .transforms import as_board, discretize, orthant_masses, survival, uniform_cuts
+from .transforms import (
+    _split_cells,
+    as_board,
+    discretize,
+    orthant_masses,
+    survival,
+    uniform_cuts,
+)
 
 __all__ = [
     "GFunc",
@@ -445,9 +452,7 @@ class RefutationCertificate:
         )
 
 
-def _corner_surgery(
-    C: CheckerboardCopula, a, b
-) -> tuple[CheckerboardCopula, CheckerboardCopula]:
+def _corner_surgery(C: CheckerboardCopula, a, b) -> CheckerboardCopula:
     """The corner surgery on a board, as algebra on its mass tensor.
 
     On C's cuts refined by a and b, the corner blocks A = [0,a] and B = [b,1]
@@ -455,20 +460,19 @@ def _corner_surgery(
     is a block's first-axis marginal, X_R its remaining-axes marginal and |X|
     its realised mass, which keeps the total mass exact.  A block ends at the
     kept cut nearest its corner, as the merge may drop a corner next to a
-    cut.  Returns (C on the refined cuts, the surgery result).
+    cut.  Returns the surgery result on the refined cuts.
     """
     cuts = [merge_cuts(c, [x, y]) for c, x, y in zip(C.cuts, a, b)]
-    refined = discretize(C, cuts)
+    masses = _split_cells(C, cuts)
     lo = tuple(slice(0, np.argmin(np.abs(c - x))) for c, x in zip(cuts, a))
     hi = tuple(slice(np.argmin(np.abs(c - x)), None) for c, x in zip(cuts, b))
-    masses = refined.masses.copy()
     A, B = masses[lo].copy(), masses[hi].copy()
     masses[lo] = masses[hi] = 0.0
     rest = tuple(range(1, C.dim))
     glue = lambda X, Y: np.multiply.outer(X.sum(axis=rest), Y.sum(axis=0)) / Y.sum()
     masses[lo[:1] + hi[1:]] += glue(A, B)
     masses[hi[:1] + lo[1:]] += glue(B, A)
-    return refined, CheckerboardCopula(cuts, masses)
+    return CheckerboardCopula(cuts, masses)
 
 
 def refute_minimality(
@@ -496,7 +500,8 @@ def refute_minimality(
     if isinstance(C, CheckerboardCopula):
         # the surgery on the refined grid is exact, and the order check of
         # two boards on their shared cuts (grid=None) is exact too
-        C, D = _corner_surgery(C, a, b)
+        D = _corner_surgery(C, a, b)
+        C = discretize(C, D.cuts)
         grid = None
     else:
         D = RefutedCopula(C, a, b, p)
@@ -548,6 +553,13 @@ class DescentStep:
 
 @dataclass(frozen=True)
 class DescentResult:
+    """The last board, one step per surgery, and why the loop stopped.
+
+    ``status`` "converged" means no refutable vertex on the current grid:
+    the vertex tau-CM defect of ``final`` is <= tol.  It does not mean the
+    board is minimal.
+    """
+
     final: CheckerboardCopula
     trace: tuple[DescentStep, ...]
     status: str  # "converged" | "stalled" | "max_iter"
@@ -607,7 +619,8 @@ def descend(
     planes at a and b (so each step is measure-exact, with no drift to
     correct) and coarsening mass-preservingly when an axis exceeds
     ``cut_cap`` (default 4n) cells.  Stops when the vertex tau-CM defect is
-    <= tol ("converged"), when int C dQ^C has not dropped for
+    <= tol ("converged": no refutable vertex on the current grid, which is
+    not a proof of minimality), when int C dQ^C has not dropped for
     ``stall_patience`` consecutive surgeries ("stalled"), or at
     ``max_iter``.  The trace shows
     int C dQ^C non-increasing and rho strictly decreasing across exact
@@ -651,6 +664,6 @@ def descend(
                 status = "stalled"
                 break
         trace.append(DescentStep(it, kendall, rho, defect, pair.p, coarsened))
-        _, board = _corner_surgery(board, pair.a, pair.b)
+        board = _corner_surgery(board, pair.a, pair.b)
         board, coarsened = _coarsen(board, cap)
     return DescentResult(final=board, trace=tuple(trace), status=status)

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from mincop import (
+    LowerFrechet2d,
     Permuted,
     Reflected,
+    UpperFrechet,
+    find_corner_pair,
     make_basic,
     make_glue_product,
     make_reflected_upper,
@@ -26,6 +29,7 @@ from mincop.core import (
     _BOX_ROWS,
     MOMENT_1MV,
     MOMENT_V,
+    CheckerboardCopula,
     ClaytonExtreme,
     Copula,
     ProductCopula,
@@ -214,26 +218,92 @@ def test_reflected_box_mass_matches_the_per_subset_loop(d):
 
 
 class CountingCopula(Copula):
-    """A generic copula (no box-mass override) that counts cdf_many calls."""
+    """A generic copula (no box-mass override) that counts cdf_many calls
+    and the rows they carry."""
 
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
         self.calls = 0
+        self.rows = 0
 
     def cdf_many(self, U):
         self.calls += 1
+        self.rows += len(U)
         return self.inner.cdf_many(U)
 
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_reflected_over_a_generic_inner_makes_one_call_per_reflected_corner(d):
+    # one stacked call holds a block of rows per reflected corner; the axes
+    # off K (lo all 0) add no corners
     U = np.random.default_rng(0).random((50, d))
     for r in range(d + 1):
         for K in itertools.combinations(range(d), r):
             C = CountingCopula(ClaytonExtreme(d))
             Reflected(C, K).cdf_many(U)
-            assert C.calls == 2 ** len(K)
+            assert (C.calls, C.rows) == (1, 2 ** len(K) * len(U))
+
+
+# -- the stacked generic box mass against one cdf_many call per corner --
+
+
+def per_corner_box_mass(C, Lo, Hi):
+    # inclusion-exclusion with one cdf_many call per corner of the free axes
+    out = np.zeros(len(Lo))
+    for mask in itertools.product(*[(0, 1) if f else (1,) for f in Lo.any(axis=0)]):
+        corner = np.where(np.asarray(mask, bool), Hi, Lo)
+        sign = -1.0 if (C.dim - sum(mask)) % 2 else 1.0
+        out += sign * C.cdf_many(corner)
+    return out
+
+
+def generic_boxes(d, seed):
+    # degenerate rows (lo == hi), coordinates exactly 0, 1 and on the 1/2
+    # cut, and more rows than a block of d or d - 1 free axes holds
+    rng = np.random.default_rng(seed)
+    A, B = rng.random((2, (_BOX_ROWS >> (d - 1)) + 1, d))
+    Lo, Hi = np.minimum(A, B), np.maximum(A, B)
+    Lo[::7] = Hi[::7]
+    Lo[::5, 0] = 0.0
+    Hi[::3, -1] = 1.0
+    Lo[::11, 1] = Hi[::11, 1] = 0.5
+    Hi[::4, 0] = np.maximum(Hi[::4, 0], 0.5)
+    Lo[::4, 0] = 0.5
+    Lo[::13, d - 1] = Hi[::13, d - 1] = 1.0
+    return Lo, Hi
+
+
+def generic_box_copulas():
+    boards = [random_checkerboard(d, 4, seed=d) for d in (2, 3, 4, 5)]
+    pair = find_corner_pair(boards[1])
+    return boards + [
+        UpperFrechet(3),
+        LowerFrechet2d(),
+        Permuted(boards[1], [2, 0, 1]),
+        RefutedCopula(boards[1], pair.a, pair.b, pair.p),
+    ]
+
+
+@pytest.mark.parametrize("C", generic_box_copulas(), ids=lambda C: f"{type(C).__name__}{C.dim}")
+def test_stacked_box_mass_matches_one_call_per_corner_bit_for_bit(C):
+    d = C.dim
+    Lo, Hi = generic_boxes(d, seed=d)
+    zero_col = Lo.copy()
+    zero_col[:, d // 2] = 0.0  # an axis that is not free
+    for lo in (Lo, zero_col):
+        np.testing.assert_array_equal(Copula.box_mass_many(C, lo, Hi), per_corner_box_mass(C, lo, Hi))
+
+
+def test_board_box_mass_is_one_cdf_call(monkeypatch):
+    board = random_checkerboard(3, 4, seed=0)
+    calls = []
+    cdf_many = CheckerboardCopula.cdf_many
+    monkeypatch.setattr(
+        CheckerboardCopula, "cdf_many", lambda self, U: calls.append(len(U)) or cdf_many(self, U)
+    )
+    board.box_mass([0.1, 0.2, 0.3], [0.6, 0.7, 0.8])
+    assert calls == [8]
 
 
 # -- the per-axis segment kernel against the broadcast (S, N, d) formula --

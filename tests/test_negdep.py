@@ -556,7 +556,7 @@ def test_survival_of_surgery_node_closed_form():
 def test_tensor_surgery_matches_refuted_node(board):
     # the oracle evaluates the surgery node through the generic cdf path
     pair = find_corner_pair(board)
-    _, D = _corner_surgery(board, pair.a, pair.b)
+    D = _corner_surgery(board, pair.a, pair.b)
     oracle = discretize(RefutedCopula(board, pair.a, pair.b, pair.p), D.cuts)
     assert np.max(np.abs(D.masses - oracle.masses)) <= 1e-12
 
@@ -568,7 +568,7 @@ def test_tensor_surgery_corner_next_to_a_cut():
     a = np.array([0.5, 0.5])
     b = a + 1e-14
     p = board.box_mass(b, np.ones(2))
-    _, D = _corner_surgery(board, a, b)
+    D = _corner_surgery(board, a, b)
     assert [len(c) for c in D.cuts] == [5, 5]
     oracle = discretize(RefutedCopula(board, a, b, p), D.cuts)
     assert np.max(np.abs(D.masses - oracle.masses)) <= 1e-12
