@@ -25,10 +25,11 @@ takes the first that applies, a named method the first of its kind.
   Carlo: rho over uniform draws, the Pi-integral over C's sampler.  rho
   reads tau C as a box mass of C (``Reflected.cdf_many``), and the
   Pi-integral's quadrature integrates Q^C[[x, 1]]; the extreme Clayton
-  computes such box masses in one separable pass.
+  computes its cdf and such box masses on one separable kernel, which
+  takes phi's integer power by repeated products.
 
 Quadrature reports the difference to a coarser rule, Monte Carlo a 3-sigma
-half-width.  Normalisation constants are recomputed from d at call time
+half-width (so ``samples`` must be at least 2).  Normalisation constants are recomputed from d at call time
 and echoed in every report so unit errors stay visible.
 """
 
@@ -125,6 +126,13 @@ def _dispatch(name: str, C: Copula, method: str, paths) -> MeasureEstimate:
 
 def _exact(value: float, nodes: int = 1) -> MeasureEstimate:
     return MeasureEstimate(value, "exact", 0.0, nodes)
+
+
+def _check_samples(samples) -> None:
+    """A 3-sigma half-width needs a sample standard deviation: at least two
+    draws.  Checked before any path runs, so no draw is made in vain."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise InputError(f"samples must be an integer >= 2, got {samples!r}")
 
 
 def _monte_carlo(vals: np.ndarray) -> MeasureEstimate:
@@ -266,7 +274,9 @@ def kendall_integral(
     panels: int = SIMPSON_PANELS,
 ) -> MeasureEstimate:
     """int C dQ^C (the un-normalised Kendall functional).  ``method`` is one
-    of ``_METHODS``; any other name raises InputError."""
+    of ``_METHODS``; any other name raises InputError, and so does
+    ``samples`` below 2."""
+    _check_samples(samples)
     return _dispatch("kendall_tau", C, method, (
         ("exact", _kendall_board),
         ("quadrature", lambda C: _simpson_segments(C, panels)),
@@ -300,7 +310,9 @@ def spearman_rho(
 ) -> FunctionalReport:
     """Spearman's rho: strictly concordance order preserving, hence
     minimised by minimal copulas only.  ``method`` is one of
-    ``_METHODS``; any other name raises InputError."""
+    ``_METHODS``; any other name raises InputError, and so does
+    ``samples`` below 2."""
+    _check_samples(samples)
     d = C.dim
 
     def mean_cdf_pair(pts: np.ndarray) -> np.ndarray:
@@ -327,7 +339,8 @@ def pi_integral(
 ) -> FunctionalReport:
     """int Pi dQ^C = E[prod_k V_k]: continuous and strictly concordance
     order preserving.  ``method`` is one of ``_METHODS``; any other
-    name raises InputError."""
+    name raises InputError, and so does ``samples`` below 2."""
+    _check_samples(samples)
     est = _dispatch("pi_integral", C, method, (
         ("exact", lambda C: _moment_mean(C, MOMENT_V)),
         # E[prod V_k] = int Q^C[[x, 1]] dx (Fubini on the indicator of [x, 1])

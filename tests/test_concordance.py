@@ -292,6 +292,36 @@ def test_moment_functionals_reject_unknown_methods(functional):
     assert abs(mc.value - exact) <= mc.estimate.error_bound
 
 
+@pytest.mark.parametrize("functional", [kendall_tau, spearman_rho, pi_integral])
+@pytest.mark.parametrize("samples", [-5, 0, 1, 2.0, True])
+def test_monte_carlo_needs_an_integer_of_at_least_two_samples(functional, samples):
+    # checked before any draw, whatever method would serve the call
+    C = make_basic("upper_frechet", 3)
+    for method in ("auto", "monte_carlo"):
+        with pytest.raises(InputError, match="samples must be an integer >= 2"):
+            functional(C, method=method, samples=samples)
+    assert functional(C, method="monte_carlo", samples=2).estimate.samples_or_nodes == 2
+
+
+# exact rationals for the extreme Clayton from Dirichlet moments of its
+# simplex representation U_k = (1 - S_k)^{d-1}, S ~ Dirichlet(1, ..., 1)
+# (McNeil & Neslehova 2009, Ann. Statist. 37(5B))
+CLAYTON_EXACT = [
+    (pi_integral, 3, 29 / 504),
+    (pi_integral, 4, 312691 / 15288000),
+    (spearman_rho, 3, -7 / 15),
+    (spearman_rho, 4, -1987203 / 7707700),
+    (spearman_rho, 5, -1641602111 / 11033397375),
+]
+
+
+@pytest.mark.parametrize("functional, d, exact", CLAYTON_EXACT)
+def test_clayton_auto_estimates_bound_the_exact_value(functional, d, exact):
+    # the reported error bound must hold on its own, with no slack
+    rep = functional(ClaytonExtreme(d))
+    assert abs(rep.value - exact) <= rep.estimate.error_bound
+
+
 # -- one method dispatch ---------------------------------------------------
 
 

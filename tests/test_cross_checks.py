@@ -183,6 +183,29 @@ def test_clayton_box_mass_matches_generic_inclusion_exclusion(d):
     assert C.box_mass_many(np.zeros((1, d)), np.ones((1, d)))[0] == 1.0
 
 
+def pow_clayton_cdf(U, d):
+    # the extreme Clayton's cdf with both powers taken by np.power
+    e = 1.0 / (d - 1)
+    return np.power(np.clip(np.power(U, e).sum(axis=1) - (d - 1), 0, None), d - 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_clayton_cdf_matches_the_power_formula(d):
+    # phi's power by repeated products: np.power's bits for d <= 3, a few
+    # ulps for d >= 4, zeros in the same places; the cdf is the box from the
+    # origin, so both queries share one phi
+    C = ClaytonExtreme(d)
+    Lo, Hi = clayton_boxes(d, seed=d)
+    for U in (Lo, Hi, np.vstack([Lo, Hi]) ** (1.0 / d)):  # the last nearer the surface
+        got, ref = C.cdf_many(U), pow_clayton_cdf(U, d)
+        if d <= 3:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.array_equal(got == 0, ref == 0)
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+        assert np.array_equal(C.box_mass_many(np.zeros_like(U), U), got)
+
+
 def per_subset_reflection(C, K, U):
     # (nu_K C)(u) = sum_{L subseteq K} (-1)^{|L|} C(w_L), where w_L takes u
     # off K, 1 on K \ L and 1 - u on L

@@ -129,6 +129,24 @@ def test_cli_measure_method_serves_all_three_functionals(tmp_path, capsys, doc, 
         assert doc[name]["method"] == method
 
 
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        ({"kind": "clayton_extreme", "dim": 5}, ["--rho"]),
+        ({"kind": "upper_frechet", "dim": 3}, ["--tau", "--method", "monte_carlo"]),
+    ],
+)
+@pytest.mark.parametrize("samples", ["-5", "0", "1"])
+def test_cli_measure_rejects_fewer_than_two_samples(tmp_path, capsys, doc, flags, samples):
+    # a 3-sigma half-width needs two draws: fewer used to print NaN and exit 0,
+    # or leak numpy's traceback
+    spec = write_spec(tmp_path, "c.json", doc)
+    assert main(["measure", spec, *flags, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and "samples" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_measure_method_without_a_path_exits_one(tmp_path, capsys):
     spec = write_spec(tmp_path, "m3.json", {"kind": "upper_frechet", "dim": 3})
     assert main(["measure", spec, "--method", "exact"]) == 1
