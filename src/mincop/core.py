@@ -39,6 +39,7 @@ the seed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -385,23 +386,25 @@ class CheckerboardCopula(Copula):
         idx, frac = [], []
         for k in range(self.dim):
             c = self.cuts[k]
-            i = np.clip(np.searchsorted(c, U[:, k], side="right") - 1, 0, len(c) - 2)
+            # the interior cuts at or below u: a cell index in 0..len(c)-2
+            i = np.searchsorted(c[1:-1], U[:, k], side="right")
             f = (U[:, k] - c[i]) / (c[i + 1] - c[i])
             idx.append(i)
             frac.append(np.clip(f, 0.0, 1.0))
         return idx, frac
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        # multilinear interpolation of the vertex cdf
+        # multilinear interpolation of the vertex cdf, summed in corner order;
+        # a corner's vertex lies ``off`` places past its cell's lowest vertex
+        # in the C-order vertex values
         idx, frac = self._locate(U)
+        shape = self._vertex_cdf.shape
+        vals = self._vertex_cdf.ravel()
+        base = np.ravel_multi_index(idx, shape)
+        steps = [math.prod(shape[k + 1 :]) for k in range(self.dim)]
         out = np.zeros(len(U))
-        for mask in _corner_masks(self.dim):
-            w = np.ones(len(U))
-            pos = []
-            for k, m in enumerate(mask):
-                w = w * (frac[k] if m else 1.0 - frac[k])
-                pos.append(idx[k] + m)
-            out += w * self._vertex_cdf[tuple(pos)]
+        for w, off in _corner_weights([(1.0 - f, f) for f in frac], steps):
+            out += w * vals[off:][base]
         return out
 
     @property
@@ -765,6 +768,19 @@ def _corner_sums(g_lo, g_hi, free, k=0, s=None, lows=0):
     for side, g in ((1, g_lo), (0, g_hi)) if free[k] else ((0, g_hi),):
         col = g[k]
         yield from _corner_sums(g_lo, g_hi, free, k + 1, col if s is None else s + col, lows + side)
+
+
+def _corner_weights(sides, steps, k=0, w=None, off=0):
+    """(weight, flat vertex offset) for each corner of a point's cell, depth
+    first with the lower side first (the order of ``_corner_masks``).  Each
+    weight is the left-to-right product of its axes' factors ``sides[k]``
+    and shares its prefix with its siblings, so at most one partial product
+    per axis is alive."""
+    if k == len(sides):
+        yield w, off
+        return
+    for f, step in zip(sides[k], (0, steps[k])):
+        yield from _corner_weights(sides, steps, k + 1, f if w is None else w * f, off + step)
 
 
 class Reflected(Copula):
@@ -1144,15 +1160,18 @@ def merge_cuts(*cut_lists) -> np.ndarray:
 
     A point within CUT_GAP of a point already kept is dropped.  The lists are
     taken in order, so the points of earlier lists win: a board's cuts merged
-    with new corners keep every cut of the board.
+    with new corners keep every cut of the board.  Sorting stands in for
+    ``np.unique``: a repeated point is within CUT_GAP of its copy, and the
+    points kept from different lists are distinct.
     """
     kept = np.empty(0)
     for cuts in cut_lists:
-        new = np.unique(np.asarray(cuts, dtype=float))
+        new = np.sort(np.asarray(cuts, dtype=float), axis=None)
         new = new[np.diff(new, prepend=-np.inf) > CUT_GAP]
         if kept.size:
             new = new[np.abs(new[:, None] - kept).min(axis=1) > CUT_GAP]
-        kept = np.union1d(kept, new)
+            new = np.sort(np.concatenate([kept, new]))
+        kept = new
     return kept
 
 

@@ -20,8 +20,11 @@ constructively:
    corner pieces are replaced by a cross-glued, de-comonotonised pair,
    producing D with D <= C, tau(D) <= tau(C) and D(a) = C(a) - p.  On a
    board D is the board read off the mass tensor refined by the cut
-   planes at a and b, which makes every check exact; on any other copula D
-   is a ``RefutedCopula`` node.  The D that is returned is the D that was
+   planes at a and b, which makes every check exact; C is verified as the
+   same refinement, its cells split onto D's own cut arrays, so the order
+   check reads both boards on those cuts with no merge, and C's rho is
+   summed over the refined cells.  On any other copula D is a
+   ``RefutedCopula`` node.  The D that is returned is the D that was
    verified: the certificate carries its order relation, validity report
    and strict Spearman-rho drop; verification failure is an internal
    error, never a silent pass.
@@ -416,8 +419,8 @@ def _corner_pair(C: Copula, scan: tuple, tol: float) -> CornerPair | None:
         a = _ray(C, u, p) * u
     elif su - p > BISECT_TOL:
         b = 1.0 - _ray(survival(C), 1.0 - u, p) * (1.0 - u)
-    pa = C.box_mass(np.zeros(C.dim), a)
-    pb = C.box_mass(b, np.ones(C.dim))
+    # both corner boxes, [0,a] and [b,1], in one call
+    pa, pb = C.box_mass_many(np.array([np.zeros(C.dim), b]), np.array([a, np.ones(C.dim)]))
     if abs(pa - p) > 1e-9 or abs(pb - p) > 1e-9:
         raise RefuterInternalError(
             f"corner masses {pa:.3e}/{pb:.3e} missed p={p:.3e} after the ray solve"
@@ -498,10 +501,11 @@ def refute_minimality(
         return TauCmCertificate(desc, defect, worst)
     a, b, p = pair.a, pair.b, pair.p
     if isinstance(C, CheckerboardCopula):
-        # the surgery on the refined grid is exact, and the order check of
-        # two boards on their shared cuts (grid=None) is exact too
+        # the surgery on the refined grid is exact, and so is the order check
+        # of two boards (grid=None); C is refined onto D's cut arrays
+        # themselves, so that check reads both on those cuts with no merge
         D = _corner_surgery(C, a, b)
-        C = discretize(C, D.cuts)
+        C = CheckerboardCopula(D.cuts, _split_cells(C, D.cuts))
         grid = None
     else:
         D = RefutedCopula(C, a, b, p)

@@ -7,7 +7,11 @@ breakpoints, since piecewise-(multi)linear differences attain their extrema
 there.  When both operands are boards (``transforms.as_board``) the grid is
 their common cut grid, which makes the verdict exact rather than
 grid-limited (vertex domination of multilinear interpolants is global
-domination); ``OrderResult.exact`` records which kind was obtained.
+domination); ``OrderResult.exact`` records which kind was obtained.  Where
+two boards hold the same cut array on an axis (the surgery board and the
+refined input of a refutation hold the same arrays on every axis) that axis
+takes the array as it is, with no merge, and a board compared on its own cut
+arrays reads C(v) off its ``vertex_cdf``.
 
 Both halves read each operand's orthant-mass tensors at the grid's
 vertices (``transforms.orthant_masses``): C(v) for the pointwise half, and
@@ -66,8 +70,10 @@ class OrderResult:
 def _classify(c_vals, d_vals, cuts, grid_desc, exact, tol) -> OrderResult:
     """The relation of two value tensors on the vertices of ``cuts``."""
     diff = (c_vals - d_vals).ravel()
-    points = grid_points(cuts)
-    point = lambda i: tuple(points[i])
+    # a witness is one vertex: its index on each axis, read off the cuts
+    point = lambda i: tuple(
+        grid_points([c[[j]] for c, j in zip(cuts, np.unravel_index(i, c_vals.shape))])[0]
+    )
     over = float(diff.max(initial=0.0))  # C above D
     under = float((-diff).max(initial=0.0))  # D above C
     if over <= tol and under <= tol:
@@ -85,14 +91,16 @@ def _classify(c_vals, d_vals, cuts, grid_desc, exact, tol) -> OrderResult:
 def _operands(C: Copula, D: Copula, grid: int | None):
     """(C, D, cuts, grid description, exact): the operands and the vertex
     grid they are compared on.  Two boards (``as_board``, with ``grid=None``)
-    are compared on their shared cuts; other operands on a uniform lattice
-    augmented with both operands' breakpoints."""
+    are compared on their shared cuts: on their common cut arrays as they
+    are when each axis holds the same array, else on the merged cuts.
+    Other operands are compared on a uniform lattice augmented with both
+    operands' breakpoints."""
     if C.dim != D.dim:
         raise DimensionMismatchError("operands must share a dimension")
     bc = as_board(C) if grid is None else None
     bd = as_board(D) if bc is not None else None
     if bd is not None:
-        cuts = [merge_cuts(c, d) for c, d in zip(bc.cuts, bd.cuts)]
+        cuts = [c if c is d else merge_cuts(c, d) for c, d in zip(bc.cuts, bd.cuts)]
         return bc, bd, cuts, f"shared checkerboard grid, sizes {[len(c) for c in cuts]}", True
     res = grid if grid is not None else default_resolution(C.dim)
     cuts = grid_axes([C, D], res)

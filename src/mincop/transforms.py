@@ -205,13 +205,15 @@ def orthant_masses(C: Copula, cuts: Sequence[np.ndarray]) -> tuple[np.ndarray, n
     of the grid with the given cuts (one node list per axis, 0 to 1).
 
     A board on its own cuts, or on a refinement of them, reads both off its
-    masses' cumulative sums.  Any other copula is evaluated once, at the
-    vertices off the zero faces (where C vanishes), and U is the 2^d-term
-    inclusion-exclusion over those values, as in ``Copula.box_mass_many``.
+    masses' cumulative sums; on its own cut arrays (the same array on every
+    axis) L is its ``vertex_cdf``.  Any other copula is evaluated once, at
+    the vertices off the zero faces (where C vanishes), and U is the
+    2^d-term inclusion-exclusion over those values, as in
+    ``Copula.box_mass_many``.
     """
     d = C.dim
     if _refines(cuts, C):
-        own = cuts is C.cuts
+        own = all(c is t for c, t in zip(C.cuts, cuts))
         masses = C.masses if own else _split_cells(C, cuts)
         L = C.vertex_cdf if own else _cumulative(masses)
         # on the flipped axes, the mass below a vertex is the mass above it

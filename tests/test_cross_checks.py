@@ -27,6 +27,7 @@ from mincop import (
 )
 from mincop.core import (
     _BOX_ROWS,
+    CUT_GAP,
     MOMENT_1MV,
     MOMENT_V,
     CheckerboardCopula,
@@ -35,6 +36,7 @@ from mincop.core import (
     ProductCopula,
     RefutedCopula,
     SegmentCopula,
+    merge_cuts,
 )
 
 
@@ -423,3 +425,76 @@ def test_segment_margins_through_the_kernel_match_the_margin_formula(d):
         U = np.ones((len(t), d))
         U[:, k] = t
         assert np.max(np.abs(C.cdf_many(U) - want)) <= 1e-15
+
+
+# -- the running-product board cdf against one weight per corner -----------
+
+
+def per_corner_board_cdf(board, U):
+    # multilinear interpolation with each corner's weight built from ones,
+    # one corner at a time, each point located by a clipped search of all cuts
+    idx, frac = [], []
+    for k, c in enumerate(board.cuts):
+        i = np.clip(np.searchsorted(c, U[:, k], side="right") - 1, 0, len(c) - 2)
+        idx.append(i)
+        frac.append(np.clip((U[:, k] - c[i]) / (c[i + 1] - c[i]), 0.0, 1.0))
+    out = np.zeros(len(U))
+    for mask in itertools.product((0, 1), repeat=board.dim):
+        w = np.ones(len(U))
+        pos = []
+        for k, m in enumerate(mask):
+            w = w * (frac[k] if m else 1.0 - frac[k])
+            pos.append(idx[k] + m)
+        out += w * board.vertex_cdf[tuple(pos)]
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_board_cdf_matches_one_weight_per_corner_bit_for_bit(d):
+    # irregular cuts (a surgery board), 10^5 rows with coordinates exactly
+    # 0, 1 and on cuts
+    board = refute_minimality(random_checkerboard(d, 4, seed=d)).copula
+    assert isinstance(board, CheckerboardCopula)
+    U = np.random.default_rng(d).random((10**5, d))
+    U[::3, 0] = 0.0
+    U[::5, d - 1] = 1.0
+    for k in range(d):
+        c = board.cuts[k]
+        U[k::7, k] = c[np.arange(len(U[k::7])) % len(c)]
+    U[::11] = 1.0
+    U[1::11] = 0.0
+    np.testing.assert_array_equal(board.cdf_many(U), per_corner_board_cdf(board, U))
+    # a few rows, as the ray solve and the box masses of one corner pair ask
+    np.testing.assert_array_equal(board.cdf_many(U[:3]), per_corner_board_cdf(board, U[:3]))
+
+
+# -- the sorted cut merge against np.unique and np.union1d ------------------
+
+
+def unique_merge_cuts(*cut_lists):
+    kept = np.empty(0)
+    for cuts in cut_lists:
+        new = np.unique(np.asarray(cuts, dtype=float))
+        new = new[np.diff(new, prepend=-np.inf) > CUT_GAP]
+        if kept.size:
+            new = new[np.abs(new[:, None] - kept).min(axis=1) > CUT_GAP]
+        kept = np.union1d(kept, new)
+    return kept
+
+
+def test_merge_cuts_matches_the_unique_merge_bit_for_bit():
+    # repeated points, points within and just past CUT_GAP of each other
+    # and of earlier lists, signed zeros and empty lists
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        lists = []
+        for _ in range(rng.integers(1, 5)):
+            x = rng.random(rng.integers(0, 12))
+            x = np.concatenate([x, x[:3] + rng.choice([0.0, 1e-14, -5e-14, 2e-13], size=len(x[:3]))])
+            if rng.random() < 0.3:
+                x = np.concatenate([x, [0.0, 1.0, -0.0]])
+            lists.append(list(x) if rng.random() < 0.5 else x)
+        got, want = merge_cuts(*lists), unique_merge_cuts(*lists)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+

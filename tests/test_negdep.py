@@ -44,13 +44,16 @@ from mincop.core import (
     grid_points,
 )
 import mincop.negdep as negdep
+import mincop.order as order
 from mincop.errors import RefuterInternalError
 from mincop.negdep import (
     BISECT_TOL,
     _bisect_monotone,
+    _corner_pair,
     _corner_surgery,
     _scan,
 )
+from mincop.serialize import to_spec
 
 
 def affine(alpha=1.0):
@@ -483,6 +486,101 @@ def test_refute_scans_once(monkeypatch, make, tau_cm):
 def test_refuted_node_checks_corner_masses():
     with pytest.raises(Exception):
         RefutedCopula(make_basic("product", 2), np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.4)
+
+
+def parent_board_refutation(C):
+    # a board refutation as verified before the refined C shared D's cut
+    # arrays: the refined C from ``discretize``, the order check on copies
+    # of the cut arrays (the merge path) and one ``box_mass`` per corner box
+    C = negdep._lowered(C, None)
+    _, u, _, cu, su = _scan(C, None)
+    u = np.asarray(u)
+    p = min(cu, su)
+    a, b = u, u.copy()
+    if cu - p > BISECT_TOL:
+        a = negdep._ray(C, u, p) * u
+    elif su - p > BISECT_TOL:
+        b = 1.0 - negdep._ray(survival(C), 1.0 - u, p) * (1.0 - u)
+    corners = [C.box_mass(np.zeros(C.dim), a), C.box_mass(b, np.ones(C.dim))]
+    D = _corner_surgery(C, a, b)
+    refined = discretize(C, [c.copy() for c in D.cuts])
+    assert not any(c is t for c, t in zip(refined.cuts, D.cuts))
+    report = validate(D)
+    return dict(
+        a=a,
+        b=b,
+        p=float(p),
+        rho_drop=spearman_rho(refined).value - spearman_rho(D).value,
+        margin_defect=max(report.worst_margin_defect, report.worst_grounding_defect),
+        order_check=concordance_leq(D, refined),
+        spec=to_spec(D),
+        corners=corners,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_checkerboard(2, 8, seed=0),
+        lambda: random_checkerboard(2, 16, seed=4),
+        lambda: random_checkerboard(3, 8, seed=1),
+        lambda: random_checkerboard(4, 4, seed=2),
+        lambda: make_basic("product", 3),
+        lambda: make_mixture(
+            [(random_checkerboard(2, 4, seed=1), 0.3), (random_checkerboard(2, 6, seed=2), 0.7)]
+        ),
+        lambda: refute_minimality(random_checkerboard(3, 6, seed=3)).copula,
+        skewed_board,
+    ],
+    ids=["d2n8", "d2n16", "d3", "d4", "Pi_3", "mixture", "depth2", "skewed"],
+)
+def test_board_refutation_matches_the_merge_path_bit_for_bit(make):
+    C = make()
+    cert = refute_minimality(C)
+    want = parent_board_refutation(C)
+    np.testing.assert_array_equal(cert.a, want["a"])
+    np.testing.assert_array_equal(cert.b, want["b"])
+    assert cert.p == want["p"]
+    assert cert.rho_drop == want["rho_drop"]
+    assert cert.margin_defect == want["margin_defect"]
+    assert cert.order_check == want["order_check"]
+    assert to_spec(cert.copula) == want["spec"]
+    # the two corner boxes as one two-row call, row for row
+    board = negdep._lowered(C, None)
+    both = board.box_mass_many(
+        np.array([np.zeros(C.dim), cert.b]), np.array([cert.a, np.ones(C.dim)])
+    )
+    np.testing.assert_array_equal(both, want["corners"])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_board_refute_reads_the_surgery_cuts(monkeypatch, d):
+    # no projection of C onto D's cuts, no cut merge in the order check and
+    # both corner boxes in one call
+    spied = {"discretize": 0, "merge_cuts": 0, "box_mass_many": 0}
+    inside = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kw):
+            spied[name] += name != "box_mass_many" or bool(inside)
+            return fn(*args, **kw)
+
+        return wrapper
+
+    def corner_pair(*args):
+        inside.append(1)
+        try:
+            return _corner_pair(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(negdep, "discretize", spy("discretize", negdep.discretize))
+    monkeypatch.setattr(order, "merge_cuts", spy("merge_cuts", order.merge_cuts))
+    monkeypatch.setattr(Copula, "box_mass_many", spy("box_mass_many", Copula.box_mass_many))
+    monkeypatch.setattr(negdep, "_corner_pair", corner_pair)
+    cert = refute_minimality(random_checkerboard(d, 8, seed=d))
+    assert isinstance(cert, RefutationCertificate) and cert.order_check.exact
+    assert spied == {"discretize": 0, "merge_cuts": 0, "box_mass_many": 1}
 
 
 def test_refute_random_checkerboards_exact_verification():

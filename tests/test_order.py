@@ -19,7 +19,7 @@ from mincop import (
     shuffle_b,
     survival,
 )
-from mincop.core import Copula, grid_axes, grid_points
+from mincop.core import Copula, _first_max, grid_axes, grid_points
 from mincop.order import DEFAULT_TOL, _classify, _combine
 
 
@@ -195,3 +195,28 @@ def test_witness_is_the_first_tied_vertex_in_c_order():
             assert res.witness_points == (tuple(pts[tied[0]]),)
     assert result.witness_points == tuple(witnesses)
     assert witnesses[1] == (0.625, 0.6875, 0.6875)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_classify_witnesses_match_the_grid_points_rows(d):
+    # a witness is located on the cuts by its flat index; the oracle is the
+    # row of the full vertex array that the index names
+    rng = np.random.default_rng(d)
+    cuts = [np.sort(np.concatenate([[0.0, 1.0], rng.random(n)])) for n in range(2, 2 + d)]
+    shape = [len(c) for c in cuts]
+    points = grid_points(cuts)
+    base = rng.random(shape)
+    for c_vals, d_vals, want in (
+        (base, base + 0.1 * rng.random(shape), Relation.STRICTLY_BELOW),
+        (base + 0.1 * rng.random(shape), base, Relation.STRICTLY_ABOVE),
+        (base, rng.random(shape), Relation.INCOMPARABLE),
+    ):
+        res = _classify(c_vals, d_vals, cuts, "", True, DEFAULT_TOL)
+        assert res.relation == want
+        diff = (c_vals - d_vals).ravel()
+        first = {
+            Relation.STRICTLY_BELOW: [-diff],
+            Relation.STRICTLY_ABOVE: [diff],
+            Relation.INCOMPARABLE: [diff, -diff],
+        }[want]
+        assert res.witness_points == tuple(tuple(points[_first_max(g)]) for g in first)
