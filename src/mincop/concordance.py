@@ -22,11 +22,14 @@ takes the first that applies, a named method the first of its kind.
   ``product_moment`` for boards, segments, the Frechet bounds, Pi, glue
   products, mixtures and surgery nodes.  Without a moment path (e.g. the
   extreme Clayton) they take tensor Gauss-Legendre for d <= 4, then Monte
-  Carlo: rho over uniform draws, the Pi-integral over C's sampler.  rho
-  reads tau C as a box mass of C (``Reflected.cdf_many``), and the
-  Pi-integral's quadrature integrates Q^C[[x, 1]]; the extreme Clayton
-  computes its cdf and such box masses on one separable kernel, which
-  takes phi's integer power by repeated products.
+  Carlo: rho over uniform draws, the Pi-integral over C's sampler.  The
+  quadrature evaluates on the tensor grid of the Gauss nodes (``cdf_grid``,
+  ``box_mass_grid``), with each node's weight the left-to-right product of
+  its axes' weights: rho reads tau C as a box mass of C
+  (``Reflected.cdf_grid``), and the Pi-integral integrates Q^C[[x, 1]];
+  the extreme Clayton computes its cdf and such box masses on one
+  separable kernel, which takes g once per node and phi's integer power by
+  repeated products.
 
 Quadrature reports the difference to a coarser rule, Monte Carlo a 3-sigma
 half-width (so ``samples`` must be at least 2).  Normalisation constants are recomputed from d at call time
@@ -160,20 +163,19 @@ def _moment_mean(C: Copula, *codes: int) -> MeasureEstimate | None:
 
 
 def _cube_quadrature(C: Copula, nodes: int, integrand) -> MeasureEstimate | None:
-    """Tensor Gauss-Legendre of ``integrand(points)`` over the unit cube at
-    ``nodes`` and at half as many (at least 4) per axis; None for d > 4."""
+    """Tensor Gauss-Legendre over the unit cube at ``nodes`` and at half as
+    many (at least 4) per axis; None for d > 4.  ``integrand(axes)`` is the
+    integrand's C-order tensor on the grid of the node arrays ``axes``; a
+    node's weight is the left-to-right product of its axes' weights."""
     if C.dim > 4:
         return None
 
     def rule(n: int) -> tuple[float, int]:
         xs, ws = _gauss_nodes(n, 0.0, 1.0)
-        pts = np.column_stack(
-            [m.ravel() for m in np.meshgrid(*([xs] * C.dim), indexing="ij")]
-        )
-        w = np.ones(len(pts))
-        for m in np.meshgrid(*([ws] * C.dim), indexing="ij"):
-            w = w * m.ravel()
-        return float(w @ integrand(pts)), len(pts)
+        w = ws
+        for _ in range(C.dim - 1):
+            w = np.multiply.outer(w, ws)
+        return float(w.ravel() @ integrand([xs] * C.dim).ravel()), w.size
 
     return _refined(rule, nodes, max(4, nodes // 2))
 
@@ -322,7 +324,8 @@ def spearman_rho(
         # int C dQ^Pi = E[prod (1-V_k)] and int (tau C) dQ^Pi = E[prod V_k]
         # for V ~ Q^C (Fubini on the indicator of [0, u])
         ("exact", lambda C: _moment_mean(C, MOMENT_1MV, MOMENT_V)),
-        ("quadrature", lambda C: _cube_quadrature(C, quad_nodes, mean_cdf_pair)),
+        ("quadrature", lambda C: _cube_quadrature(
+            C, quad_nodes, lambda ax: 0.5 * (C.cdf_grid(ax) + survival(C).cdf_grid(ax)))),
         # uniform cube draws: needs only cdf evaluations
         ("monte_carlo", lambda C: _monte_carlo(
             mean_cdf_pair(np.random.default_rng(seed).random((samples, d))))),
@@ -345,7 +348,7 @@ def pi_integral(
         ("exact", lambda C: _moment_mean(C, MOMENT_V)),
         # E[prod V_k] = int Q^C[[x, 1]] dx (Fubini on the indicator of [x, 1])
         ("quadrature", lambda C: _cube_quadrature(
-            C, quad_nodes, lambda pts: C.box_mass_many(pts, np.ones_like(pts)))),
+            C, quad_nodes, lambda ax: C.box_mass_grid(ax, [np.ones(len(a)) for a in ax]))),
         ("monte_carlo", lambda C: _monte_carlo(C.sample(seed, samples).prod(axis=1))
          if C.is_samplable else None),
     ))

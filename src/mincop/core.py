@@ -31,6 +31,13 @@ Analytic nodes (``UpperFrechet``, ``LowerFrechet2d``, ``ProductCopula``,
     cdf is separable, so its cdf and box masses share one kernel that takes
     the per-axis powers once and only the outer power per corner.
 
+On a product grid (the scan lattice, a discretization grid, Gauss-Legendre
+nodes) ``cdf_grid`` and ``box_mass_grid`` return the whole tensor.  By
+default they evaluate ``cdf_many`` on ``grid_points``; segment copulas, the
+extreme Clayton, glue products and reflections split the work by axis and
+return the same bits (a glue product with a segment half to rounding, see
+``GlueProduct.cdf_grid``).
+
 All values are immutable after construction and safe to share.  Evaluation
 is vectorised with numpy and deterministic; sampling is deterministic given
 the seed.
@@ -239,7 +246,8 @@ class Copula:
     """Common interface for all representations.
 
     Subclasses must provide ``dim`` and ``cdf_many``; everything else has a
-    generic inclusion-exclusion default.
+    generic default: inclusion-exclusion for box masses, ``cdf_many`` on
+    ``grid_points`` for the grid tensors.
     """
 
     dim: int
@@ -274,6 +282,30 @@ class Copula:
             for sign, v in zip(signs, vals):
                 acc += sign * v
         return out
+
+    def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """C at every vertex of the product grid of ``axes`` (one node array
+        per axis), as the C-order tensor of shape ``[len(a) for a in axes]``.
+
+        The default is ``cdf_many`` on ``grid_points(axes)``.  A class whose
+        cdf splits by axis overrides it with per-axis work and gives the
+        values ``cdf_many`` gives at those points, bit for bit.
+        """
+        return self.cdf_many(grid_points(axes)).reshape([len(a) for a in axes])
+
+    def box_mass_grid(
+        self, lo_axes: Sequence[np.ndarray], hi_axes: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """Q^C[[lo, hi]] for every box of the product grid, as the C-order
+        tensor of shape ``[len(a) for a in hi_axes]``: the box at index i has
+        lo_k = lo_axes[k][i_k] and hi_k = hi_axes[k][i_k], so each axis
+        holds as many lo nodes as hi nodes.  The default is
+        ``box_mass_many`` on the two grids' points; an override gives its
+        values bit for bit.
+        """
+        return self.box_mass_many(grid_points(lo_axes), grid_points(hi_axes)).reshape(
+            [len(a) for a in hi_axes]
+        )
 
     def box_mass(self, lo, hi) -> float:
         Lo = as_points(lo, self.dim)
@@ -428,17 +460,23 @@ class CheckerboardCopula(Copula):
         hi = np.asarray(hi, dtype=float)
         if np.any(hi < lo - 1e-15):
             return 0.0
+        # on the whole cube every cell is covered: its weight is exactly 1
+        # and its factor f at the cell's midpoint
+        whole = not lo.any() and (hi == 1.0).all()
         scaled = self.masses
         for k in range(self.dim):
             c = self.cuts[k]
-            left = np.maximum(c[:-1], lo[k])
-            right = np.minimum(c[1:], hi[k])
-            overlap = np.clip(right - left, 0.0, None)
-            # uniform within the cell: weight = covered fraction, factor =
-            # mean of f over the covered interval
-            weight = overlap / np.diff(c)
-            mid = np.where(overlap > 0, 0.5 * (left + right), 0.0)
-            factor = weight * _moment_eval(codes[k], mid)
+            if whole:
+                factor = _moment_eval(codes[k], 0.5 * (c[:-1] + c[1:]))
+            else:
+                left = np.maximum(c[:-1], lo[k])
+                right = np.minimum(c[1:], hi[k])
+                overlap = np.clip(right - left, 0.0, None)
+                # uniform within the cell: weight = covered fraction, factor =
+                # mean of f over the covered interval
+                weight = overlap / np.diff(c)
+                mid = np.where(overlap > 0, 0.5 * (left + right), 0.0)
+                factor = weight * _moment_eval(codes[k], mid)
             shape = [1] * self.dim
             shape[k] = -1
             scaled = scaled * factor.reshape(shape)
@@ -554,6 +592,33 @@ class SegmentCopula(Copula):
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         t0, t1 = self._param_interval(None, U)
         return self.masses @ np.clip(t1 - t0, 0.0, None)
+
+    def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """``cdf_many`` on the grid of ``axes``, with each axis's crossings
+        taken once per node: (a - s_k)/dir_k are (segments, nodes) arrays,
+        clipped to [0, 1] and folded into t0 and t1 by broadcast max and
+        min.  Clipping is monotone and max and min are exact, so every
+        point gets ``_param_interval``'s t0 and t1, and the clipped
+        (segments, points) lengths meet ``masses @`` as in ``cdf_many``."""
+        d, S = self.dim, len(self.masses)
+        shape = [len(a) for a in axes]
+        for k, a in enumerate(axes):
+            s = self.starts[:, k, None]
+            dirv = self.dirs[:, k, None]
+            r_lo = (0.0 - s) / dirv
+            r_hi = (np.asarray(a, dtype=float)[None, :] - s) / dirv
+            view = [S] + [1] * d
+            view[1 + k] = shape[k]
+            upper = np.clip(np.maximum(r_lo, r_hi), 0.0, 1.0).reshape(view)
+            lower = np.clip(np.minimum(r_lo, r_hi), 0.0, 1.0).reshape(view)
+            if k == 0:
+                t0, t1 = lower, upper
+            else:
+                t0 = np.maximum(t0, lower)
+                t1 = np.minimum(t1, upper)
+        length = np.subtract(t1, t0, out=t1)
+        np.clip(length, 0.0, None, out=length)
+        return (self.masses @ length.reshape(S, -1)).reshape(shape)
 
     def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
         t0, t1 = self._param_interval(Lo, Hi)
@@ -720,6 +785,14 @@ class ClaytonExtreme(Copula):
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         return self._phi_corners(U, U, np.zeros(self.dim, bool))
 
+    def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        return self._phi_grid(axes, axes, np.zeros(self.dim, bool))
+
+    def box_mass_grid(
+        self, lo_axes: Sequence[np.ndarray], hi_axes: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        return self._phi_grid(lo_axes, hi_axes, np.array([np.any(a) for a in lo_axes]))
+
     def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
         """Q^C[[lo, hi]] in one separable pass over blocks of _BOX_ROWS rows.
 
@@ -733,33 +806,86 @@ class ClaytonExtreme(Copula):
     def _phi_corners(self, Lo: np.ndarray, Hi: np.ndarray, free: np.ndarray) -> np.ndarray:
         """sum over the box corners of (-1)^{lo sides} phi(sum_k g_k), where
         only the ``free`` axes take their lo side."""
-        d = self.dim
-        e = 1.0 / (d - 1)
+        e = 1.0 / (self.dim - 1)
         out = np.zeros(len(Hi))
         for r in range(0, len(Hi), _BOX_ROWS):
-            acc = out[r : r + _BOX_ROWS]
-            x = np.empty(len(acc))
-            y = np.empty(len(acc))
             # one contiguous row of g per axis
             g_lo = np.power(Lo[r : r + _BOX_ROWS].T, e, order="C") if free.any() else None
             g_hi = np.power(Hi[r : r + _BOX_ROWS].T, e, order="C")
-            for lows, s in _corner_sums(g_lo, g_hi, free):
-                np.subtract(s, d - 1, out=x)
-                np.maximum(x, 0.0, out=x)
-                np.copyto(y, x)
-                for _ in range(d - 2):
-                    y *= x
-                if lows % 2:
-                    acc -= y
-                else:
-                    acc += y
+            self._phi_add(out[r : r + _BOX_ROWS], _corner_sums(g_lo, g_hi, free))
         return out
+
+    def _phi_grid(self, lo_axes, hi_axes, free: np.ndarray) -> np.ndarray:
+        """``_phi_corners`` on the product grid, in blocks of at most
+        _BOX_ROWS points: g once per node and axis, and each corner's g-sum
+        broadcast from the axes' g in axis order, so every point gets the
+        sums, and the bits, of ``_phi_corners``."""
+        d = self.dim
+        e = 1.0 / (d - 1)
+        shape = [len(a) for a in hi_axes]
+        g_lo = [np.power(np.asarray(a, dtype=float), e) for a in lo_axes] if free.any() else None
+        g_hi = [np.power(np.asarray(a, dtype=float), e) for a in hi_axes]
+
+        def block_of(g, block):
+            if g is None:
+                return None
+            return [_along(x[b], k, d) for k, (x, b) in enumerate(zip(g, block))]
+
+        out = np.zeros(shape)
+        for block in _lattice_blocks(shape):
+            corners = _corner_sums(block_of(g_lo, block), block_of(g_hi, block), free)
+            self._phi_add(out[block], corners)
+        return out
+
+    def _phi_add(self, acc: np.ndarray, corners) -> None:
+        """acc += (-1)^{lo sides} phi(s) for each (lo sides, g-sum s) of
+        ``corners``, in their order; s has acc's shape."""
+        d = self.dim
+        x = np.empty(acc.shape)
+        y = np.empty(acc.shape)
+        for lows, s in corners:
+            np.subtract(s, d - 1, out=x)
+            np.maximum(x, 0.0, out=x)
+            np.copyto(y, x)
+            for _ in range(d - 2):
+                y *= x
+            if lows % 2:
+                acc -= y
+            else:
+                acc += y
+
+
+def _along(v: np.ndarray, k: int, d: int) -> np.ndarray:
+    """A 1-d array shaped to broadcast along axis k of d."""
+    return v.reshape([-1 if j == k else 1 for j in range(d)])
+
+
+def _lattice_blocks(shape):
+    """Index tuples (one slice per axis) that cut a C-order lattice into
+    blocks of at most _BOX_ROWS points: whole trailing axes, a run of nodes
+    on the first axis whose trailing axes fit, one node on each axis before
+    it."""
+    d = len(shape)
+    if 0 in shape:
+        return
+    j = 0
+    while j < d - 1 and math.prod(shape[j + 1 :]) > _BOX_ROWS:
+        j += 1
+    step = max(_BOX_ROWS // math.prod(shape[j + 1 :]), 1)
+    for head in itertools.product(*(range(n) for n in shape[:j])):
+        for r in range(0, shape[j], step):
+            yield (
+                tuple(slice(i, i + 1) for i in head)
+                + (slice(r, r + step),)
+                + (slice(None),) * (d - j - 1)
+            )
 
 
 def _corner_sums(g_lo, g_hi, free, k=0, s=None, lows=0):
     """(number of lo sides, sum_k g_k) for each box corner, from g at lo and
-    at hi (one row per axis), depth first with the lo side first (the order
-    of ``Copula.box_mass_many``); an axis that is not ``free`` takes only its
+    at hi (one row per axis, or one array per axis that broadcasts along
+    it), depth first with the lo side first (the order of
+    ``Copula.box_mass_many``); an axis that is not ``free`` takes only its
     hi side.  Each sum runs in axis order, as ``sum(axis=1)`` does, and
     shares its partial sums with its siblings."""
     if k == len(free):
@@ -807,6 +933,13 @@ class Reflected(Copula):
         Lo = 1.0 - U
         Lo[:, ~on_K] = 0.0
         return self.inner.box_mass_many(Lo, np.where(on_K, 1.0, U))
+
+    def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        # per axis, lo = 1 - a and hi = 1 on K, lo = 0 and hi = a off K
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        lo = [1.0 - a if k in self.K else np.zeros(len(a)) for k, a in enumerate(axes)]
+        hi = [np.ones(len(a)) if k in self.K else a for k, a in enumerate(axes)]
+        return self.inner.box_mass_grid(lo, hi)
 
     @property
     def is_samplable(self) -> bool:
@@ -886,6 +1019,14 @@ class GlueProduct(Copula):
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         ul, ur = self._split(U)
         return self.left.cdf_many(ul) * self.right.cdf_many(ur)
+
+    def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        # the outer product of the halves' tensors: C(u) D(v) at every
+        # vertex, with cdf_many's bits where each half's value at a point
+        # does not depend on the batch; a segment half's ``masses @`` is a
+        # BLAS product whose rounding can depend on the batch length
+        dl = self.left.dim
+        return np.multiply.outer(self.left.cdf_grid(axes[:dl]), self.right.cdf_grid(axes[dl:]))
 
     def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
         ll, lr = self._split(Lo)
@@ -1177,9 +1318,14 @@ def merge_cuts(*cut_lists) -> np.ndarray:
 
 def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Cartesian product of per-axis node lists as an (N, d) array
-    (C-order, so lexicographic in the axis values)."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    (C-order, so lexicographic in the axis values), each axis written into
+    its column by broadcasting."""
+    axes = [np.asarray(a) for a in axes]
+    d = len(axes)
+    out = np.empty([len(a) for a in axes] + [d], dtype=np.result_type(*axes))
+    for k, a in enumerate(axes):
+        out[..., k] = _along(a, k, d)
+    return out.reshape(-1, d)
 
 
 def default_resolution(d: int) -> int:
@@ -1197,7 +1343,7 @@ def validate(C: Copula, resolution: int | None = None) -> ValidationReport:
     finer grid only splits each cell's mass by volume, and the margin
     defect, linear between cuts, peaks on a cut.  An explicit
     ``resolution``, and every other copula, use a uniform grid plus the
-    copula's breakpoints.
+    copula's breakpoints, evaluated as one ``cdf_grid`` tensor.
     """
     if resolution is None and isinstance(C, CheckerboardCopula):
         axes, vals = C.cuts, C.vertex_cdf
@@ -1206,7 +1352,7 @@ def validate(C: Copula, resolution: int | None = None) -> ValidationReport:
         if resolution is None:
             resolution = default_resolution(C.dim)
         axes = grid_axes([C], resolution)
-        vals = C.cdf_many(grid_points(axes)).reshape([len(a) for a in axes])
+        vals = C.cdf_grid(axes)
         desc = f"uniform {resolution}+breakpoints"
     cells = vals
     for ax in range(C.dim):

@@ -35,7 +35,6 @@ from .core import (
     _corner_masks,
     _cumulative,
     default_resolution,
-    grid_points,
 )
 from .errors import InputError, ValidationError
 
@@ -179,17 +178,17 @@ def discretize(C: Copula, cuts) -> CheckerboardCopula:
     ``cuts`` may be an integer (uniform grid on every axis) or one cut list
     per axis.  Cell masses are exact box masses, obtained as alternating
     differences of the vertex cdf; the result agrees with C at every grid
-    vertex.  A cell mass below -1e-10 means C was not a copula.  A
-    checkerboard onto cuts that contain its own is refined on its mass
-    tensor instead, with no cdf round trip.  The O(cells * eps) rounding
-    that alternating differences accumulate is within the board's own
-    construction tolerance, which grows with its cell count.
+    vertex, which ``cdf_grid`` gives as one tensor.  A cell mass below
+    -1e-10 means C was not a copula.  A checkerboard onto cuts that contain
+    its own is refined on its mass tensor instead, with no cdf round trip.
+    The O(cells * eps) rounding that alternating differences accumulate is
+    within the board's own construction tolerance, which grows with its
+    cell count.
     """
     cuts = _norm_cuts(C.dim, cuts)
     if _refines(cuts, C):
         return CheckerboardCopula(cuts, _split_cells(C, cuts))
-    vals = C.cdf_many(grid_points(cuts)).reshape([len(c) for c in cuts])
-    masses = vals
+    masses = C.cdf_grid(cuts)
     for ax in range(C.dim):
         masses = np.diff(masses, axis=ax)
     if masses.min(initial=0.0) < -1e-10:
@@ -206,10 +205,10 @@ def orthant_masses(C: Copula, cuts: Sequence[np.ndarray]) -> tuple[np.ndarray, n
 
     A board on its own cuts, or on a refinement of them, reads both off its
     masses' cumulative sums; on its own cut arrays (the same array on every
-    axis) L is its ``vertex_cdf``.  Any other copula is evaluated once, at
-    the vertices off the zero faces (where C vanishes), and U is the
-    2^d-term inclusion-exclusion over those values, as in
-    ``Copula.box_mass_many``.
+    axis) L is its ``vertex_cdf``.  Any other copula is evaluated once, by
+    ``cdf_grid`` on the lattice of the vertices off the zero faces (where C
+    vanishes), and U is the 2^d-term inclusion-exclusion over those values,
+    added or subtracted in corner order as in ``Copula.box_mass_many``.
     """
     d = C.dim
     if _refines(cuts, C):
@@ -221,11 +220,14 @@ def orthant_masses(C: Copula, cuts: Sequence[np.ndarray]) -> tuple[np.ndarray, n
         return L, _cumulative(masses[flip])[flip]
     inner = [c[1:] for c in cuts]
     L = np.zeros([len(c) for c in cuts])
-    L[(slice(1, None),) * d] = C.cdf_many(grid_points(inner)).reshape([len(c) for c in inner])
+    L[(slice(1, None),) * d] = C.cdf_grid(inner)
     U = np.zeros(L.shape)
     for mask in _corner_masks(d):  # a 1 takes the corner coordinate 1, a 0 takes v
-        sign = -1.0 if (d - sum(mask)) % 2 else 1.0
-        U += sign * L[tuple(slice(-1, None) if m else slice(None) for m in mask)]
+        view = L[tuple(slice(-1, None) if m else slice(None) for m in mask)]
+        if (d - sum(mask)) % 2:
+            U -= view
+        else:
+            U += view
     return L, U
 
 

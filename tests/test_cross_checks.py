@@ -33,9 +33,13 @@ from mincop.core import (
     CheckerboardCopula,
     ClaytonExtreme,
     Copula,
+    GlueProduct,
     ProductCopula,
     RefutedCopula,
     SegmentCopula,
+    _gauss_nodes,
+    grid_axes,
+    grid_points,
     merge_cuts,
 )
 
@@ -498,3 +502,238 @@ def test_merge_cuts_matches_the_unique_merge_bit_for_bit():
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
+
+
+# -- lattice evaluation against the pointwise kernels on grid_points --------
+
+
+def meshgrid_points(axes):
+    # the Cartesian product as np.meshgrid and np.column_stack build it
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
+def test_grid_points_matches_the_meshgrid_formula_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for d in (1, 2, 3, 4, 5):
+        for _ in range(20):
+            axes = [np.sort(rng.random(rng.integers(1, 7))) for _ in range(d)]
+            axes[0][0] = 0.0
+            axes[-1][-1] = 1.0
+            got, want = grid_points(axes), meshgrid_points(axes)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+    # lists, integer nodes and an empty axis
+    for axes in ([[0.0, 0.5, 1.0], [0.25]], [np.arange(3), np.arange(2)], [np.ones(2), np.empty(0)]):
+        got, want = grid_points(axes), meshgrid_points(axes)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+def lattice_axes(d, seed, lengths=None):
+    # sorted nodes with 0 and 1 on every axis of two or more nodes, axes of
+    # unequal lengths and a single-node axis
+    rng = np.random.default_rng(seed)
+    lengths = lengths or [[5, 7, 1, 4, 3, 6][k] for k in range(d)]
+    axes = []
+    for n in lengths:
+        a = np.sort(rng.random(n))
+        if n >= 2:
+            a[0], a[-1] = 0.0, 1.0
+        axes.append(a)
+    return axes
+
+
+def assert_cdf_grid_bits(C, axes):
+    want = C.cdf_many(grid_points(axes)).reshape([len(a) for a in axes])
+    got = C.cdf_grid(axes)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+GRID_SEGMENTS = {
+    **{f"random_d{d}": random_segments(d, seed=30 + d) for d in (2, 3, 4, 5)},
+    "triangle": make_triangle_3d(),
+    "shuffle_a": shuffle_a(),
+    "shuffle_b": shuffle_b(),
+    "all_reflections_3": mixture_all_reflections(3),
+    "all_reflections_4": mixture_all_reflections(4),
+}
+
+
+@pytest.mark.parametrize("C", GRID_SEGMENTS.values(), ids=GRID_SEGMENTS.keys())
+def test_segment_cdf_grid_matches_cdf_many_bit_for_bit(C):
+    d = C.dim
+    assert_cdf_grid_bits(C, lattice_axes(d, seed=d))
+    # the scan's lattice: uniform nodes plus every segment endpoint (up to
+    # 18 per axis here, so d = 5 would hold millions of points)
+    if d <= 4:
+        assert_cdf_grid_bits(C, grid_axes([C], 16 if d <= 3 else 4))
+    assert_cdf_grid_bits(C, [np.array([0.5])] * d)
+
+
+GLUES = {
+    "W_pi1": GlueProduct(LowerFrechet2d(), ProductCopula(1)),
+    "pi1_clayton3": GlueProduct(ProductCopula(1), ClaytonExtreme(3)),
+    "M2_pi1": GlueProduct(UpperFrechet(2), ProductCopula(1)),
+}
+SEGMENT_GLUES = {
+    "shuffle_a_pi1": GlueProduct(shuffle_a(), ProductCopula(1)),
+    "pi1_triangle": GlueProduct(ProductCopula(1), make_triangle_3d()),
+}
+
+
+@pytest.mark.parametrize("C", GLUES.values(), ids=GLUES.keys())
+def test_glue_cdf_grid_matches_cdf_many_bit_for_bit(C):
+    assert_cdf_grid_bits(C, lattice_axes(C.dim, seed=C.dim))
+    assert_cdf_grid_bits(C, grid_axes([C], 12))
+
+
+@pytest.mark.parametrize("C", SEGMENT_GLUES.values(), ids=SEGMENT_GLUES.keys())
+def test_glue_with_a_segment_half_matches_cdf_many_to_rounding(C):
+    # a segment half ends in the BLAS product masses @ lengths, whose
+    # rounding of one column can depend on how many columns the call holds,
+    # and the half's lattice holds fewer than the glue's point array
+    for axes in (lattice_axes(C.dim, seed=C.dim), grid_axes([C], 12)):
+        want = C.cdf_many(grid_points(axes)).reshape([len(a) for a in axes])
+        assert np.max(np.abs(C.cdf_grid(axes) - want)) <= 1e-15
+
+
+def clayton_lattices(d):
+    # unequal lengths with a single-node axis, every axis at 0 and 1, and a
+    # lattice of more than one _BOX_ROWS block whose trailing axes fit one
+    sizes = [-(-_BOX_ROWS // 9 ** (d - 1)) + 2] + [9] * (d - 1)
+    return [
+        lattice_axes(d, seed=d),
+        [np.linspace(0.0, 1.0, 5)] * d,
+        lattice_axes(d, seed=d + 1, lengths=sizes),
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_clayton_grids_match_the_pointwise_kernel_bit_for_bit(d):
+    C = ClaytonExtreme(d)
+    for axes in clayton_lattices(d):
+        assert_cdf_grid_bits(C, axes)
+        shape = [len(a) for a in axes]
+        rng = np.random.default_rng(d)
+        lo = [a * rng.random(len(a)) for a in axes]
+        zero_lo = [np.zeros(len(a)) if k % 2 else x for k, (a, x) in enumerate(zip(axes, lo))]
+        for lo_axes in (lo, zero_lo, [np.zeros(len(a)) for a in axes], axes):
+            want = C.box_mass_many(grid_points(lo_axes), grid_points(axes)).reshape(shape)
+            np.testing.assert_array_equal(C.box_mass_grid(lo_axes, axes), want)
+
+
+def test_clayton_grid_blocks_stay_within_box_rows():
+    # a lattice whose trailing axes alone exceed a block, and one whose last
+    # axis does: every block holds at most _BOX_ROWS points and the blocks
+    # tile the lattice once
+    from mincop.core import _lattice_blocks
+
+    for shape in ([3, 200, 300], [2, _BOX_ROWS + 5], [40, 30, 20], [1], [4, 0, 3]):
+        seen = np.zeros(shape, int)
+        for block in _lattice_blocks(shape):
+            assert seen[block].size <= _BOX_ROWS
+            seen[block] += 1
+        assert np.all(seen == 1)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_reflected_clayton_cdf_grid_matches_cdf_many_bit_for_bit(d):
+    axes = lattice_axes(d, seed=40 + d)
+    for r in range(d + 1):
+        for K in itertools.combinations(range(d), r):
+            assert_cdf_grid_bits(Reflected(ClaytonExtreme(d), K), axes)
+
+
+def pointwise_quadrature(C, n, integrand):
+    # the tensor Gauss-Legendre rule on grid_points, weights multiplied
+    # axis by axis over meshgrids
+    xs, ws = _gauss_nodes(n, 0.0, 1.0)
+    pts = meshgrid_points([xs] * C.dim)
+    w = np.ones(len(pts))
+    for m in np.meshgrid(*([ws] * C.dim), indexing="ij"):
+        w = w * m.ravel()
+    return float(w @ integrand(pts)), len(pts)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_lattice_quadrature_matches_the_pointwise_rule_bit_for_bit(d):
+    from mincop.concordance import (
+        _normalised,
+        _refined,
+        pi_integral,
+        spearman_normalization,
+    )
+    from mincop.transforms import survival
+
+    C = ClaytonExtreme(d)
+    rho_pts = lambda pts: 0.5 * (C.cdf_many(pts) + survival(C).cdf_many(pts))
+    pi_pts = lambda pts: C.box_mass_many(pts, np.ones_like(pts))
+    for nodes in (8, 24):
+        coarse = max(4, nodes // 2)
+        rho_inner = _refined(lambda n: pointwise_quadrature(C, n, rho_pts), nodes, coarse)
+        want = _normalised("spearman_rho", d, rho_inner, spearman_normalization(d)).estimate
+        assert spearman_rho(C, method="quadrature", quad_nodes=nodes).estimate == want
+        want = _refined(lambda n: pointwise_quadrature(C, n, pi_pts), nodes, coarse)
+        assert pi_integral(C, method="quadrature", quad_nodes=nodes).estimate == want
+
+
+def test_segment_scan_makes_no_pointwise_cdf_call(monkeypatch):
+    from mincop.negdep import tau_cm_defect
+
+    C = mixture_all_reflections(3)
+    calls = []
+    cdf_many = SegmentCopula.cdf_many
+    monkeypatch.setattr(
+        SegmentCopula, "cdf_many", lambda self, U: calls.append(U.shape) or cdf_many(self, U)
+    )
+    defect, _, _ = tau_cm_defect(C)
+    assert defect <= 1e-9
+    assert calls == []
+
+
+def test_grid_consumers_match_their_pointwise_formulas_bit_for_bit():
+    # orthant masses with the signed inclusion-exclusion, and discretize's
+    # alternating differences, over cdf_many on grid_points
+    from mincop.core import _corner_masks
+    from mincop.transforms import discretize, orthant_masses
+
+    for C in (make_triangle_3d(), ClaytonExtreme(3), Reflected(ClaytonExtreme(3), [1])):
+        cuts = grid_axes([C], 10)
+        inner = [c[1:] for c in cuts]
+        L = np.zeros([len(c) for c in cuts])
+        L[(slice(1, None),) * 3] = C.cdf_many(grid_points(inner)).reshape([len(c) for c in inner])
+        U = np.zeros(L.shape)
+        for mask in _corner_masks(3):
+            sign = -1.0 if (3 - sum(mask)) % 2 else 1.0
+            U += sign * L[tuple(slice(-1, None) if m else slice(None) for m in mask)]
+        got_L, got_U = orthant_masses(C, cuts)
+        np.testing.assert_array_equal(got_L, L)
+        np.testing.assert_array_equal(got_U, U)
+        masses = C.cdf_many(grid_points(cuts)).reshape(L.shape)
+        for ax in range(3):
+            masses = np.diff(masses, axis=ax)
+        np.testing.assert_array_equal(discretize(C, cuts).masses, np.clip(masses, 0.0, None))
+
+
+# -- the whole-cube board moment against the general box path --------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_board_whole_cube_moment_matches_the_box_path_bit_for_bit(d):
+    # a box a hair past the cube covers the same cells and takes the
+    # general path: covered fraction, clipped midpoint, factor
+    from mincop.transforms import discretize
+
+    boards = [random_checkerboard(d, n, seed=s) for n in (3, 8) for s in range(3)]
+    boards.append(refute_minimality(boards[0]).copula)  # irregular cuts
+    rng = np.random.default_rng(d)
+    for _ in range(3):  # random cuts
+        cuts = [np.concatenate([[0.0], np.sort(rng.random(5)), [1.0]]) for _ in range(d)]
+        boards.append(discretize(ClaytonExtreme(d) if d <= 3 else ProductCopula(d), cuts))
+    lo, hi = np.zeros(d), np.full(d, np.nextafter(1.0, 2.0))
+    for board in boards:
+        for codes in itertools.product((0, MOMENT_V, MOMENT_1MV), repeat=d):
+            fast = board.product_moment(np.zeros(d), np.ones(d), codes)
+            assert fast == board.product_moment(lo, hi, codes)
