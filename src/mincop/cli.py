@@ -56,11 +56,7 @@ def _emit(doc, out: str | None, fmt: str = "json") -> None:
         text = "\n".join(rows) + "\n"
     else:
         text = json.dumps(doc, sort_keys=True, indent=2, default=_jsonify) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(text, out)
 
 
 def _jsonify(obj):
@@ -323,12 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, copula=True):
-        if copula:
-            p.add_argument("copula", help="path to a copula spec JSON")
+    def common(p, tol=False, report=True):
+        # each verb registers only the options it reads
+        p.add_argument("copula", help="path to a copula spec JSON")
         p.add_argument("--out", default=None, help="write the report here")
-        p.add_argument("--tol", type=_tolerance, default=1e-9)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if tol:
+            p.add_argument("--tol", type=_tolerance, default=1e-9)
+        if report:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("eval", help="evaluate the cdf (or survival value) at a point")
     common(p)
@@ -354,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("order", help="pointwise and concordance order check")
-    common(p)
+    common(p, tol=True)
     p.add_argument("other", help="path to the second copula spec")
     p.add_argument("--grid", type=int, default=None)
     p.set_defaults(func=_cmd_order)
@@ -367,19 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("refute", help="tau-CM certificate or minimality refutation")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--grid", type=int, default=None)
     p.set_defaults(func=_cmd_refute)
 
     p = sub.add_parser("descend", help="iterated surgery toward a tau-CM board")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--trace-out", default=None, help="write the CSV trace here")
     p.set_defaults(func=_cmd_descend)
 
     p = sub.add_parser("certify", help="tau-CM and/or K-CM certificates")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--tau-cm", action="store_true")
     p.add_argument("--k-cm", default=None, help="path to a hyperplane spec JSON")
     p.add_argument("--grid", type=int, default=None)
@@ -403,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("support", help="sample the support as a point-cloud CSV")
-    common(p)
+    common(p, report=False)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_support)

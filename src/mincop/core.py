@@ -27,16 +27,16 @@ Analytic nodes (``UpperFrechet``, ``LowerFrechet2d``, ``ProductCopula``,
     keeps that honest.  The generic path, which checkerboards use too,
     stacks every corner of a block of rows into one ``cdf_many`` call and
     adds the signed values in corner order, so a board locates its points
-    in the cuts once per block, not once per corner.  The extreme Clayton's
-    cdf is separable, so its cdf and box masses share one kernel that takes
-    the per-axis powers once and only the outer power per corner.
+    in the cuts once per block, not once per corner.
 
-On a product grid (the scan lattice, a discretization grid, Gauss-Legendre
-nodes) ``cdf_grid`` and ``box_mass_grid`` return the whole tensor.  By
-default they evaluate ``cdf_many`` on ``grid_points``; segment copulas, the
-extreme Clayton, glue products and reflections split the work by axis and
-return the same bits (a glue product with a segment half to rounding, see
-``GlueProduct.cdf_grid``).
+Each query has a batch form (``cdf_many``, ``box_mass_many`` on (N, d)
+arrays) and a lattice form (``cdf_grid``, ``box_mass_grid`` on a product
+grid), by default the batch form on ``grid_points``.  Segment copulas and
+the extreme Clayton, whose cdfs separate by axis, run both forms through
+one kernel over per-axis coordinate arrays that broadcast: a batch is the
+lattice whose axes all lie along axis 0.  A glue product's lattice is the
+outer product of its halves', a reflection's its inner copula's box masses
+on the reflected lattice.
 
 All values are immutable after construction and safe to share.  Evaluation
 is vectorised with numpy and deterministic; sampling is deterministic given
@@ -287,9 +287,8 @@ class Copula:
         """C at every vertex of the product grid of ``axes`` (one node array
         per axis), as the C-order tensor of shape ``[len(a) for a in axes]``.
 
-        The default is ``cdf_many`` on ``grid_points(axes)``.  A class whose
-        cdf splits by axis overrides it with per-axis work and gives the
-        values ``cdf_many`` gives at those points, bit for bit.
+        The default is ``cdf_many`` on ``grid_points(axes)``; a class with
+        a per-axis kernel runs it on the lattice itself.
         """
         return self.cdf_many(grid_points(axes)).reshape([len(a) for a in axes])
 
@@ -300,8 +299,7 @@ class Copula:
         tensor of shape ``[len(a) for a in hi_axes]``: the box at index i has
         lo_k = lo_axes[k][i_k] and hi_k = hi_axes[k][i_k], so each axis
         holds as many lo nodes as hi nodes.  The default is
-        ``box_mass_many`` on the two grids' points; an override gives its
-        values bit for bit.
+        ``box_mass_many`` on the two grids' points.
         """
         return self.box_mass_many(grid_points(lo_axes), grid_points(hi_axes)).reshape(
             [len(a) for a in hi_axes]
@@ -434,8 +432,9 @@ class CheckerboardCopula(Copula):
         vals = self._vertex_cdf.ravel()
         base = np.ravel_multi_index(idx, shape)
         steps = [math.prod(shape[k + 1 :]) for k in range(self.dim)]
+        sides = [((1.0 - f, 0), (f, step)) for f, step in zip(frac, steps)]
         out = np.zeros(len(U))
-        for w, off in _corner_weights([(1.0 - f, f) for f in frac], steps):
+        for w, off in _corner_fold(sides, np.multiply):
             out += w * vals[off:][base]
         return out
 
@@ -477,9 +476,7 @@ class CheckerboardCopula(Copula):
                 weight = overlap / np.diff(c)
                 mid = np.where(overlap > 0, 0.5 * (left + right), 0.0)
                 factor = weight * _moment_eval(codes[k], mid)
-            shape = [1] * self.dim
-            shape[k] = -1
-            scaled = scaled * factor.reshape(shape)
+            scaled = scaled * _along(factor, k, self.dim)
         return float(scaled.sum())
 
     def kendall_self_integral(self) -> float:
@@ -511,9 +508,9 @@ class SegmentCopula(Copula):
     exactly at the endpoint projections (the margin cdf is piecewise linear
     with kinks only there), reading C at points that are 1 off the axis.
 
-    ``cdf_many``, ``box_mass_many`` and ``product_moment`` share one kernel,
-    ``_param_interval``: each segment's parameter interval inside a box,
-    taken in one (segments, points) pass per axis.
+    Every query runs one kernel, ``_lattice_interval``: each segment's
+    parameter interval inside every box of a lattice, folded one axis at a
+    time; ``product_moment`` integrates over the interval of its one box.
     """
 
     def __init__(self, starts, ends, masses, _skip_margin_check: bool = False):
@@ -556,9 +553,8 @@ class SegmentCopula(Copula):
                 np.concatenate([[0.0, 1.0], self.starts[:, k], self.ends[:, k]])
             )
             # the margin cdf on axis k is C at points that are 1 off axis k
-            U = np.ones((len(pts), self.dim))
-            U[:, k] = pts
-            defect = np.max(np.abs(self.cdf_many(U) - pts))
+            axes = [pts if j == k else np.ones(1) for j in range(self.dim)]
+            defect = np.max(np.abs(self.cdf_grid(axes).ravel() - pts))
             if defect > CONSTRUCTION_TOL:
                 raise ValidationError(
                     f"segment system has non-uniform margin on axis {k} "
@@ -566,63 +562,61 @@ class SegmentCopula(Copula):
                 )
 
     def _param_interval(self, Lo: np.ndarray | None, Hi: np.ndarray):
-        """Per (segment, point): t-interval where lo <= gamma(t) <= hi.
+        """``_lattice_interval`` on an (N, d) batch of boxes, as (segments,
+        points) arrays; ``Lo=None`` is the origin."""
+        return self._lattice_interval([0.0] * self.dim if Lo is None else Lo.T, Hi.T)
 
-        One pass per axis k folds the two crossings (lo_k - s_k)/dir_k and
-        (hi_k - s_k)/dir_k, each a (segments, points) array, into running
-        bounds t0 (their max over axes of the smaller) and t1 (min of the
-        larger), then clips both to [0, 1].  ``Lo=None`` is the origin: the
-        lower crossing is (0 - s_k)/dir_k, one value per segment; otherwise
-        Lo has Hi's shape.
+    def _lattice_interval(self, lo, hi):
+        """Per segment and lattice point: the t-interval [t0, t1] where
+        lo <= gamma(t) <= hi.
+
+        ``lo[k]`` and ``hi[k]`` are axis k's coordinates, arrays that
+        broadcast to the lattice (a batch's columns all lie along its one
+        axis); lo[k] may be 0.0.  One pass per axis folds the crossings
+        (lo_k - s_k)/dir_k and (hi_k - s_k)/dir_k, with the segments on a
+        new first axis, into running bounds t0 (max over axes of the
+        smaller) and t1 (min of the larger), then clips both to [0, 1].
         """
+        pad = (Ellipsis,) + (None,) * np.ndim(hi[0])
+        starts, dirs = self.starts.T[pad], self.dirs.T[pad]
         for k in range(self.dim):
-            s = self.starts[:, k, None]
-            dirv = self.dirs[:, k, None]
-            r_lo = (0.0 - s) / dirv if Lo is None else (Lo[None, :, k] - s) / dirv
-            r_hi = (Hi[None, :, k] - s) / dirv
+            s, dirv = starts[k], dirs[k]
+            r_lo = (lo[k] - s) / dirv
+            r_hi = (hi[k] - s) / dirv
             upper = np.maximum(r_lo, r_hi)
             lower = np.minimum(r_lo, r_hi, out=r_hi)
             if k == 0:
                 t0, t1 = lower, upper
             else:
-                np.maximum(t0, lower, out=t0)
-                np.minimum(t1, upper, out=t1)
+                # in place unless the lattice grows by this axis
+                t0 = np.maximum(t0, lower, out=t0 if t0.shape == lower.shape else None)
+                t1 = np.minimum(t1, upper, out=t1 if t1.shape == upper.shape else None)
         return np.clip(t0, 0.0, 1.0, out=t0), np.clip(t1, 0.0, 1.0, out=t1)
 
-    def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        t0, t1 = self._param_interval(None, U)
-        return self.masses @ np.clip(t1 - t0, 0.0, None)
-
-    def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """``cdf_many`` on the grid of ``axes``, with each axis's crossings
-        taken once per node: (a - s_k)/dir_k are (segments, nodes) arrays,
-        clipped to [0, 1] and folded into t0 and t1 by broadcast max and
-        min.  Clipping is monotone and max and min are exact, so every
-        point gets ``_param_interval``'s t0 and t1, and the clipped
-        (segments, points) lengths meet ``masses @`` as in ``cdf_many``."""
-        d, S = self.dim, len(self.masses)
-        shape = [len(a) for a in axes]
-        for k, a in enumerate(axes):
-            s = self.starts[:, k, None]
-            dirv = self.dirs[:, k, None]
-            r_lo = (0.0 - s) / dirv
-            r_hi = (np.asarray(a, dtype=float)[None, :] - s) / dirv
-            view = [S] + [1] * d
-            view[1 + k] = shape[k]
-            upper = np.clip(np.maximum(r_lo, r_hi), 0.0, 1.0).reshape(view)
-            lower = np.clip(np.minimum(r_lo, r_hi), 0.0, 1.0).reshape(view)
-            if k == 0:
-                t0, t1 = lower, upper
-            else:
-                t0 = np.maximum(t0, lower)
-                t1 = np.minimum(t1, upper)
+    def _lattice_mass(self, lo, hi) -> np.ndarray:
+        """Q^C[[lo, hi]] at every lattice point, flat in C order (so that a
+        batch gets an array that owns its data, which numpy's arithmetic
+        reuses in place, as it cannot a reshaped view)."""
+        t0, t1 = self._lattice_interval(lo, hi)
         length = np.subtract(t1, t0, out=t1)
         np.clip(length, 0.0, None, out=length)
-        return (self.masses @ length.reshape(S, -1)).reshape(shape)
+        return self.masses @ length.reshape(len(self.masses), -1)
+
+    def cdf_many(self, U: np.ndarray) -> np.ndarray:
+        return self._lattice_mass([0.0] * self.dim, U.T)
 
     def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        t0, t1 = self._param_interval(Lo, Hi)
-        return self.masses @ np.clip(t1 - t0, 0.0, None)
+        return self._lattice_mass(Lo.T, Hi.T)
+
+    def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        flat = self._lattice_mass([0.0] * self.dim, _lattice(axes))
+        return flat.reshape([len(a) for a in axes])
+
+    def box_mass_grid(
+        self, lo_axes: Sequence[np.ndarray], hi_axes: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        flat = self._lattice_mass(_lattice(lo_axes), _lattice(hi_axes))
+        return flat.reshape([len(a) for a in hi_axes])
 
     @property
     def is_samplable(self) -> bool:
@@ -639,10 +633,8 @@ class SegmentCopula(Copula):
         hi = np.asarray(hi, dtype=float)
         if np.any(hi < lo - 1e-15):
             return 0.0
-        Lo = np.broadcast_to(lo, (1, self.dim))
-        Hi = np.broadcast_to(hi, (1, self.dim))
-        t0, t1 = self._param_interval(Lo, Hi)
-        t0, t1 = t0[:, 0], t1[:, 0]
+        # the one box is a lattice of no axes
+        t0, t1 = self._lattice_interval(lo, hi)
         # the integrand is a polynomial of degree <= d in the parameter
         m = self.dim // 2 + 2
         nodes, weights = _gauss_nodes(m, t0, t1)
@@ -767,9 +759,10 @@ class ClaytonExtreme(Copula):
         phi(s) = max( s - (d-1), 0 )^{d-1}.
 
     Its measure concentrates on the surface sum_k g(u_k) = d-1.
-    At d=2 the formula reduces to W.  The sum is separable, so a box mass
-    takes g once per axis at lo and at hi and only phi once per corner;
-    the cdf is the same kernel with the hi corner alone.  phi's integer
+    At d=2 the formula reduces to W.  The sum is separable, so one kernel,
+    ``_phi_lattice``, serves the cdf and box masses of batches and
+    lattices: g once per node, phi once per corner; the cdf is the box
+    from the origin, its hi corner alone.  phi's integer
     power is d-2 repeated products: most arguments of phi are exactly 0,
     and ``np.power`` falls off its fast path on zeros (several times
     slower per element than a product).  Products give ``np.power``'s bits
@@ -783,81 +776,69 @@ class ClaytonExtreme(Copula):
             raise InputError("copulas need dimension >= 2")
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        return self._phi_corners(U, U, np.zeros(self.dim, bool))
+        return self._phi_lattice([0.0] * self.dim, U.T)
+
+    def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
+        return self._phi_lattice(Lo.T, Hi.T)
 
     def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return self._phi_grid(axes, axes, np.zeros(self.dim, bool))
+        return self._phi_lattice([0.0] * self.dim, _lattice(axes))
 
     def box_mass_grid(
         self, lo_axes: Sequence[np.ndarray], hi_axes: Sequence[np.ndarray]
     ) -> np.ndarray:
-        return self._phi_grid(lo_axes, hi_axes, np.array([np.any(a) for a in lo_axes]))
+        return self._phi_lattice(_lattice(lo_axes), _lattice(hi_axes))
 
-    def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        """Q^C[[lo, hi]] in one separable pass over blocks of _BOX_ROWS rows.
-
-        The corners are walked depth first in the generic order, each one's
-        g-sum built in axis order from its parent's partial sum, so every
-        corner value is the one ``cdf_many`` gives; axes where every lo is 0
-        always take hi, as in ``Copula.box_mass_many``.
+    def _phi_lattice(self, lo, hi) -> np.ndarray:
+        """Q^C[[lo, hi]] at every lattice point (``lo[k]``, ``hi[k]`` as in
+        ``SegmentCopula._lattice_interval``), in blocks of at most
+        _BOX_ROWS points: the sum over the box corners, walked as
+        ``Copula.box_mass_many`` walks them, of (-1)^{lo sides}
+        phi(sum_k g_k), with g taken once per node and block.  An axis
+        whose lo is 0 everywhere takes only its hi side.
         """
-        return self._phi_corners(Lo, Hi, Lo.any(axis=0))
-
-    def _phi_corners(self, Lo: np.ndarray, Hi: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """sum over the box corners of (-1)^{lo sides} phi(sum_k g_k), where
-        only the ``free`` axes take their lo side."""
-        e = 1.0 / (self.dim - 1)
-        out = np.zeros(len(Hi))
-        for r in range(0, len(Hi), _BOX_ROWS):
-            # one contiguous row of g per axis
-            g_lo = np.power(Lo[r : r + _BOX_ROWS].T, e, order="C") if free.any() else None
-            g_hi = np.power(Hi[r : r + _BOX_ROWS].T, e, order="C")
-            self._phi_add(out[r : r + _BOX_ROWS], _corner_sums(g_lo, g_hi, free))
-        return out
-
-    def _phi_grid(self, lo_axes, hi_axes, free: np.ndarray) -> np.ndarray:
-        """``_phi_corners`` on the product grid, in blocks of at most
-        _BOX_ROWS points: g once per node and axis, and each corner's g-sum
-        broadcast from the axes' g in axis order, so every point gets the
-        sums, and the bits, of ``_phi_corners``."""
         d = self.dim
         e = 1.0 / (d - 1)
-        shape = [len(a) for a in hi_axes]
-        g_lo = [np.power(np.asarray(a, dtype=float), e) for a in lo_axes] if free.any() else None
-        g_hi = [np.power(np.asarray(a, dtype=float), e) for a in hi_axes]
-
-        def block_of(g, block):
-            if g is None:
-                return None
-            return [_along(x[b], k, d) for k, (x, b) in enumerate(zip(g, block))]
-
+        free = [np.any(x) for x in lo]
+        shape = np.broadcast(*hi).shape
         out = np.zeros(shape)
-        for block in _lattice_blocks(shape):
-            corners = _corner_sums(block_of(g_lo, block), block_of(g_hi, block), free)
-            self._phi_add(out[block], corners)
-        return out
 
-    def _phi_add(self, acc: np.ndarray, corners) -> None:
-        """acc += (-1)^{lo sides} phi(s) for each (lo sides, g-sum s) of
-        ``corners``, in their order; s has acc's shape."""
-        d = self.dim
-        x = np.empty(acc.shape)
-        y = np.empty(acc.shape)
-        for lows, s in corners:
-            np.subtract(s, d - 1, out=x)
-            np.maximum(x, 0.0, out=x)
-            np.copyto(y, x)
-            for _ in range(d - 2):
-                y *= x
-            if lows % 2:
-                acc -= y
-            else:
-                acc += y
+        def g(x, block):
+            # the block's part of x, whole along the axes x broadcasts on
+            part = tuple(b if n > 1 else slice(None) for b, n in zip(block, x.shape))
+            return np.power(x[part], e)
+
+        for block in _lattice_blocks(shape):
+            sides = [
+                ((g(lo_k, block), 1), (g(hi_k, block), 0)) if f else ((g(hi_k, block), 0),)
+                for lo_k, hi_k, f in zip(lo, hi, free)
+            ]
+            acc = out[block]
+            x = np.empty(acc.shape)
+            y = np.empty(acc.shape)
+            for s, lows in _corner_fold(sides, np.add):
+                np.subtract(s, d - 1, out=x)
+                np.maximum(x, 0.0, out=x)
+                np.copyto(y, x)
+                for _ in range(d - 2):
+                    y *= x
+                if lows % 2:
+                    acc -= y
+                else:
+                    acc += y
+            # free this block's g and buffers before the next block's exist
+            del sides, s, x, y
+        return out
 
 
 def _along(v: np.ndarray, k: int, d: int) -> np.ndarray:
     """A 1-d array shaped to broadcast along axis k of d."""
     return v.reshape([-1 if j == k else 1 for j in range(d)])
+
+
+def _lattice(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per-axis node arrays shaped to broadcast into their product grid."""
+    return [_along(np.asarray(a, dtype=float), k, len(axes)) for k, a in enumerate(axes)]
 
 
 def _lattice_blocks(shape):
@@ -881,32 +862,18 @@ def _lattice_blocks(shape):
             )
 
 
-def _corner_sums(g_lo, g_hi, free, k=0, s=None, lows=0):
-    """(number of lo sides, sum_k g_k) for each box corner, from g at lo and
-    at hi (one row per axis, or one array per axis that broadcasts along
-    it), depth first with the lo side first (the order of
-    ``Copula.box_mass_many``); an axis that is not ``free`` takes only its
-    hi side.  Each sum runs in axis order, as ``sum(axis=1)`` does, and
-    shares its partial sums with its siblings."""
-    if k == len(free):
-        yield lows, s
-        return
-    for side, g in ((1, g_lo), (0, g_hi)) if free[k] else ((0, g_hi),):
-        col = g[k]
-        yield from _corner_sums(g_lo, g_hi, free, k + 1, col if s is None else s + col, lows + side)
-
-
-def _corner_weights(sides, steps, k=0, w=None, off=0):
-    """(weight, flat vertex offset) for each corner of a point's cell, depth
-    first with the lower side first (the order of ``_corner_masks``).  Each
-    weight is the left-to-right product of its axes' factors ``sides[k]``
-    and shares its prefix with its siblings, so at most one partial product
-    per axis is alive."""
+def _corner_fold(sides, op, k=0, acc=None, tag=0):
+    """(value, tag) for each corner of a box, depth first: ``sides[k]``
+    lists axis k's (value, tag) choices in visiting order.  A corner's
+    value folds its axes' values left to right with ``op`` (``np.add`` for
+    a g-sum, ``np.multiply`` for a weight) and its tag sums theirs; siblings
+    share the partial fold, so at most one partial value per axis is
+    alive."""
     if k == len(sides):
-        yield w, off
+        yield acc, tag
         return
-    for f, step in zip(sides[k], (0, steps[k])):
-        yield from _corner_weights(sides, steps, k + 1, f if w is None else w * f, off + step)
+    for v, t in sides[k]:
+        yield from _corner_fold(sides, op, k + 1, v if acc is None else op(acc, v), tag + t)
 
 
 class Reflected(Copula):

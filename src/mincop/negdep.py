@@ -53,6 +53,7 @@ from .core import (
     MixtureCopula,
     RefutedCopula,
     SegmentCopula,
+    _along,
     _first_max,
     default_resolution,
     grid_axes,
@@ -206,13 +207,19 @@ class HyperplaneSpec:
             raise InputError("K must be a nonempty set of distinct axes")
 
     def sum_values(self, pts: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(pts))
+        total = np.zeros(pts.shape[:-1])
         for k, g in zip(self.K, self.g):
-            total += g(pts[:, k])
+            total += g(pts[..., k])
         return total
 
 
 _CONST_PARAMS = np.array([0.0, 0.137, 1 / 3, 0.5, 1 / np.sqrt(2), 0.789, 1.0])
+
+
+def _segment_sums(C: SegmentCopula, spec: HyperplaneSpec) -> np.ndarray:
+    """sum_{k in K} g_k along each segment at the parameters _CONST_PARAMS,
+    as a (segments, params) array."""
+    return spec.sum_values(C.starts[:, None, :] + _CONST_PARAMS[:, None] * C.dirs[:, None, :])
 
 
 def _segment_band_mass(C: SegmentCopula, spec: HyperplaneSpec, eps: float) -> float:
@@ -221,9 +228,7 @@ def _segment_band_mass(C: SegmentCopula, spec: HyperplaneSpec, eps: float) -> fl
     (finitely many roots, zero mass).  For eps > 0 the band is measured by a
     fine parameter subdivision."""
     total = 0.0
-    for s in range(len(C.masses)):
-        pts = C.starts[s][None, :] + _CONST_PARAMS[:, None] * C.dirs[s][None, :]
-        h = spec.sum_values(pts)
+    for s, h in enumerate(_segment_sums(C, spec)):
         if np.max(np.abs(h - spec.c)) <= 1e-12:
             total += C.masses[s]
         elif eps > 0:
@@ -243,10 +248,8 @@ def _checkerboard_band_mass(
     lo_tot = np.zeros(C.masses.shape)
     hi_tot = np.zeros(C.masses.shape)
     for k, g in zip(spec.K, spec.g):
-        shape = [1] * C.dim
-        shape[k] = -1
-        lo_tot = lo_tot + g(C.cuts[k][:-1]).reshape(shape)
-        hi_tot = hi_tot + g(C.cuts[k][1:]).reshape(shape)
+        lo_tot = lo_tot + _along(g(C.cuts[k][:-1]), k, C.dim)
+        hi_tot = hi_tot + _along(g(C.cuts[k][1:]), k, C.dim)
     inside = (lo_tot >= spec.c - eps - 1e-12) & (hi_tot <= spec.c + eps + 1e-12)
     # board totals carry discretization noise at the cell-count scale
     return float(np.clip(C.masses[inside].sum(), 0.0, 1.0))
@@ -255,19 +258,12 @@ def _checkerboard_band_mass(
 def _constant_part_sum(part: Copula, K: list[int], g: list[GFunc]) -> float | None:
     """If sum_{k in K} g_k(u_k) is a.s. constant under Q^part, return the
     constant, else None.  Exact for segment parts."""
-    sub = HyperplaneSpec(tuple(K), tuple(g), 0.0)
-    if isinstance(part, SegmentCopula):
-        vals = []
-        for s in range(len(part.masses)):
-            pts = part.starts[s][None, :] + _CONST_PARAMS[:, None] * part.dirs[s][None, :]
-            h = sub.sum_values(pts)
-            if np.max(h) - np.min(h) > 1e-12:
-                return None
-            vals.append(h[0])
-        if np.max(vals) - np.min(vals) > 1e-12:
-            return None
-        return float(vals[0])
-    return None
+    if not isinstance(part, SegmentCopula):
+        return None
+    h = _segment_sums(part, HyperplaneSpec(tuple(K), tuple(g), 0.0))
+    if np.ptp(h, axis=1).max() > 1e-12 or np.ptp(h[:, 0]) > 1e-12:
+        return None
+    return float(h[0, 0])
 
 
 def hyperplane_mass(C: Copula, spec: HyperplaneSpec, eps: float = 0.0) -> float:

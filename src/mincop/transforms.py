@@ -32,6 +32,7 @@ from .core import (
     Reflected,
     RefutedCopula,
     SegmentCopula,
+    _along,
     _corner_masks,
     _cumulative,
     default_resolution,
@@ -166,9 +167,7 @@ def _split_cells(C: CheckerboardCopula, cuts: list[np.ndarray]) -> np.ndarray:
     for k, (c, t) in enumerate(zip(C.cuts, cuts)):
         parent = np.searchsorted(c, t[:-1], side="right") - 1
         frac = np.diff(t) / np.diff(c)[parent]
-        shape = [1] * C.dim
-        shape[k] = -1
-        masses = np.take(masses, parent, axis=k) * frac.reshape(shape)
+        masses = np.take(masses, parent, axis=k) * _along(frac, k, C.dim)
     return masses
 
 

@@ -271,3 +271,12 @@ def test_criterion_13_descent_reaches_grid_tau_cm():
         defect, _, _ = tau_cm_defect(res.final)
         assert defect <= 1e-9
         assert kendall_tau(res.final).value <= -0.85
+
+
+def test_reproduction_table_rows_all_pass():
+    # the table CI runs as ``mincop reproduce paper-values``
+    from mincop.reference_values import build_rows
+
+    rows = build_rows()
+    assert len(rows) == 38
+    assert [r.quantity for r in rows if not r.passed] == []

@@ -561,15 +561,29 @@ GRID_SEGMENTS = {
 }
 
 
+def assert_segment_lattice_bits(C, axes):
+    # the lattice against cdf_many on its points and against the broadcast
+    # (S, N, d) formula, from the origin and from random lo nodes
+    assert_cdf_grid_bits(C, axes)
+    shape = [len(a) for a in axes]
+    pts = grid_points(axes)
+    want = broadcast_box_mass(C, np.zeros_like(pts), pts).reshape(shape)
+    np.testing.assert_array_equal(C.cdf_grid(axes), want)
+    rng = np.random.default_rng(C.dim)
+    lo_axes = [a * rng.random(len(a)) for a in axes]
+    want = broadcast_box_mass(C, grid_points(lo_axes), pts).reshape(shape)
+    np.testing.assert_array_equal(C.box_mass_grid(lo_axes, axes), want)
+
+
 @pytest.mark.parametrize("C", GRID_SEGMENTS.values(), ids=GRID_SEGMENTS.keys())
 def test_segment_cdf_grid_matches_cdf_many_bit_for_bit(C):
     d = C.dim
-    assert_cdf_grid_bits(C, lattice_axes(d, seed=d))
+    assert_segment_lattice_bits(C, lattice_axes(d, seed=d))
     # the scan's lattice: uniform nodes plus every segment endpoint (up to
     # 18 per axis here, so d = 5 would hold millions of points)
     if d <= 4:
-        assert_cdf_grid_bits(C, grid_axes([C], 16 if d <= 3 else 4))
-    assert_cdf_grid_bits(C, [np.array([0.5])] * d)
+        assert_segment_lattice_bits(C, grid_axes([C], 16 if d <= 3 else 4))
+    assert_segment_lattice_bits(C, [np.array([0.5])] * d)
 
 
 GLUES = {
@@ -612,16 +626,26 @@ def clayton_lattices(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_clayton_grids_match_the_pointwise_kernel_bit_for_bit(d):
+    # bit for bit against the batch kernel on grid_points; within 1e-13 of
+    # the closed form phi(sum g) with np.power and, for the boxes with
+    # random lo, of the generic inclusion-exclusion over that kernel's cdf
     C = ClaytonExtreme(d)
     for axes in clayton_lattices(d):
         assert_cdf_grid_bits(C, axes)
         shape = [len(a) for a in axes]
+        pts = grid_points(axes)
+        closed = np.maximum(np.power(pts, 1.0 / (d - 1)).sum(axis=1) - (d - 1), 0.0) ** (d - 1)
+        assert np.max(np.abs(C.cdf_grid(axes) - closed.reshape(shape))) <= 1e-13
         rng = np.random.default_rng(d)
         lo = [a * rng.random(len(a)) for a in axes]
         zero_lo = [np.zeros(len(a)) if k % 2 else x for k, (a, x) in enumerate(zip(axes, lo))]
         for lo_axes in (lo, zero_lo, [np.zeros(len(a)) for a in axes], axes):
-            want = C.box_mass_many(grid_points(lo_axes), grid_points(axes)).reshape(shape)
-            np.testing.assert_array_equal(C.box_mass_grid(lo_axes, axes), want)
+            got = C.box_mass_grid(lo_axes, axes)
+            want = C.box_mass_many(grid_points(lo_axes), pts).reshape(shape)
+            np.testing.assert_array_equal(got, want)
+            if lo_axes is lo or lo_axes is zero_lo:
+                generic = Copula.box_mass_many(C, grid_points(lo_axes), pts).reshape(shape)
+                assert np.max(np.abs(got - generic)) <= 1e-13
 
 
 def test_clayton_grid_blocks_stay_within_box_rows():

@@ -339,6 +339,43 @@ def test_cli_rejects_bad_tolerance_naming_the_flag(tmp_path, capsys, verb, flag,
     assert flag in err and "surgery corners" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate", "--tol", "1e-3"],
+        ["eval", "--point", "0.5,0.5,0.5", "--tol", "1e-3"],
+        ["measure", "--tol", "1e-3"],
+        ["transform", "--tol", "1e-3"],
+        ["support", "--tol", "1e-3"],
+        ["support", "--format", "json"],
+    ],
+)
+def test_cli_rejects_an_option_the_verb_does_not_read(tmp_path, capsys, args):
+    # validate --tol 5 used to exit 0 and still judge at 1e-9; support
+    # --format json still wrote CSV
+    spec = write_spec(tmp_path, "tri.json", {"kind": "triangle", "dim": 3})
+    assert main([args[0], spec] + args[1:]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_tol_reaches_the_verbs_that_read_it(tmp_path, capsys):
+    spec = write_spec(tmp_path, "tri.json", {"kind": "triangle", "dim": 3})
+    assert main(["refute", spec, "--tol", "1e-9"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "tau_cm"
+    assert main(["certify", spec, "--tau-cm", "--tol", "1e-9"]) == 0
+    assert main(["order", spec, spec, "--tol", "1e-9", "--grid", "4"]) == 0
+
+
+def test_cli_reproduce_writes_the_passing_table(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert main(["reproduce", "paper-values", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "quantity,d,paper_value,computed,error,method,tol,passed"
+    assert len(lines) == 39
+    assert all(line.endswith(",true") for line in lines[1:])
+    assert "38/38 rows passed" in capsys.readouterr().err
+
+
 # -- CLI robustness: mutated specs and arguments -----------------------
 
 VALID_SPECS = [
