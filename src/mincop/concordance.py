@@ -22,7 +22,8 @@ takes the first that applies, a named method the first of its kind.
   ``product_moment`` for boards, segments, the Frechet bounds, Pi, glue
   products, mixtures and surgery nodes.  Without a moment path (e.g. the
   extreme Clayton) they take tensor Gauss-Legendre for d <= 4, then Monte
-  Carlo: rho over uniform draws, the Pi-integral over C's sampler.  The
+  Carlo: rho over uniform draws, the Pi-integral over C's sampler, or
+  without one over uniform draws x of Q^C[[x, 1]].  The
   quadrature evaluates on the tensor grid of the Gauss nodes (``cdf_grid``,
   ``box_mass_grid``), with each node's weight the left-to-right product of
   its axes' weights: rho reads tau C as a box mass of C
@@ -32,8 +33,14 @@ takes the first that applies, a named method the first of its kind.
   repeated products.
 
 Quadrature reports the difference to a coarser rule, Monte Carlo a 3-sigma
-half-width (so ``samples`` must be at least 2).  Normalisation constants are recomputed from d at call time
-and echoed in every report so unit errors stay visible.
+half-width (so ``samples`` must be at least 2).  Every Monte Carlo path runs
+one loop (``_monte_carlo``) that fills a preallocated value array in blocks
+of ``_BOX_ROWS`` rows: uniform draws are streamed block by block from one
+generator, so such an estimate holds about 8 bytes per sample plus one
+block, and its draws are those of one full batch; a sampler's points are
+drawn at once (8d bytes per sample) and read block by block.
+Normalisation constants are recomputed from d at call time and echoed in
+every report so unit errors stay visible.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from .core import (
     ProductCopula,
     SegmentCopula,
     UpperFrechet,
+    _BOX_ROWS,
     _gauss_nodes,
 )
 from .errors import InputError, UnsupportedRepresentationError
@@ -138,10 +146,37 @@ def _check_samples(samples) -> None:
         raise InputError(f"samples must be an integer >= 2, got {samples!r}")
 
 
-def _monte_carlo(vals: np.ndarray) -> MeasureEstimate:
-    """The mean of i.i.d. ``vals`` with a 3-sigma half-width."""
-    err = 3.0 * float(vals.std(ddof=1)) / np.sqrt(len(vals))
-    return MeasureEstimate(float(vals.mean()), "monte_carlo", err, len(vals))
+def _monte_carlo(samples: int, block) -> MeasureEstimate:
+    """The mean of ``samples`` i.i.d. values with a 3-sigma half-width.
+
+    ``block(rows)`` returns the values of the rows in the slice ``rows``;
+    it is called on consecutive blocks of at most _BOX_ROWS rows, in order,
+    and its values go into one preallocated array, so the memory beyond
+    that array (8 bytes per sample) is one block's.
+    """
+    vals = np.empty(samples)
+    for r in range(0, samples, _BOX_ROWS):
+        rows = slice(r, min(r + _BOX_ROWS, samples))
+        vals[rows] = block(rows)
+    err = 3.0 * float(vals.std(ddof=1)) / np.sqrt(samples)
+    return MeasureEstimate(float(vals.mean()), "monte_carlo", err, samples)
+
+
+def _sampled(C: Copula, seed: int, samples: int, f) -> MeasureEstimate | None:
+    """The Monte Carlo mean of ``f(V)`` over ``samples`` draws V ~ Q^C,
+    drawn at once and read in row blocks; None without a sampler."""
+    if not C.is_samplable:
+        return None
+    V = C.sample(seed, samples)
+    return _monte_carlo(samples, lambda rows: f(V[rows]))
+
+
+def _uniform(d: int, seed: int, samples: int, f) -> MeasureEstimate:
+    """The Monte Carlo mean of ``f(x)`` over ``samples`` uniform draws x in
+    [0, 1]^d, drawn block by block from one generator: consecutive
+    ``random((m, d))`` calls give the numbers of one ``(samples, d)`` call."""
+    rng = np.random.default_rng(seed)
+    return _monte_carlo(samples, lambda rows: f(rng.random((rows.stop - rows.start, d))))
 
 
 def _refined(rule, n: int, coarse: int) -> MeasureEstimate:
@@ -284,8 +319,7 @@ def kendall_integral(
         ("quadrature", lambda C: _simpson_segments(C, panels)),
         ("exact", _kendall_product),
         (None, lambda C: _kendall_glue(C, samples, seed, panels)),
-        ("monte_carlo", lambda C: _monte_carlo(C.cdf_many(C.sample(seed, samples)))
-         if C.is_samplable else None),
+        ("monte_carlo", lambda C: _sampled(C, seed, samples, C.cdf_many)),
         ("quadrature", _kendall_grids),
     ))
 
@@ -317,8 +351,10 @@ def spearman_rho(
     _check_samples(samples)
     d = C.dim
 
-    def mean_cdf_pair(pts: np.ndarray) -> np.ndarray:
-        return 0.5 * (C.cdf_many(pts) + survival(C).cdf_many(pts))
+    def mean_cdf_pair(C: Copula) -> MeasureEstimate:
+        # uniform cube draws: needs only cdf evaluations
+        S = survival(C)
+        return _uniform(d, seed, samples, lambda x: 0.5 * (C.cdf_many(x) + S.cdf_many(x)))
 
     inner = _dispatch("spearman_rho", C, method, (
         # int C dQ^Pi = E[prod (1-V_k)] and int (tau C) dQ^Pi = E[prod V_k]
@@ -326,9 +362,7 @@ def spearman_rho(
         ("exact", lambda C: _moment_mean(C, MOMENT_1MV, MOMENT_V)),
         ("quadrature", lambda C: _cube_quadrature(
             C, quad_nodes, lambda ax: 0.5 * (C.cdf_grid(ax) + survival(C).cdf_grid(ax)))),
-        # uniform cube draws: needs only cdf evaluations
-        ("monte_carlo", lambda C: _monte_carlo(
-            mean_cdf_pair(np.random.default_rng(seed).random((samples, d))))),
+        ("monte_carlo", mean_cdf_pair),
     ))
     return _normalised("spearman_rho", d, inner, spearman_normalization(d))
 
@@ -349,8 +383,10 @@ def pi_integral(
         # E[prod V_k] = int Q^C[[x, 1]] dx (Fubini on the indicator of [x, 1])
         ("quadrature", lambda C: _cube_quadrature(
             C, quad_nodes, lambda ax: C.box_mass_grid(ax, [np.ones(len(a)) for a in ax]))),
-        ("monte_carlo", lambda C: _monte_carlo(C.sample(seed, samples).prod(axis=1))
-         if C.is_samplable else None),
+        ("monte_carlo", lambda C: _sampled(C, seed, samples, lambda V: V.prod(axis=1))),
+        # without a sampler, over uniform draws x of the same Q^C[[x, 1]]
+        ("monte_carlo", lambda C: _uniform(
+            C.dim, seed, samples, lambda x: C.box_mass_many(x, np.ones_like(x)))),
     ))
     return FunctionalReport("pi_integral", C.dim, est, 1.0)
 

@@ -15,7 +15,11 @@ constructively:
    a board (``transforms.as_board``: a checkerboard, Pi, and mixtures,
    glues, reflections and permutations of boards) is scanned at its own
    vertices and solves the ray exactly; other representations scan a
-   uniform grid augmented with their breakpoints and bisect.
+   uniform grid augmented with their breakpoints and bisect.  No board is
+   tau-CM (it has a density), so ``refute_minimality`` and
+   ``tau_cm_certificate`` scan a board with no refutable vertex again at
+   its cell midpoints; ``tau_cm_defect`` and ``descend`` keep the vertex
+   scan.
 2. ``refute_minimality`` performs the corner surgery: the two comonotone
    corner pieces are replaced by a cross-glued, de-comonotonised pair,
    producing D with D <= C, tau(D) <= tau(C) and D(a) = C(a) - p.  On a
@@ -156,8 +160,28 @@ def tau_cm_defect(
     return defect, worst, desc
 
 
+def _refutable_scan(C: Copula, grid: int | None, tol: float) -> tuple[Copula, tuple]:
+    """C lowered as ``_scan`` lowers it, and the scan to refute it on.
+
+    No board is tau-CM: at the midpoint of a cell of mass m both corner
+    boxes hold at least m/2^d.  So a board whose scan finds no defect above
+    ``tol`` is rebuilt, as the same measure, on its cuts plus its cell
+    midpoints, and scanned at those vertices.
+    """
+    C = _lowered(C, grid)
+    scan = _scan(C, grid)
+    if scan[0] <= tol and isinstance(C, CheckerboardCopula):
+        cuts = [merge_cuts(c, 0.5 * (c[:-1] + c[1:])) for c in C.cuts]
+        C = CheckerboardCopula(cuts, _split_cells(C, cuts))
+        scan = _scan(C, None)
+    return C, scan
+
+
 def tau_cm_certificate(C: Copula, grid: int | None = None) -> TauCmCertificate:
-    defect, worst, desc = tau_cm_defect(C, grid)
+    """The tau-CM verdict ``refute_minimality`` reaches without surgery: the
+    ``tau_cm_defect`` scan, except that a board it passes is scanned again
+    at its cell midpoints, where no board passes."""
+    _, (defect, worst, desc, _, _) = _refutable_scan(C, grid, DEFECT_TOL)
     return TauCmCertificate(desc, defect, worst)
 
 
@@ -485,12 +509,13 @@ def refute_minimality(
     ``as_board``) is refuted as that board: D is the tensor-surgery board,
     so refuting it again stays on boards.  Other inputs, and every input but
     a checkerboard when a ``grid`` is given, get a ``RefutedCopula`` node.
-    The refuter is one-sided: a TauCmCertificate does not prove minimality
-    (tau-CM non-minimal copulas exist in dimension >= 4).
+    A board is never certified: one whose scan finds no pair is refuted on
+    its cell midpoints (``_refutable_scan``).  The refuter is one-sided: a
+    TauCmCertificate does not prove minimality (tau-CM non-minimal copulas
+    exist in dimension >= 4).
     """
-    C = _lowered(C, grid)
     # one scan serves both outcomes: the corner pair, or the certificate
-    scan = _scan(C, grid)
+    C, scan = _refutable_scan(C, grid, tol)
     pair = _corner_pair(C, scan, tol)
     if pair is None:
         defect, worst, desc, _, _ = scan

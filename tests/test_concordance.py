@@ -30,8 +30,8 @@ from mincop import (
     spearman_rho,
     survival,
 )
-from mincop.concordance import kendall_integral, kendall_normalization
-from mincop.core import RefutedCopula
+from mincop.concordance import kendall_integral, kendall_normalization, spearman_normalization
+from mincop.core import _BOX_ROWS, RefutedCopula
 
 
 def kendall_min(d):
@@ -404,11 +404,12 @@ def test_dispatch_errors_name_functional_method_and_representation():
     W = make_basic("lower_frechet_2d", 2, "analytic")
     with pytest.raises(UnsupportedRepresentationError, match="kendall_tau.*exact.*Lower"):
         kendall_tau(W, method="exact")
-    C = ClaytonExtreme(3)
-    with pytest.raises(UnsupportedRepresentationError, match="pi_integral.*monte_carlo.*Clayton"):
-        pi_integral(C, method="monte_carlo")
-    with pytest.raises(UnsupportedRepresentationError, match="pi_integral.*auto.*Clayton"):
-        pi_integral(ClaytonExtreme(5))
+    # the Clayton node has no sampler: its Pi-integral averages Q^C[[x, 1]]
+    # over uniform draws x
+    for d, exact in ((3, 29 / 504), (4, 312691 / 15288000)):
+        rep = pi_integral(ClaytonExtreme(d), method="monte_carlo")
+        assert rep.estimate.method == "monte_carlo"
+        assert abs(rep.value - exact) <= rep.estimate.error_bound
 
 
 def test_tau_glue_rule_serves_the_method_its_halves_report():
@@ -459,3 +460,86 @@ def test_analytic_frechet_bounds_match_their_segment_twins(kind, d, rho, pi):
         assert np.all(pts == pts[:, :1])
     else:
         assert np.max(np.abs(pts.sum(axis=1) - 1.0)) <= 1e-15
+
+
+# -- Monte Carlo in row blocks ----------------------------------------------
+
+# the last block is partial
+BLOCKED_SAMPLES = 2 * _BOX_ROWS + 7
+
+
+def one_shot(vals):
+    """The mean and 3-sigma half-width of one full batch of values."""
+    return vals.mean(), 3.0 * vals.std(ddof=1) / np.sqrt(len(vals))
+
+
+def uniform_draws(d, seed=0):
+    return np.random.default_rng(seed).random((BLOCKED_SAMPLES, d))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ClaytonExtreme(3),
+        lambda: ClaytonExtreme(5),
+        lambda: random_checkerboard(3, 4, seed=5),
+        lambda: refute_minimality(make_basic("upper_frechet", 2)).copula,
+    ],
+    ids=["clayton_3", "clayton_5", "board", "refuted"],
+)
+def test_streamed_rho_equals_the_one_shot_batch(make):
+    C = make()
+    d = C.dim
+    P = uniform_draws(d)
+    mean, err = one_shot(0.5 * (C.cdf_many(P) + survival(C).cdf_many(P)))
+    norm = spearman_normalization(d)
+    est = spearman_rho(C, method="monte_carlo", samples=BLOCKED_SAMPLES).estimate
+    np.testing.assert_array_equal(
+        [est.value, est.error_bound], [norm * (mean - 2.0**-d), norm * err]
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_checkerboard(3, 4, seed=5), make_triangle_3d,
+     lambda: mixture_all_reflections(4)],
+    ids=["board", "triangle", "mixture_all_reflections_4"],
+)
+def test_streamed_kendall_equals_the_one_shot_batch(make):
+    C = make()
+    mean, err = one_shot(C.cdf_many(C.sample(0, BLOCKED_SAMPLES)))
+    est = kendall_integral(C, method="monte_carlo", samples=BLOCKED_SAMPLES)
+    np.testing.assert_array_equal([est.value, est.error_bound], [mean, err])
+
+
+@pytest.mark.parametrize(
+    "C, vals",
+    [
+        (ClaytonExtreme(3),
+         lambda C: C.box_mass_many(uniform_draws(3), np.ones((BLOCKED_SAMPLES, 3)))),
+        (random_checkerboard(3, 4, seed=5),
+         lambda C: C.sample(0, BLOCKED_SAMPLES).prod(axis=1)),
+    ],
+    ids=["clayton_3_uniform", "board_sampler"],
+)
+def test_streamed_pi_integral_equals_the_one_shot_batch(C, vals):
+    mean, err = one_shot(vals(C))
+    est = pi_integral(C, method="monte_carlo", samples=BLOCKED_SAMPLES).estimate
+    np.testing.assert_array_equal([est.value, est.error_bound], [mean, err])
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_batch():
+    # beyond the value array (8 bytes per sample) a streamed estimate holds
+    # one block; the parent's one-shot batch held ~110 bytes per sample
+    import tracemalloc
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            spearman_rho(ClaytonExtreme(4), method="monte_carlo", samples=samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 4 * _BOX_ROWS, 16 * _BOX_ROWS
+    assert peak(large) - peak(small) <= 24 * (large - small)

@@ -483,6 +483,21 @@ def test_refute_scans_once(monkeypatch, make, tau_cm):
         assert cert == tau_cm_certificate(C)
 
 
+@pytest.mark.parametrize("start", ["product", "upper_frechet"])
+def test_refute_refutes_a_board_without_a_vertex_pair(start):
+    # descend stops on a board with no refutable vertex; no board is tau-CM,
+    # and at the midpoint of a cell of mass m both corner boxes hold m/2^d
+    board = descend(make_basic(start, 2), n=16, max_iter=50).final
+    assert tau_cm_defect(board)[0] <= 1e-9
+    assert find_corner_pair(board) is None
+    cert = refute_minimality(board)
+    assert isinstance(cert, RefutationCertificate) and cert.passed
+    assert cert.p >= board.masses.max() / 4
+    certificate = tau_cm_certificate(board)
+    assert not certificate.passed
+    assert certificate.defect == cert.p
+
+
 def test_refuted_node_checks_corner_masses():
     with pytest.raises(Exception):
         RefutedCopula(make_basic("product", 2), np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.4)

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from mincop import (
+    CheckerboardCopula,
     RefutationCertificate,
     Relation,
     concordance_leq,
@@ -24,6 +25,21 @@ boards = st.builds(
     n=st.integers(min_value=2, max_value=6),
     seed=st.integers(min_value=0, max_value=10**6),
 )
+
+
+@st.composite
+def anti_diagonal_boards(draw):
+    """W's board on random cuts: cell (i, n-1-i) holds the first axis's
+    i-th width, so the second axis's widths run backwards.  No vertex has
+    mass in both of its corner boxes."""
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6)))
+    cuts = np.concatenate([[0.0], np.cumsum(w) / w.sum()])
+    cuts[-1] = 1.0
+    n = len(w)
+    masses = np.zeros((n, n))
+    masses[np.arange(n), n - 1 - np.arange(n)] = np.diff(cuts)
+    return CheckerboardCopula([cuts, 1.0 - cuts[::-1]], masses)
+
 
 reflection_sets = st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(set)
 
@@ -92,3 +108,12 @@ def test_refuter_sound_or_tau_cm(seed, d):
         assert again.relation == Relation.STRICTLY_BELOW
     else:
         assert cert.defect <= 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(boards, anti_diagonal_boards()))
+def test_every_board_is_refuted(board):
+    # every board has a density, so none is tau-CM: a board with no vertex
+    # pair is refuted at its cell midpoints
+    cert = refute_minimality(board)
+    assert isinstance(cert, RefutationCertificate) and cert.passed

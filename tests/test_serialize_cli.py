@@ -11,6 +11,7 @@ from mincop import (
     Permuted,
     Reflected,
     SpecError,
+    descend,
     make_basic,
     make_glue_product,
     make_mixture,
@@ -147,6 +148,15 @@ def test_cli_measure_rejects_fewer_than_two_samples(tmp_path, capsys, doc, flags
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_cli_measure_clayton_d5_serves_all_three_functionals(tmp_path, capsys):
+    # the Pi-integral has no quadrature above d = 4 and the Clayton node no
+    # sampler, so it takes uniform draws of Q^C[[x, 1]]
+    spec = write_spec(tmp_path, "c5.json", {"kind": "clayton_extreme", "dim": 5})
+    assert main(["measure", spec]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["spearman_rho"]["method"] == doc["pi_integral"]["method"] == "monte_carlo"
+
+
 def test_cli_measure_method_without_a_path_exits_one(tmp_path, capsys):
     spec = write_spec(tmp_path, "m3.json", {"kind": "upper_frechet", "dim": 3})
     assert main(["measure", spec, "--method", "exact"]) == 1
@@ -183,6 +193,17 @@ def test_cli_refute_board_witness_is_a_board(tmp_path, capsys):
         assert doc["result"] == "refuted"
         assert doc["witness_copula"]["kind"] == "checkerboard"
         spec = write_spec(tmp_path, name, doc["witness_copula"])
+
+
+def test_cli_no_board_passes_tau_cm(tmp_path, capsys):
+    # descend stops on a board with no refutable vertex; it is refuted and
+    # certified at its cell midpoints
+    board = descend(make_basic("product", 2), n=16, max_iter=50).final
+    spec = write_spec(tmp_path, "b.json", to_spec(board))
+    assert main(["certify", spec, "--tau-cm"]) == 1
+    assert json.loads(capsys.readouterr().out)["tau_cm"]["passed"] is False
+    assert main(["refute", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "refuted"
 
 
 def test_cli_order_shuffles(tmp_path, capsys):
