@@ -1,8 +1,12 @@
 """Command-line front door.
 
 Verbs: eval, measure, order, transform, refute, descend, certify, validate,
-reproduce, support.  Structured reports are JSON (sorted keys, versioned
-with a ``schema_version`` field); tables, traces and point clouds are CSV.
+reproduce, support.  Each verb maps the loaded spec and its arguments to a
+report and an exit code, and ``main`` writes every report through one
+writer, to ``--out`` or stdout.  The eight report verbs return a document,
+which the writer versions with a ``schema_version`` field and renders as
+``--format`` says: JSON (sorted keys) or ``key,value`` CSV (nested keys
+dotted, lists as JSON).  ``reproduce`` and ``support`` return CSV tables.
 Seeds are echoed in the output for replayability.
 
 Exit codes: 0 success, 1 validation/acceptance failure, 2 usage or spec
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,7 +29,7 @@ from .errors import InputError, MincopError, SpecError
 from .negdep import (
     GFunc,
     HyperplaneSpec,
-    RefutationCertificate,
+    TauCmCertificate,
     descend,
     hyperplane_mass,
     refute_minimality,
@@ -36,6 +41,9 @@ from .reference_values import build_rows, rows_to_csv
 from .transforms import discretize, permute, reflect
 
 REPORT_VERSION = 1
+
+# measure's flags and the functionals they select, in report order
+_FUNCTIONALS = (("tau", kendall_tau), ("rho", spearman_rho), ("pi", pi_integral))
 
 
 def _flatten(doc, prefix=""):
@@ -50,13 +58,18 @@ def _flatten(doc, prefix=""):
             yield name, val
 
 
-def _emit(doc, out: str | None, fmt: str = "json") -> None:
-    if fmt == "csv":
-        rows = ["key,value"] + [f"{k},{v}" for k, v in _flatten(doc)]
-        text = "\n".join(rows) + "\n"
-    else:
-        text = json.dumps(doc, sort_keys=True, indent=2, default=_jsonify) + "\n"
-    _write_text(text, out)
+def _emit(report, out: str | None, fmt: str) -> None:
+    """Write a verb's report: CSV text as it is, a document versioned and
+    rendered as ``fmt``.  A document with its own version (a spec) keeps
+    it."""
+    if isinstance(report, dict):
+        doc = {"schema_version": REPORT_VERSION, **report}
+        if fmt == "csv":
+            rows = ["key,value"] + [f"{k},{v}" for k, v in _flatten(doc)]
+            report = "\n".join(rows) + "\n"
+        else:
+            report = json.dumps(doc, sort_keys=True, indent=2, default=_jsonify) + "\n"
+    _write_text(report, out)
 
 
 def _jsonify(obj):
@@ -83,131 +96,77 @@ def _numbers(text: str, kind=float) -> list:
         raise InputError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _order_doc(res) -> dict:
-    return {
-        "relation": res.relation,
-        "witness_points": [list(w) for w in res.witness_points],
-        "max_violation": res.max_violation,
-        "grid_used": res.grid_used,
-        "exact": res.exact,
-        "tol": res.tol,
-    }
+def _tau_cm_doc(cert: TauCmCertificate) -> dict:
+    return {"defect": cert.defect, "worst_point": list(cert.worst_point), "grid": cert.grid}
 
 
-def _report_doc(rep) -> dict:
-    return {
-        "name": rep.name,
-        "dim": rep.dim,
-        "value": rep.value,
-        "method": rep.estimate.method,
-        "error_bound": rep.estimate.error_bound,
-        "samples_or_nodes": rep.estimate.samples_or_nodes,
-        "normalization": rep.normalization,
-    }
-
-
-def _cmd_eval(args) -> int:
-    C = serialize.load(args.copula)
+def _cmd_eval(C, args):
     u = _numbers(args.point)
     value = C.survival_value(u) if args.survival else C.cdf(u)
-    _emit(
-        {
-            "schema_version": REPORT_VERSION,
-            "point": u,
-            "value": value,
-            "survival": bool(args.survival),
-        },
-        args.out,
-        args.format,
-    )
-    return 0
+    return {"point": u, "value": value, "survival": bool(args.survival)}, 0
 
 
-def _cmd_measure(args) -> int:
-    C = serialize.load(args.copula)
-    doc = {"schema_version": REPORT_VERSION, "seed": args.seed}
-    wanted = args.tau or args.rho or args.pi
-    if args.tau or not wanted:
-        doc["kendall_tau"] = _report_doc(
-            kendall_tau(C, method=args.method, samples=args.samples, seed=args.seed)
-        )
-    if args.rho or not wanted:
-        doc["spearman_rho"] = _report_doc(
-            spearman_rho(C, method=args.method, samples=args.samples, seed=args.seed)
-        )
-    if args.pi or not wanted:
-        doc["pi_integral"] = _report_doc(
-            pi_integral(C, method=args.method, samples=args.samples, seed=args.seed)
-        )
-    _emit(doc, args.out, args.format)
-    return 0
+def _cmd_measure(C, args):
+    doc = {"seed": args.seed}
+    chosen = [f for flag, f in _FUNCTIONALS if getattr(args, flag)]
+    for functional in chosen or [f for _, f in _FUNCTIONALS]:
+        rep = functional(C, method=args.method, samples=args.samples, seed=args.seed)
+        doc[functional.__name__] = {
+            "name": rep.name,
+            "dim": rep.dim,
+            "value": rep.value,
+            "method": rep.estimate.method,
+            "error_bound": rep.estimate.error_bound,
+            "samples_or_nodes": rep.estimate.samples_or_nodes,
+            "normalization": rep.normalization,
+        }
+    return doc, 0
 
 
-def _cmd_order(args) -> int:
-    C = serialize.load(args.copula)
+def _cmd_order(C, args):
     D = serialize.load(args.other)
-    doc = {
-        "schema_version": REPORT_VERSION,
-        "pointwise": _order_doc(pointwise_leq(C, D, grid=args.grid, tol=args.tol)),
-        "concordance": _order_doc(concordance_leq(C, D, grid=args.grid, tol=args.tol)),
-    }
-    _emit(doc, args.out, args.format)
-    return 0
+    return {
+        "pointwise": asdict(pointwise_leq(C, D, grid=args.grid, tol=args.tol)),
+        "concordance": asdict(concordance_leq(C, D, grid=args.grid, tol=args.tol)),
+    }, 0
 
 
-def _cmd_transform(args) -> int:
-    C = serialize.load(args.copula)
+def _cmd_transform(C, args):
     if args.reflect:
         C = reflect(C, _numbers(args.reflect, int))
     if args.permute:
         C = permute(C, _numbers(args.permute, int))
     if args.discretize:
         C = discretize(C, args.discretize)
-    _emit(serialize.to_spec(C), args.out, args.format)
-    return 0
+    return serialize.to_spec(C), 0
 
 
-def _cmd_refute(args) -> int:
-    C = serialize.load(args.copula)
+def _cmd_refute(C, args):
     cert = refute_minimality(C, grid=args.grid, tol=args.tol)
-    if isinstance(cert, RefutationCertificate):
-        doc = {
-            "schema_version": REPORT_VERSION,
-            "result": "refuted",
-            "a": cert.a.tolist(),
-            "b": cert.b.tolist(),
-            "p": cert.p,
-            "rho_drop": cert.rho_drop,
-            "margin_defect": cert.margin_defect,
-            "order_check": _order_doc(cert.order_check),
-            "witness_copula": serialize.to_spec(cert.copula),
-        }
-    else:
-        doc = {
-            "schema_version": REPORT_VERSION,
-            "result": "tau_cm",
-            "defect": cert.defect,
-            "worst_point": list(cert.worst_point),
-            "grid": cert.grid,
-        }
-    _emit(doc, args.out, args.format)
-    return 0
+    if isinstance(cert, TauCmCertificate):
+        return {"result": "tau_cm", **_tau_cm_doc(cert)}, 0
+    return {
+        "result": "refuted",
+        "a": cert.a.tolist(),
+        "b": cert.b.tolist(),
+        "p": cert.p,
+        "rho_drop": cert.rho_drop,
+        "margin_defect": cert.margin_defect,
+        "order_check": asdict(cert.order_check),
+        "witness_copula": serialize.to_spec(cert.copula),
+    }, 0
 
 
-def _cmd_descend(args) -> int:
-    C = serialize.load(args.copula)
+def _cmd_descend(C, args):
     res = descend(C, n=args.n, max_iter=args.max_iter, tol=args.tol)
     if args.trace_out:
         _write_text(trace_csv(res.trace), args.trace_out)
-    doc = {
-        "schema_version": REPORT_VERSION,
+    return {
         "status": res.status,
         "iterations": len(res.trace),
         "final_defect": res.trace[-1].defect if res.trace else None,
         "final_copula": serialize.to_spec(res.final),
-    }
-    _emit(doc, args.out, args.format)
-    return 0 if res.status == "converged" else 1
+    }, 0 if res.status == "converged" else 1
 
 
 def _parse_hyperplane(path: str) -> HyperplaneSpec:
@@ -228,17 +187,12 @@ def _parse_hyperplane(path: str) -> HyperplaneSpec:
         raise SpecError(f"{path}: malformed hyperplane spec ({exc})") from None
 
 
-def _cmd_certify(args) -> int:
-    C = serialize.load(args.copula)
-    doc = {"schema_version": REPORT_VERSION}
+def _cmd_certify(C, args):
+    # --tol judges both sections: the tau-CM defect and the band's missing mass
+    doc = {}
     if args.tau_cm or not args.k_cm:
-        cert = tau_cm_certificate(C, grid=args.grid)
-        doc["tau_cm"] = {
-            "defect": cert.defect,
-            "worst_point": list(cert.worst_point),
-            "grid": cert.grid,
-            "passed": cert.passed,
-        }
+        cert = tau_cm_certificate(C, grid=args.grid, tol=args.tol)
+        doc["tau_cm"] = {**_tau_cm_doc(cert), "passed": cert.passed}
     if args.k_cm:
         spec = _parse_hyperplane(args.k_cm)
         mass = hyperplane_mass(C, spec, eps=args.eps)
@@ -249,30 +203,22 @@ def _cmd_certify(args) -> int:
             "band_mass": mass,
             "certified": mass >= 1.0 - args.tol,
         }
-    _emit(doc, args.out, args.format)
-    ok = all(section.get("passed", section.get("certified", True)) for section in doc.values() if isinstance(section, dict))
-    return 0 if ok else 1
+    ok = all(section.get("passed", section.get("certified")) for section in doc.values())
+    return doc, 0 if ok else 1
 
 
-def _cmd_validate(args) -> int:
-    C = serialize.load(args.copula)
+def _cmd_validate(C, args):
     rep = validate(C, resolution=args.grid)
-    _emit(
-        {
-            "schema_version": REPORT_VERSION,
-            "worst_negative_mass": rep.worst_negative_mass,
-            "worst_margin_defect": rep.worst_margin_defect,
-            "worst_grounding_defect": rep.worst_grounding_defect,
-            "grid": rep.grid,
-            "passed": rep.passed,
-        },
-        args.out,
-        args.format,
-    )
-    return 0 if rep.passed else 1
+    return {
+        "worst_negative_mass": rep.worst_negative_mass,
+        "worst_margin_defect": rep.worst_margin_defect,
+        "worst_grounding_defect": rep.worst_grounding_defect,
+        "grid": rep.grid,
+        "passed": rep.passed,
+    }, 0 if rep.passed else 1
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(_, args):
     if args.target != "paper-values":
         raise InputError(f"unknown reproduce target {args.target!r}")
     rows = build_rows(
@@ -282,22 +228,19 @@ def _cmd_reproduce(args) -> int:
             file=sys.stderr,
         )
     )
-    _write_text(rows_to_csv(rows), args.out)
     failed = [r for r in rows if not r.passed]
     print(
         f"{len(rows) - len(failed)}/{len(rows)} rows passed", file=sys.stderr
     )
-    return 0 if not failed else 1
+    return rows_to_csv(rows), 0 if not failed else 1
 
 
-def _cmd_support(args) -> int:
-    C = serialize.load(args.copula)
+def _cmd_support(C, args):
     pts = sample(C, args.seed, args.samples)
     header = ",".join(f"u{k + 1}" for k in range(C.dim))
     body = "\n".join(",".join(f"{x:.12g}" for x in row) for row in pts)
-    _write_text(header + "\n" + body + "\n", args.out)
     print(f"seed={args.seed} samples={args.samples}", file=sys.stderr)
-    return 0
+    return header + "\n" + body + "\n", 0
 
 
 def _tolerance(text: str) -> float:
@@ -416,7 +359,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        C = serialize.load(args.copula) if "copula" in args else None
+        report, code = args.func(C, args)
+        _emit(report, args.out, getattr(args, "format", "json"))
+        return code
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

@@ -105,15 +105,17 @@ BISECT_TOL = 1e-12
 @dataclass(frozen=True)
 class TauCmCertificate:
     """Grid-level tau-CM certificate: the worst interior value of
-    min{C(u), Q^C[[u,1]]} and where it occurred."""
+    min{C(u), Q^C[[u,1]]}, where it occurred, and the tolerance the verdict
+    was reached with."""
 
     grid: str
     defect: float
     worst_point: tuple
+    tol: float = DEFECT_TOL
 
     @property
     def passed(self) -> bool:
-        return self.defect <= DEFECT_TOL
+        return self.defect <= self.tol
 
 
 def _lowered(C: Copula, grid: int | None) -> Copula:
@@ -177,12 +179,14 @@ def _refutable_scan(C: Copula, grid: int | None, tol: float) -> tuple[Copula, tu
     return C, scan
 
 
-def tau_cm_certificate(C: Copula, grid: int | None = None) -> TauCmCertificate:
+def tau_cm_certificate(
+    C: Copula, grid: int | None = None, tol: float = DEFECT_TOL
+) -> TauCmCertificate:
     """The tau-CM verdict ``refute_minimality`` reaches without surgery: the
-    ``tau_cm_defect`` scan, except that a board it passes is scanned again
-    at its cell midpoints, where no board passes."""
-    _, (defect, worst, desc, _, _) = _refutable_scan(C, grid, DEFECT_TOL)
-    return TauCmCertificate(desc, defect, worst)
+    ``tau_cm_defect`` scan, except that a board it passes at ``tol`` is
+    scanned again at its cell midpoints, where no board passes."""
+    _, (defect, worst, desc, _, _) = _refutable_scan(C, grid, tol)
+    return TauCmCertificate(desc, defect, worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +523,7 @@ def refute_minimality(
     pair = _corner_pair(C, scan, tol)
     if pair is None:
         defect, worst, desc, _, _ = scan
-        return TauCmCertificate(desc, defect, worst)
+        return TauCmCertificate(desc, defect, worst, tol)
     a, b, p = pair.a, pair.b, pair.p
     if isinstance(C, CheckerboardCopula):
         # the surgery on the refined grid is exact, and so is the order check

@@ -758,6 +758,17 @@ def test_descend_product_64_converges_without_false_stall():
     assert res.status == "converged"
 
 
+def test_descend_stalls_when_the_kendall_integral_stops_dropping():
+    # coarsening to 5 cells per axis undoes part of each d=3 surgery, so the
+    # integral stops dropping before the board converges
+    patience = 2
+    res = descend(make_basic("product", 3), n=4, max_iter=60, cut_cap=5, stall_patience=patience)
+    assert res.status == "stalled"
+    assert np.isnan(res.trace[-1].p)
+    best = min(s.kendall_integral for s in res.trace[:-patience])
+    assert all(s.kendall_integral >= best - 1e-15 for s in res.trace[-patience:])
+
+
 def test_descend_rejects_tiny_grids():
     with pytest.raises(Exception):
         descend(make_basic("product", 2), n=2)

@@ -11,7 +11,9 @@ from mincop import (
     Permuted,
     Reflected,
     SpecError,
+    TauCmCertificate,
     descend,
+    kendall_tau,
     make_basic,
     make_glue_product,
     make_mixture,
@@ -21,6 +23,7 @@ from mincop import (
     random_checkerboard,
     refute_minimality,
     shuffle_a,
+    tau_cm_certificate,
     to_spec,
 )
 from mincop.cli import main
@@ -385,6 +388,50 @@ def test_cli_tol_reaches_the_verbs_that_read_it(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"] == "tau_cm"
     assert main(["certify", spec, "--tau-cm", "--tol", "1e-9"]) == 0
     assert main(["order", spec, spec, "--tol", "1e-9", "--grid", "4"]) == 0
+
+
+MIXTURE_NEAR_W = {
+    "kind": "mixture",
+    "dim": 2,
+    "parts": [
+        {"weight": 0.999999, "copula": {"kind": "lower_frechet", "dim": 2}},
+        {"weight": 0.000001, "copula": {"kind": "product", "dim": 2}},
+    ],
+}
+
+
+def test_cli_tau_cm_verdict_reads_its_tol(tmp_path, capsys):
+    # a tau-CM defect of 2.5e-7 fails at the default 1e-9 and passes at 1e-3
+    spec = write_spec(tmp_path, "mix.json", MIXTURE_NEAR_W)
+    C = parse_spec(MIXTURE_NEAR_W)
+    assert tau_cm_certificate(C).passed is False
+    assert tau_cm_certificate(C, tol=1e-3).passed is True
+    cert = refute_minimality(C, tol=1e-3)
+    assert isinstance(cert, TauCmCertificate) and cert.passed is True
+    assert main(["certify", spec, "--tau-cm"]) == 1
+    assert json.loads(capsys.readouterr().out)["tau_cm"]["passed"] is False
+    assert main(["certify", spec, "--tau-cm", "--tol", "1e-3"]) == 0
+    doc = json.loads(capsys.readouterr().out)["tau_cm"]
+    assert doc["passed"] is True and doc["defect"] == pytest.approx(2.5e-7)
+    assert main(["refute", spec, "--tol", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "tau_cm"
+
+
+def test_cli_csv_report_flattens_nested_keys(tmp_path, capsys):
+    board = random_checkerboard(2, 3, seed=0)
+    spec = write_spec(tmp_path, "board.json", to_spec(board))
+    assert main(["refute", spec, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "key,value"
+    assert "schema_version,1" in lines
+    assert "order_check.relation,strictly_below" in lines
+    # a list value is one JSON cell, commas and all
+    rows = dict(line.split(",", 1) for line in lines[1:])
+    assert rows["a"].startswith("[") and len(json.loads(rows["a"])) == 2
+    assert main(["measure", spec, "--tau", "--format", "csv"]) == 0
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
+    assert float(rows["kendall_tau.value"]) == kendall_tau(board).value
+    assert "spearman_rho.value" not in rows
 
 
 def test_cli_reproduce_writes_the_passing_table(tmp_path, capsys):
