@@ -10,7 +10,7 @@ dotted, lists as JSON).  ``reproduce`` and ``support`` return CSV tables.
 Seeds are echoed in the output for replayability.
 
 Exit codes: 0 success, 1 validation/acceptance failure, 2 usage or spec
-error.
+error, or an ``--out``/``--trace-out`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -80,12 +80,19 @@ def _jsonify(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
+class _Unwritable(Exception):
+    """An ``--out`` or ``--trace-out`` file that cannot be written."""
+
+
 def _write_text(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _numbers(text: str, kind=float) -> list:
@@ -368,6 +375,9 @@ def main(argv=None) -> int:
         return 2
     except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except _Unwritable as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except MincopError as exc:
         print(f"error: {exc}", file=sys.stderr)

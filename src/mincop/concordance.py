@@ -24,12 +24,15 @@ takes the first that applies, a named method the first of its kind.
   extreme Clayton) they take tensor Gauss-Legendre for d <= 4, then Monte
   Carlo: rho over uniform draws, the Pi-integral over C's sampler, or
   without one over uniform draws x of Q^C[[x, 1]].  The
-  quadrature evaluates on the tensor grid of the Gauss nodes (``cdf_grid``,
-  ``box_mass_grid``), with each node's weight the left-to-right product of
-  its axes' weights: rho reads tau C as a box mass of C
-  (``Reflected.cdf_grid``), and the Pi-integral integrates Q^C[[x, 1]];
-  the extreme Clayton computes its cdf and such box masses on one
-  separable kernel, which takes g once per node and phi's integer power by
+  quadrature evaluates on the tensor grid of the Gauss nodes, with each
+  node's weight the left-to-right product of its axes' weights: rho reads
+  tau C as a box mass of C (``Reflected.cdf_grid``), and the Pi-integral
+  integrates Q^C[[x, 1]] (``_box_mass_lattice`` on the grid's lattice).
+  Every box [1 - u, 1] or [x, 1] passes its upper face as the float 1.0,
+  on the grid and on the uniform draws alike; the extreme Clayton
+  computes its cdf and such box masses on one separable kernel, which
+  takes g once per node and once per float face, phi at the shape of each
+  corner's g-sum (once for the all-ones corner) and phi's integer power by
   repeated products.
 
 Quadrature reports the difference to a coarser rule, Monte Carlo a 3-sigma
@@ -62,6 +65,7 @@ from .core import (
     UpperFrechet,
     _BOX_ROWS,
     _gauss_nodes,
+    _lattice,
 )
 from .errors import InputError, UnsupportedRepresentationError
 from .transforms import discretize, reflect, survival
@@ -378,15 +382,16 @@ def pi_integral(
     order preserving.  ``method`` is one of ``_METHODS``; any other
     name raises InputError, and so does ``samples`` below 2."""
     _check_samples(samples)
+    upper = [1.0] * C.dim  # the box [x, 1]'s upper face on every axis
     est = _dispatch("pi_integral", C, method, (
         ("exact", lambda C: _moment_mean(C, MOMENT_V)),
         # E[prod V_k] = int Q^C[[x, 1]] dx (Fubini on the indicator of [x, 1])
         ("quadrature", lambda C: _cube_quadrature(
-            C, quad_nodes, lambda ax: C.box_mass_grid(ax, [np.ones(len(a)) for a in ax]))),
+            C, quad_nodes, lambda ax: C._box_mass_lattice(_lattice(ax), upper))),
         ("monte_carlo", lambda C: _sampled(C, seed, samples, lambda V: V.prod(axis=1))),
         # without a sampler, over uniform draws x of the same Q^C[[x, 1]]
         ("monte_carlo", lambda C: _uniform(
-            C.dim, seed, samples, lambda x: C.box_mass_many(x, np.ones_like(x)))),
+            C.dim, seed, samples, lambda x: C._box_mass_lattice(x.T, upper))),
     ))
     return FunctionalReport("pi_integral", C.dim, est, 1.0)
 

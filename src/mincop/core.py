@@ -31,12 +31,16 @@ Analytic nodes (``UpperFrechet``, ``LowerFrechet2d``, ``ProductCopula``,
 
 Each query has a batch form (``cdf_many``, ``box_mass_many`` on (N, d)
 arrays) and a lattice form (``cdf_grid``, ``box_mass_grid`` on a product
-grid), by default the batch form on ``grid_points``.  Segment copulas and
-the extreme Clayton, whose cdfs separate by axis, run both forms through
-one kernel over per-axis coordinate arrays that broadcast: a batch is the
-lattice whose axes all lie along axis 0.  A glue product's lattice is the
-outer product of its halves', a reflection's its inner copula's box masses
-on the reflected lattice.
+grid), by default the batch form on ``grid_points``.  Both meet in one
+per-axis entry point, ``_box_mass_lattice(lo, hi)``: each box face is an
+array that broadcasts to the lattice (a batch is the lattice whose axes
+all lie along axis 0) or a float constant over it, 0.0 as a lower face
+and 1.0 as an upper one.  Segment copulas and the extreme Clayton, whose
+cdfs separate by axis, override it with their kernels, which take a float
+face once; the default writes the faces out as (N, d) points for
+``box_mass_many``.  A glue product's lattice is the outer product of its
+halves', a reflection's (and a survival copula's) one call of its inner
+copula's entry point, with the faces that are constant left as floats.
 
 All values are immutable after construction and safe to share.  Evaluation
 is vectorised with numpy and deterministic; sampling is deterministic given
@@ -298,12 +302,27 @@ class Copula:
         """Q^C[[lo, hi]] for every box of the product grid, as the C-order
         tensor of shape ``[len(a) for a in hi_axes]``: the box at index i has
         lo_k = lo_axes[k][i_k] and hi_k = hi_axes[k][i_k], so each axis
-        holds as many lo nodes as hi nodes.  The default is
-        ``box_mass_many`` on the two grids' points.
+        holds as many lo nodes as hi nodes: ``_box_mass_lattice`` on the
+        two grids' lattices.
         """
-        return self.box_mass_many(grid_points(lo_axes), grid_points(hi_axes)).reshape(
-            [len(a) for a in hi_axes]
-        )
+        flat = self._box_mass_lattice(_lattice(lo_axes), _lattice(hi_axes))
+        return flat.reshape([len(a) for a in hi_axes])
+
+    def _box_mass_lattice(self, lo, hi) -> np.ndarray:
+        """Q^C[[lo, hi]] at every point of a lattice, flat in C order.
+
+        ``lo[k]`` and ``hi[k]`` are axis k's faces: arrays that broadcast to
+        the lattice (a batch's columns all lie along its one axis), or
+        floats, 0.0 as a lower face and 1.0 as an upper one, constant over
+        the lattice.  The default writes the lattice's points out and calls
+        ``box_mass_many``; the separable kernels override it and take a
+        float face once.
+        """
+        d = self.dim
+        Lo, Hi = np.empty((2,) + np.broadcast(*lo, *hi).shape + (d,))
+        for k in range(d):
+            Lo[..., k], Hi[..., k] = lo[k], hi[k]
+        return self.box_mass_many(Lo.reshape(-1, d), Hi.reshape(-1, d))
 
     def box_mass(self, lo, hi) -> float:
         Lo = as_points(lo, self.dim)
@@ -314,7 +333,7 @@ class Copula:
 
     def survival_many(self, U: np.ndarray) -> np.ndarray:
         """(tau C)(u) = Q^C[[1-u, 1]], the survival-copula value."""
-        return self.box_mass_many(1.0 - U, np.ones_like(U))
+        return self._box_mass_lattice((1.0 - U).T, [1.0] * self.dim)
 
     def survival_value(self, u) -> float:
         return float(self.survival_many(as_points(u, self.dim))[0])
@@ -570,21 +589,23 @@ class SegmentCopula(Copula):
         """Per segment and lattice point: the t-interval [t0, t1] where
         lo <= gamma(t) <= hi.
 
-        ``lo[k]`` and ``hi[k]`` are axis k's coordinates, arrays that
-        broadcast to the lattice (a batch's columns all lie along its one
-        axis); lo[k] may be 0.0.  One pass per axis folds the crossings
-        (lo_k - s_k)/dir_k and (hi_k - s_k)/dir_k, with the segments on a
-        new first axis, into running bounds t0 (max over axes of the
-        smaller) and t1 (min of the larger), then clips both to [0, 1].
+        ``lo[k]`` and ``hi[k]`` are axis k's faces as in
+        ``Copula._box_mass_lattice``: arrays that broadcast to the lattice,
+        or floats, whose crossings are taken once per segment.  One pass
+        per axis folds the crossings (lo_k - s_k)/dir_k and
+        (hi_k - s_k)/dir_k, with the segments on a new first axis, into
+        running bounds t0 (max over axes of the smaller) and t1 (min of the
+        larger), then clips both to [0, 1].
         """
-        pad = (Ellipsis,) + (None,) * np.ndim(hi[0])
+        # the lattice's rank (np.ndim is several times slower on a float)
+        pad = (Ellipsis,) + (None,) * max(getattr(x, "ndim", 0) for x in (*lo, *hi))
         starts, dirs = self.starts.T[pad], self.dirs.T[pad]
         for k in range(self.dim):
             s, dirv = starts[k], dirs[k]
             r_lo = (lo[k] - s) / dirv
             r_hi = (hi[k] - s) / dirv
             upper = np.maximum(r_lo, r_hi)
-            lower = np.minimum(r_lo, r_hi, out=r_hi)
+            lower = np.minimum(r_lo, r_hi, out=r_hi if r_hi.shape == upper.shape else None)
             if k == 0:
                 t0, t1 = lower, upper
             else:
@@ -593,7 +614,7 @@ class SegmentCopula(Copula):
                 t1 = np.minimum(t1, upper, out=t1 if t1.shape == upper.shape else None)
         return np.clip(t0, 0.0, 1.0, out=t0), np.clip(t1, 0.0, 1.0, out=t1)
 
-    def _lattice_mass(self, lo, hi) -> np.ndarray:
+    def _box_mass_lattice(self, lo, hi) -> np.ndarray:
         """Q^C[[lo, hi]] at every lattice point, flat in C order (so that a
         batch gets an array that owns its data, which numpy's arithmetic
         reuses in place, as it cannot a reshaped view)."""
@@ -603,20 +624,14 @@ class SegmentCopula(Copula):
         return self.masses @ length.reshape(len(self.masses), -1)
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        return self._lattice_mass([0.0] * self.dim, U.T)
+        return self._box_mass_lattice([0.0] * self.dim, U.T)
 
     def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        return self._lattice_mass(Lo.T, Hi.T)
+        return self._box_mass_lattice(Lo.T, Hi.T)
 
     def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        flat = self._lattice_mass([0.0] * self.dim, _lattice(axes))
+        flat = self._box_mass_lattice([0.0] * self.dim, _lattice(axes))
         return flat.reshape([len(a) for a in axes])
-
-    def box_mass_grid(
-        self, lo_axes: Sequence[np.ndarray], hi_axes: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        flat = self._lattice_mass(_lattice(lo_axes), _lattice(hi_axes))
-        return flat.reshape([len(a) for a in hi_axes])
 
     @property
     def is_samplable(self) -> bool:
@@ -760,14 +775,16 @@ class ClaytonExtreme(Copula):
 
     Its measure concentrates on the surface sum_k g(u_k) = d-1.
     At d=2 the formula reduces to W.  The sum is separable, so one kernel,
-    ``_phi_lattice``, serves the cdf and box masses of batches and
-    lattices: g once per node, phi once per corner; the cdf is the box
-    from the origin, its hi corner alone.  phi's integer
-    power is d-2 repeated products: most arguments of phi are exactly 0,
-    and ``np.power`` falls off its fast path on zeros (several times
-    slower per element than a product).  Products give ``np.power``'s bits
-    for d <= 3 and stay within a few ulps of it above (at most 1, 2 and 3
-    ulps measured at d = 4, 5, 6), with zeros in the same places.
+    ``_box_mass_lattice``, serves the cdf and box masses of batches and
+    lattices: g once per node (once in all on a float face such as a
+    survival box's upper face 1.0), phi once per corner at the shape of
+    its g-sum; the cdf is the box from the origin, its hi corner alone.
+    phi's integer power is d-2 repeated products: most arguments of phi
+    are exactly 0, and ``np.power`` falls off its fast path on zeros
+    (several times slower per element than a product).  Products give
+    ``np.power``'s bits for d <= 3 and stay within a few ulps of it above
+    (at most 1, 2 and 3 ulps measured at d = 4, 5, 6), with zeros in the
+    same places.
     """
 
     def __init__(self, dim: int):
@@ -776,59 +793,69 @@ class ClaytonExtreme(Copula):
             raise InputError("copulas need dimension >= 2")
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        return self._phi_lattice([0.0] * self.dim, U.T)
+        return self._box_mass_lattice([0.0] * self.dim, U.T)
 
     def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        return self._phi_lattice(Lo.T, Hi.T)
+        return self._box_mass_lattice(Lo.T, Hi.T)
 
     def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return self._phi_lattice([0.0] * self.dim, _lattice(axes))
+        flat = self._box_mass_lattice([0.0] * self.dim, _lattice(axes))
+        return flat.reshape([len(a) for a in axes])
 
-    def box_mass_grid(
-        self, lo_axes: Sequence[np.ndarray], hi_axes: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        return self._phi_lattice(_lattice(lo_axes), _lattice(hi_axes))
-
-    def _phi_lattice(self, lo, hi) -> np.ndarray:
-        """Q^C[[lo, hi]] at every lattice point (``lo[k]``, ``hi[k]`` as in
-        ``SegmentCopula._lattice_interval``), in blocks of at most
+    def _box_mass_lattice(self, lo, hi) -> np.ndarray:
+        """Q^C[[lo, hi]] at every lattice point (faces as in
+        ``Copula._box_mass_lattice``), flat in C order, in blocks of at most
         _BOX_ROWS points: the sum over the box corners, walked as
         ``Copula.box_mass_many`` walks them, of (-1)^{lo sides}
-        phi(sum_k g_k), with g taken once per node and block.  An axis
-        whose lo is 0 everywhere takes only its hi side.
+        phi(sum_k g_k).  g is taken once per float face (g(1.0) is exactly
+        1.0) and once per node and block of an array face; an axis whose lo
+        is 0 everywhere takes only its hi side.  phi runs at the shape of
+        its corner's g-sum and is added into the block by broadcasting, so
+        a corner whose sum is constant along an axis is evaluated once
+        along it (the all-hi corner of a survival box once in all).
         """
         d = self.dim
         e = 1.0 / (d - 1)
         free = [np.any(x) for x in lo]
-        shape = np.broadcast(*hi).shape
+        shape = np.broadcast(*lo, *hi).shape
         out = np.zeros(shape)
 
-        def g(x, block):
+        def g(x):
+            """block -> g of face x on the block; a float face's g is taken
+            here, once."""
+            if not isinstance(x, np.ndarray):
+                gx = np.power(x, e)
+                return lambda block: gx
             # the block's part of x, whole along the axes x broadcasts on
-            part = tuple(b if n > 1 else slice(None) for b, n in zip(block, x.shape))
-            return np.power(x[part], e)
+            return lambda block: np.power(
+                x[tuple(b if n > 1 else slice(None) for b, n in zip(block, x.shape))], e
+            )
 
+        g_lo = [g(x) if f else None for x, f in zip(lo, free)]
+        g_hi = [g(x) for x in hi]
         for block in _lattice_blocks(shape):
             sides = [
-                ((g(lo_k, block), 1), (g(hi_k, block), 0)) if f else ((g(hi_k, block), 0),)
-                for lo_k, hi_k, f in zip(lo, hi, free)
+                ((gl(block), 1), (gh(block), 0)) if f else ((gh(block), 0),)
+                for gl, gh, f in zip(g_lo, g_hi, free)
             ]
             acc = out[block]
             x = np.empty(acc.shape)
             y = np.empty(acc.shape)
             for s, lows in _corner_fold(sides, np.add):
-                np.subtract(s, d - 1, out=x)
-                np.maximum(x, 0.0, out=x)
-                np.copyto(y, x)
+                # a sum narrower than the block gets buffers of its own shape
+                xs, ys = (x, y) if s.shape == acc.shape else (np.empty(s.shape), np.empty(s.shape))
+                np.subtract(s, d - 1, out=xs)
+                np.maximum(xs, 0.0, out=xs)
+                np.copyto(ys, xs)
                 for _ in range(d - 2):
-                    y *= x
+                    ys *= xs
                 if lows % 2:
-                    acc -= y
+                    acc -= ys
                 else:
-                    acc += y
+                    acc += ys
             # free this block's g and buffers before the next block's exist
-            del sides, s, x, y
-        return out
+            del sides, s, x, y, xs, ys
+        return out.ravel()
 
 
 def _along(v: np.ndarray, k: int, d: int) -> np.ndarray:
@@ -883,8 +910,11 @@ class Reflected(Copula):
 
         (nu_K C)(u) = Q^C[ prod_k I_k ],  I_k = [1-u_k, 1] on K, [0, u_k] off K,
 
-    so the inner copula's ``box_mass_many`` does the inclusion-exclusion,
-    over the 2^|K| corners of the reflected axes (lo is 0 elsewhere).
+    so one call of the inner copula's ``_box_mass_lattice`` does the
+    inclusion-exclusion, over the 2^|K| corners of the reflected axes.  The
+    constant faces go in as floats (lo = 0.0 off K, hi = 1.0 on K), so a
+    separable inner copula takes them once and no (N, d) copy of either
+    face is made; any other inner copula gets them written out.
     """
 
     def __init__(self, inner: Copula, K: Iterable[int]):
@@ -895,18 +925,19 @@ class Reflected(Copula):
         self.K = K
         self.dim = inner.dim
 
+    def _faces(self, u) -> tuple[list, list]:
+        """The box faces of the lattice with per-axis coordinates ``u``:
+        lo = 1 - u_k and hi = 1.0 on K, lo = 0.0 and hi = u_k off K."""
+        lo = [1.0 - x if k in self.K else 0.0 for k, x in enumerate(u)]
+        hi = [1.0 if k in self.K else x for k, x in enumerate(u)]
+        return lo, hi
+
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        on_K = np.array([k in self.K for k in range(self.dim)])
-        Lo = 1.0 - U
-        Lo[:, ~on_K] = 0.0
-        return self.inner.box_mass_many(Lo, np.where(on_K, 1.0, U))
+        return self.inner._box_mass_lattice(*self._faces(U.T))
 
     def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        # per axis, lo = 1 - a and hi = 1 on K, lo = 0 and hi = a off K
-        axes = [np.asarray(a, dtype=float) for a in axes]
-        lo = [1.0 - a if k in self.K else np.zeros(len(a)) for k, a in enumerate(axes)]
-        hi = [np.ones(len(a)) if k in self.K else a for k, a in enumerate(axes)]
-        return self.inner.box_mass_grid(lo, hi)
+        flat = self.inner._box_mass_lattice(*self._faces(_lattice(axes)))
+        return flat.reshape([len(a) for a in axes])
 
     @property
     def is_samplable(self) -> bool:

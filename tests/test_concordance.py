@@ -322,6 +322,25 @@ def test_clayton_auto_estimates_bound_the_exact_value(functional, d, exact):
     assert abs(rep.value - exact) <= rep.estimate.error_bound
 
 
+# the same auto estimates' value and error bound, to the last bit: the
+# kernel's float box faces and narrow corners add the values the (N, d)
+# faces of ones gave, in the same order
+CLAYTON_AUTO_BITS = [
+    (spearman_rho, 3, "-0.4666692848228805", "2.9112622717542003e-05"),
+    (spearman_rho, 4, "-0.25782105620585155", "1.5978635096699804e-05"),
+    (spearman_rho, 5, "-0.14890553545484092", "0.0008310182626551846"),
+    (pi_integral, 3, "0.057538888147330804", "8.636681043804051e-06"),
+    (pi_integral, 4, "0.020453206960497194", "4.403761280222934e-06"),
+    (pi_integral, 5, "0.0073632694272287415", "9.226177727197651e-05"),
+]
+
+
+@pytest.mark.parametrize("functional, d, value, bound", CLAYTON_AUTO_BITS)
+def test_clayton_auto_estimates_keep_their_bits(functional, d, value, bound):
+    est = functional(ClaytonExtreme(d)).estimate
+    assert (repr(float(est.value)), repr(float(est.error_bound))) == (value, bound)
+
+
 # -- one method dispatch ---------------------------------------------------
 
 

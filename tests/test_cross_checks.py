@@ -670,6 +670,83 @@ def test_reflected_clayton_cdf_grid_matches_cdf_many_bit_for_bit(d):
             assert_cdf_grid_bits(Reflected(ClaytonExtreme(d), K), axes)
 
 
+# -- float box faces against the (N, d) faces they replace --
+
+
+def materialised_faces(K, U):
+    # a reflection's box faces written out as (N, d) arrays: lo = 1 - u on K
+    # and 0 off K, hi = 1 on K and u off K
+    on_K = np.isin(np.arange(U.shape[1]), K)
+    Lo = 1.0 - U
+    Lo[:, ~on_K] = 0.0
+    return Lo, np.where(on_K, 1.0, U)
+
+
+def face_batch(d, n, seed):
+    # coordinates exactly 0 and 1, and whole rows at the cube's two corners
+    U = np.random.default_rng(seed).random((n, d))
+    U[::5, 0] = 0.0
+    U[::7, -1] = 1.0
+    U[::11] = 1.0
+    U[::13] = 0.0
+    return U
+
+
+def assert_reflections_match_materialised_faces(C, U, axes, subsets):
+    pts = grid_points(axes)
+    shape = [len(a) for a in axes]
+    for K in subsets:
+        R = Reflected(C, K)
+        np.testing.assert_array_equal(R.cdf_many(U), C.box_mass_many(*materialised_faces(K, U)))
+        want = C.box_mass_many(*materialised_faces(K, pts)).reshape(shape)
+        np.testing.assert_array_equal(R.cdf_grid(axes), want)
+
+
+def all_subsets(d):
+    return [list(K) for r in range(d + 1) for K in itertools.combinations(range(d), r)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_clayton_float_faces_match_the_materialised_faces_bit_for_bit(d):
+    # every reflection, a batch and a lattice with nodes at 0 and 1 and a
+    # single-node axis; the survival copula (every face 1.0 or 1 - u) and
+    # one reflected axis also on a batch of more than one block
+    C = ClaytonExtreme(d)
+    axes = lattice_axes(d, seed=50 + d, lengths=[4, 3, 1, 3, 2, 2][:d])
+    assert_reflections_match_materialised_faces(C, face_batch(d, 300, seed=d), axes, all_subsets(d))
+    U = face_batch(d, _BOX_ROWS + 3, seed=d)
+    for K in ([0], list(range(d))):
+        np.testing.assert_array_equal(
+            Reflected(C, K).cdf_many(U), C.box_mass_many(*materialised_faces(K, U))
+        )
+    np.testing.assert_array_equal(C.survival_many(U), C.box_mass_many(1.0 - U, np.ones_like(U)))
+
+
+def test_default_box_mass_lattice_keeps_the_materialised_faces_bit_for_bit():
+    # inner copulas without a per-axis kernel write the faces out: the same
+    # box_mass_many call on the same (N, d) arrays
+    board = random_checkerboard(3, 4, seed=3)
+    pair = find_corner_pair(board)
+    axes = lattice_axes(3, seed=60, lengths=[4, 3, 2])
+    U = face_batch(3, 300, seed=60)
+    for C in (UpperFrechet(3), RefutedCopula(board, pair.a, pair.b, pair.p)):
+        assert_reflections_match_materialised_faces(C, U, axes, all_subsets(3))
+        np.testing.assert_array_equal(C.survival_many(U), C.box_mass_many(1.0 - U, np.ones_like(U)))
+        lo_axes = [a * 0.5 for a in axes]
+        want = C.box_mass_many(grid_points(lo_axes), grid_points(axes)).reshape([4, 3, 2])
+        np.testing.assert_array_equal(C.box_mass_grid(lo_axes, axes), want)
+
+
+@pytest.mark.parametrize("C", [make_triangle_3d(), mixture_all_reflections(4)],
+                         ids=["triangle", "all_reflections_4"])
+def test_segment_float_faces_match_the_materialised_faces_bit_for_bit(C):
+    d = C.dim
+    axes = lattice_axes(d, seed=70 + d, lengths=[4, 3, 1, 3][:d])
+    U = face_batch(d, 300, seed=70 + d)
+    assert_reflections_match_materialised_faces(C, U, axes, [[0], [0, 1], list(range(d))])
+    np.testing.assert_array_equal(C.survival_many(U), C.box_mass_many(1.0 - U, np.ones_like(U)))
+
+
 def pointwise_quadrature(C, n, integrand):
     # the tensor Gauss-Legendre rule on grid_points, weights multiplied
     # axis by axis over meshgrids

@@ -265,6 +265,20 @@ def test_cli_descend_emits_trace(tmp_path, capsys):
     assert len(lines) == doc["iterations"] + 1
 
 
+def test_cli_unwritable_output_exits_two_without_a_traceback(tmp_path, capsys):
+    spec = write_spec(tmp_path, "pi.json", {"kind": "product", "dim": 2})
+    missing = tmp_path / "missing" / "dir"
+    for argv, path in (
+        (["eval", spec, "--point", "0.5,0.5", "--out", str(missing / "x.json")], missing / "x.json"),
+        (["descend", spec, "--n", "8", "--trace-out", str(missing / "t.csv")], missing / "t.csv"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+        assert captured.out == ""
+        assert not missing.exists()
+
+
 def test_cli_certify_k_cm(tmp_path, capsys):
     spec = write_spec(tmp_path, "tri.json", {"kind": "triangle", "dim": 3})
     hyp = write_spec(
