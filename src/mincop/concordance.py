@@ -26,8 +26,9 @@ takes the first that applies, a named method the first of its kind.
   without one over uniform draws x of Q^C[[x, 1]].  The
   quadrature evaluates on the tensor grid of the Gauss nodes, with each
   node's weight the left-to-right product of its axes' weights: rho reads
-  tau C as a box mass of C (``Reflected.cdf_grid``), and the Pi-integral
-  integrates Q^C[[x, 1]] (``_box_mass_lattice`` on the grid's lattice).
+  tau C as a box mass of C (the survival copula's ``cdf_grid``, one box of
+  C per node), and the Pi-integral integrates Q^C[[x, 1]]
+  (``_box_mass_lattice`` on the grid's lattice).
   Every box [1 - u, 1] or [x, 1] passes its upper face as the float 1.0,
   on the grid and on the uniform draws alike; the extreme Clayton
   computes its cdf and such box masses on one separable kernel, which

@@ -20,27 +20,34 @@ cover everything this package needs:
 Analytic nodes (``UpperFrechet``, ``LowerFrechet2d``, ``ProductCopula``,
 ``ClaytonExtreme``, ``Reflected``, ``Permuted``, ``GlueProduct``,
 ``MixtureCopula``, ``RefutedCopula``)
-    Immutable closed-form expression trees.  Rectangle masses are evaluated
-    by inclusion-exclusion over the 2^d corners (corners on an all-zero lo
-    face drop out, since copulas are grounded), so evaluation cost is
-    O(2^d) per point for survival-type queries; a dimension cap (default 6)
-    keeps that honest.  The generic path, which checkerboards use too,
-    stacks every corner of a block of rows into one ``cdf_many`` call and
-    adds the signed values in corner order, so a board locates its points
-    in the cuts once per block, not once per corner.
+    Immutable closed-form expression trees.
 
 Each query has a batch form (``cdf_many``, ``box_mass_many`` on (N, d)
 arrays) and a lattice form (``cdf_grid``, ``box_mass_grid`` on a product
-grid), by default the batch form on ``grid_points``.  Both meet in one
-per-axis entry point, ``_box_mass_lattice(lo, hi)``: each box face is an
-array that broadcasts to the lattice (a batch is the lattice whose axes
-all lie along axis 0) or a float constant over it, 0.0 as a lower face
-and 1.0 as an upper one.  Segment copulas and the extreme Clayton, whose
-cdfs separate by axis, override it with their kernels, which take a float
-face once; the default writes the faces out as (N, d) points for
-``box_mass_many``.  A glue product's lattice is the outer product of its
-halves', a reflection's (and a survival copula's) one call of its inner
-copula's entry point, with the faces that are constant left as floats.
+grid).  All four are one call of one per-axis entry point,
+``_box_mass_lattice(lo, hi)``: each box face is an array that broadcasts
+to the lattice (a batch is the lattice whose axes all lie along axis 0)
+or a float constant over it, 0.0 as a lower face and 1.0 as an upper one.
+The cdf is the box from the origin.  A class defines one of two
+primitives:
+
+* ``cdf_many``, for a closed-form pointwise cdf (checkerboards, M, W,
+  permutations, surgery nodes).  The default ``_box_mass_lattice`` writes
+  the faces out as (N, d) points and runs inclusion-exclusion over the
+  2^d corners (corners on an all-zero lo face drop out, since copulas are
+  grounded), so a box costs O(2^d) cdf values; a dimension cap (default
+  6) keeps that honest.  It stacks every corner of a block of rows into
+  one ``cdf_many`` call and adds the signed values in corner order, so a
+  board locates its points in the cuts once per block, not once per
+  corner.
+* ``_box_mass_lattice``, for a separable or structural measure: the
+  kernels of segment copulas and the extreme Clayton, whose cdfs separate
+  by axis and take a float face once; Pi's product of side lengths; a
+  glue product's product of its halves' lattices; a mixture's weighted
+  sum of its parts'; and a reflection's (or a survival copula's) one box
+  of its inner copula, with the faces that are constant left as floats.
+
+A class that defines neither recurses without end.
 
 All values are immutable after construction and safe to share.  Evaluation
 is vectorised with numpy and deterministic; sampling is deterministic given
@@ -249,9 +256,13 @@ class ValidationReport:
 class Copula:
     """Common interface for all representations.
 
-    Subclasses must provide ``dim`` and ``cdf_many``; everything else has a
-    generic default: inclusion-exclusion for box masses, ``cdf_many`` on
-    ``grid_points`` for the grid tensors.
+    Subclasses provide ``dim`` and exactly one evaluation primitive:
+    ``cdf_many`` (a closed-form pointwise cdf; box masses then come from
+    the default ``_box_mass_lattice``, inclusion-exclusion over it) or
+    ``_box_mass_lattice`` (a separable or structural box mass; the cdf is
+    then the box from the origin).  Every other query derives from
+    ``_box_mass_lattice``.  A class that defines neither recurses without
+    end: each default calls the other.
     """
 
     dim: int
@@ -259,42 +270,23 @@ class Copula:
     # -- evaluation ------------------------------------------------------
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """C at each row of an (N, d) batch: the box from the origin."""
+        return self._box_mass_lattice([0.0] * self.dim, U.T)
 
     def cdf(self, u) -> float:
         return float(self.cdf_many(as_points(u, self.dim))[0])
 
     def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        """Q^C[[lo, hi]] by inclusion-exclusion over the box corners.
-
-        C is grounded, so a corner that takes lo on an axis where every lo
-        is 0 adds nothing: such an axis always takes hi.  The 2^f corners of
-        the f free axes are stacked into one ``cdf_many`` call per block of
-        ``_BOX_ROWS >> f`` rows, so no call holds more than _BOX_ROWS rows,
-        and their signed values are added in corner order, lo side first:
-        each row gets the bits that one call per corner gives.
-        """
-        free = Lo.any(axis=0)
-        masks = np.array(list(itertools.product(*[(0, 1) if f else (1,) for f in free])), bool)
-        signs = np.where((self.dim - masks.sum(axis=1)) % 2, -1.0, 1.0)
-        step = max(_BOX_ROWS >> int(free.sum()), 1)
-        out = np.zeros(len(Lo))
-        for r in range(0, len(Lo), step):
-            corners = np.where(masks[:, None, :], Hi[r : r + step], Lo[r : r + step])
-            vals = self.cdf_many(corners.reshape(-1, self.dim)).reshape(len(masks), -1)
-            acc = out[r : r + step]
-            for sign, v in zip(signs, vals):
-                acc += sign * v
-        return out
+        """Q^C[[lo, hi]] for each row of two (N, d) batches of box faces."""
+        return self._box_mass_lattice(Lo.T, Hi.T)
 
     def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """C at every vertex of the product grid of ``axes`` (one node array
-        per axis), as the C-order tensor of shape ``[len(a) for a in axes]``.
-
-        The default is ``cdf_many`` on ``grid_points(axes)``; a class with
-        a per-axis kernel runs it on the lattice itself.
+        per axis), as the C-order tensor of shape ``[len(a) for a in axes]``:
+        ``_box_mass_lattice`` from the origin on the grid's lattice.
         """
-        return self.cdf_many(grid_points(axes)).reshape([len(a) for a in axes])
+        flat = self._box_mass_lattice([0.0] * self.dim, _lattice(axes))
+        return flat.reshape([len(a) for a in axes])
 
     def box_mass_grid(
         self, lo_axes: Sequence[np.ndarray], hi_axes: Sequence[np.ndarray]
@@ -314,15 +306,34 @@ class Copula:
         ``lo[k]`` and ``hi[k]`` are axis k's faces: arrays that broadcast to
         the lattice (a batch's columns all lie along its one axis), or
         floats, 0.0 as a lower face and 1.0 as an upper one, constant over
-        the lattice.  The default writes the lattice's points out and calls
-        ``box_mass_many``; the separable kernels override it and take a
-        float face once.
+        the lattice.  The default writes the lattice's points out and runs
+        inclusion-exclusion over ``cdf_many``.  C is grounded, so a corner
+        that takes lo on an axis where every lo is 0 adds nothing: such an
+        axis always takes hi, and with no other axis the box mass is one
+        ``cdf_many`` call on the hi points.  Otherwise the 2^f corners of
+        the f free axes are stacked into one ``cdf_many`` call per block of
+        ``_BOX_ROWS >> f`` rows, so no call holds more than _BOX_ROWS rows,
+        and their signed values are added in corner order, lo side first:
+        each row gets the bits that one call per corner gives.
         """
         d = self.dim
-        Lo, Hi = np.empty((2,) + np.broadcast(*lo, *hi).shape + (d,))
-        for k in range(d):
-            Lo[..., k], Hi[..., k] = lo[k], hi[k]
-        return self.box_mass_many(Lo.reshape(-1, d), Hi.reshape(-1, d))
+        free = _free_axes(lo)
+        shape = np.broadcast(*lo, *hi).shape
+        Hi = _points(hi, shape)
+        if not any(free):
+            return self.cdf_many(Hi)
+        Lo = _points(lo, shape)
+        masks = np.array(list(itertools.product(*[(0, 1) if f else (1,) for f in free])), bool)
+        signs = np.where((d - masks.sum(axis=1)) % 2, -1.0, 1.0)
+        step = max(_BOX_ROWS >> sum(free), 1)
+        out = np.zeros(len(Lo))
+        for r in range(0, len(Lo), step):
+            corners = np.where(masks[:, None, :], Hi[r : r + step], Lo[r : r + step])
+            vals = self.cdf_many(corners.reshape(-1, d)).reshape(len(masks), -1)
+            acc = out[r : r + step]
+            for sign, v in zip(signs, vals):
+                acc += sign * v
+        return out
 
     def box_mass(self, lo, hi) -> float:
         Lo = as_points(lo, self.dim)
@@ -580,11 +591,6 @@ class SegmentCopula(Copula):
                     f"(defect {defect:.3e}); not a copula"
                 )
 
-    def _param_interval(self, Lo: np.ndarray | None, Hi: np.ndarray):
-        """``_lattice_interval`` on an (N, d) batch of boxes, as (segments,
-        points) arrays; ``Lo=None`` is the origin."""
-        return self._lattice_interval([0.0] * self.dim if Lo is None else Lo.T, Hi.T)
-
     def _lattice_interval(self, lo, hi):
         """Per segment and lattice point: the t-interval [t0, t1] where
         lo <= gamma(t) <= hi.
@@ -622,16 +628,6 @@ class SegmentCopula(Copula):
         length = np.subtract(t1, t0, out=t1)
         np.clip(length, 0.0, None, out=length)
         return self.masses @ length.reshape(len(self.masses), -1)
-
-    def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        return self._box_mass_lattice([0.0] * self.dim, U.T)
-
-    def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        return self._box_mass_lattice(Lo.T, Hi.T)
-
-    def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        flat = self._box_mass_lattice([0.0] * self.dim, _lattice(axes))
-        return flat.reshape([len(a) for a in axes])
 
     @property
     def is_samplable(self) -> bool:
@@ -737,11 +733,12 @@ class ProductCopula(Copula):
     def __init__(self, dim: int):
         self.dim = _check_dim(dim)
 
-    def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        return U.prod(axis=1)
-
-    def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        return np.clip(Hi - Lo, 0.0, None).prod(axis=1)
+    def _box_mass_lattice(self, lo, hi) -> np.ndarray:
+        """The product of the box's side lengths, axis by axis."""
+        out = np.ones(np.broadcast(*lo, *hi).shape)
+        for l, h in zip(lo, hi):
+            out *= np.clip(h - l, 0.0, None)
+        return out.ravel()
 
     @property
     def is_samplable(self) -> bool:
@@ -792,21 +789,11 @@ class ClaytonExtreme(Copula):
         if dim < 2:
             raise InputError("copulas need dimension >= 2")
 
-    def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        return self._box_mass_lattice([0.0] * self.dim, U.T)
-
-    def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        return self._box_mass_lattice(Lo.T, Hi.T)
-
-    def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        flat = self._box_mass_lattice([0.0] * self.dim, _lattice(axes))
-        return flat.reshape([len(a) for a in axes])
-
     def _box_mass_lattice(self, lo, hi) -> np.ndarray:
         """Q^C[[lo, hi]] at every lattice point (faces as in
         ``Copula._box_mass_lattice``), flat in C order, in blocks of at most
         _BOX_ROWS points: the sum over the box corners, walked as
-        ``Copula.box_mass_many`` walks them, of (-1)^{lo sides}
+        ``Copula._box_mass_lattice`` walks them, of (-1)^{lo sides}
         phi(sum_k g_k).  g is taken once per float face (g(1.0) is exactly
         1.0) and once per node and block of an array face; an axis whose lo
         is 0 everywhere takes only its hi side.  phi runs at the shape of
@@ -816,7 +803,7 @@ class ClaytonExtreme(Copula):
         """
         d = self.dim
         e = 1.0 / (d - 1)
-        free = [np.any(x) for x in lo]
+        free = _free_axes(lo)
         shape = np.broadcast(*lo, *hi).shape
         out = np.zeros(shape)
 
@@ -868,6 +855,25 @@ def _lattice(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [_along(np.asarray(a, dtype=float), k, len(axes)) for k, a in enumerate(axes)]
 
 
+def _free_axes(lo) -> list[bool]:
+    """Per lower face, whether it is nonzero anywhere: a grounded copula's
+    box on an axis whose lo is 0 everywhere takes only its hi side."""
+    return [bool(x.any()) if isinstance(x, np.ndarray) else x != 0.0 for x in lo]
+
+
+def _points(faces, shape) -> np.ndarray:
+    """One face per axis (an array that broadcasts to ``shape``, or a
+    float) written out as the (N, d) points of the lattice, in C order.
+    Faces given as one array, a row per axis (a batch's transpose), are
+    already written out: its transpose is returned."""
+    if isinstance(faces, np.ndarray) and faces.shape[1:] == tuple(shape):
+        return faces.T
+    out = np.empty(tuple(shape) + (len(faces),), dtype=np.result_type(*faces))
+    for k, x in enumerate(faces):
+        out[..., k] = x
+    return out.reshape(-1, len(faces))
+
+
 def _lattice_blocks(shape):
     """Index tuples (one slice per axis) that cut a C-order lattice into
     blocks of at most _BOX_ROWS points: whole trailing axes, a run of nodes
@@ -906,15 +912,17 @@ def _corner_fold(sides, op, k=0, acc=None, tag=0):
 class Reflected(Copula):
     """nu_K(C): the distribution of eta_K(U, 1-U) when U ~ Q^C.
 
-    Its cdf is a box mass of the inner copula:
+    Each of its boxes is one box of the inner copula, reflected on K:
 
-        (nu_K C)(u) = Q^C[ prod_k I_k ],  I_k = [1-u_k, 1] on K, [0, u_k] off K,
+        Q^{nu_K C}[ prod_k [lo_k, hi_k] ] = Q^C[ prod_k I_k ],
+        I_k = [1 - hi_k, 1 - lo_k] on K, [lo_k, hi_k] off K,
 
-    so one call of the inner copula's ``_box_mass_lattice`` does the
-    inclusion-exclusion, over the 2^|K| corners of the reflected axes.  The
-    constant faces go in as floats (lo = 0.0 off K, hi = 1.0 on K), so a
-    separable inner copula takes them once and no (N, d) copy of either
-    face is made; any other inner copula gets them written out.
+    so one call of the inner copula's ``_box_mass_lattice`` serves every
+    query; its cdf takes I_k = [1 - u_k, 1] on K and [0, u_k] off K, the
+    inclusion-exclusion over the 2^|K| corners of the reflected axes.  A
+    float face stays a float (1 - 0.0 is 1.0), so a separable inner copula
+    takes it once and no (N, d) copy of it is made; any other inner copula
+    gets the faces written out.
     """
 
     def __init__(self, inner: Copula, K: Iterable[int]):
@@ -925,19 +933,11 @@ class Reflected(Copula):
         self.K = K
         self.dim = inner.dim
 
-    def _faces(self, u) -> tuple[list, list]:
-        """The box faces of the lattice with per-axis coordinates ``u``:
-        lo = 1 - u_k and hi = 1.0 on K, lo = 0.0 and hi = u_k off K."""
-        lo = [1.0 - x if k in self.K else 0.0 for k, x in enumerate(u)]
-        hi = [1.0 if k in self.K else x for k, x in enumerate(u)]
-        return lo, hi
-
-    def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        return self.inner._box_mass_lattice(*self._faces(U.T))
-
-    def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        flat = self.inner._box_mass_lattice(*self._faces(_lattice(axes)))
-        return flat.reshape([len(a) for a in axes])
+    def _box_mass_lattice(self, lo, hi) -> np.ndarray:
+        faces = [
+            (1.0 - h, 1.0 - x) if k in self.K else (x, h) for k, (x, h) in enumerate(zip(lo, hi))
+        ]
+        return self.inner._box_mass_lattice(*zip(*faces))
 
     @property
     def is_samplable(self) -> bool:
@@ -1011,25 +1011,18 @@ class GlueProduct(Copula):
         if self.dim < 3:
             raise InputError("glue products need total dimension >= 3")
 
-    def _split(self, A: np.ndarray):
-        return A[..., : self.left.dim], A[..., self.left.dim :]
-
-    def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        ul, ur = self._split(U)
-        return self.left.cdf_many(ul) * self.right.cdf_many(ur)
-
-    def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        # the outer product of the halves' tensors: C(u) D(v) at every
-        # vertex, with cdf_many's bits where each half's value at a point
-        # does not depend on the batch; a segment half's ``masses @`` is a
-        # BLAS product whose rounding can depend on the batch length
+    def _box_mass_lattice(self, lo, hi) -> np.ndarray:
+        # the product of the halves' box masses, each half on its own axes of
+        # the lattice (on a grid, the outer product of the halves' tensors);
+        # a point's grid value has its batch bits unless a half's value
+        # depends on how many points its call holds, as a segment half's
+        # ``masses @``, a BLAS product, can
         dl = self.left.dim
-        return np.multiply.outer(self.left.cdf_grid(axes[:dl]), self.right.cdf_grid(axes[dl:]))
-
-    def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        ll, lr = self._split(Lo)
-        hl, hr = self._split(Hi)
-        return self.left.box_mass_many(ll, hl) * self.right.box_mass_many(lr, hr)
+        halves = [
+            X._box_mass_lattice(l, h).reshape(np.broadcast(*l, *h).shape)
+            for X, l, h in ((self.left, lo[:dl], hi[:dl]), (self.right, lo[dl:], hi[dl:]))
+        ]
+        return (halves[0] * halves[1]).ravel()
 
     @property
     def is_samplable(self) -> bool:
@@ -1075,16 +1068,10 @@ class MixtureCopula(Copula):
         self.parts = parts
         self.dim = dims.pop()
 
-    def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(U))
+    def _box_mass_lattice(self, lo, hi) -> np.ndarray:
+        out = np.zeros(math.prod(np.broadcast(*lo, *hi).shape))
         for c, w in self.parts:
-            out += w * c.cdf_many(U)
-        return out
-
-    def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(Lo))
-        for c, w in self.parts:
-            out += w * c.box_mass_many(Lo, Hi)
+            out += w * c._box_mass_lattice(lo, hi)
         return out
 
     @property
@@ -1252,7 +1239,7 @@ def box_mass(C: Copula, lo, hi) -> float:
 
 
 def survival_value(C: Copula, u) -> float:
-    """(tau C)(u) = Q^C[[1-u, 1]] by inclusion-exclusion."""
+    """(tau C)(u) = Q^C[[1-u, 1]]: one box mass of C."""
     return C.survival_value(u)
 
 
@@ -1318,12 +1305,8 @@ def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Cartesian product of per-axis node lists as an (N, d) array
     (C-order, so lexicographic in the axis values), each axis written into
     its column by broadcasting."""
-    axes = [np.asarray(a) for a in axes]
-    d = len(axes)
-    out = np.empty([len(a) for a in axes] + [d], dtype=np.result_type(*axes))
-    for k, a in enumerate(axes):
-        out[..., k] = _along(a, k, d)
-    return out.reshape(-1, d)
+    lattice = [_along(np.asarray(a), k, len(axes)) for k, a in enumerate(axes)]
+    return _points(lattice, [len(a) for a in axes])
 
 
 def default_resolution(d: int) -> int:

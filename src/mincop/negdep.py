@@ -128,7 +128,7 @@ def _lowered(C: Copula, grid: int | None) -> Copula:
 def _scan(C: Copula, grid: int | None) -> tuple[float, tuple, str, float, float]:
     """(defect, worst point, grid description, C(u), Q^C[[u,1]] at the worst
     point u) over the interior vertices: the one scan behind
-    ``tau_cm_defect`` and ``find_corner_pair``."""
+    ``tau_cm_defect``, ``find_corner_pair`` and each step of ``descend``."""
     C = _lowered(C, grid)
     if grid is None and isinstance(C, CheckerboardCopula):
         cuts, kind = C.cuts, "checkerboard vertices"
@@ -670,17 +670,16 @@ def descend(
     since_best = 0
     coarsened = False
     for it in range(max_iter):
-        # one scan per step: the pair's p is the defect, so the board is
-        # scanned again only once it has converged
-        pair = find_corner_pair(board, tol=tol)
+        # one scan per step gives both the defect and the pair
+        scan = _scan(board, None)
+        pair = _corner_pair(board, scan, tol)
+        defect = scan[0]
         kendall = board.kendall_self_integral()
         rho = spearman_rho(board).value
         if pair is None:
-            defect, _, _ = tau_cm_defect(board)
             trace.append(DescentStep(it, kendall, rho, defect, np.nan, coarsened))
             status = "converged"
             break
-        defect = pair.p
         # the defect can plateau while the surgery still descends, so
         # progress is measured on the Kendall integral
         if kendall < best - 1e-15:

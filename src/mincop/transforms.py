@@ -207,7 +207,7 @@ def orthant_masses(C: Copula, cuts: Sequence[np.ndarray]) -> tuple[np.ndarray, n
     axis) L is its ``vertex_cdf``.  Any other copula is evaluated once, by
     ``cdf_grid`` on the lattice of the vertices off the zero faces (where C
     vanishes), and U is the 2^d-term inclusion-exclusion over those values,
-    added or subtracted in corner order as in ``Copula.box_mass_many``.
+    added or subtracted in corner order as in ``Copula._box_mass_lattice``.
     """
     d = C.dim
     if _refines(cuts, C):

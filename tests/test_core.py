@@ -272,6 +272,22 @@ class _CornerCell(Copula):
         return np.prod(np.minimum(2.0 * U, 1.0), axis=1)
 
 
+def test_every_copula_class_defines_one_evaluation_primitive():
+    # every query derives from cdf_many or _box_mass_lattice, whichever the
+    # class defines; none forwards a query of its own
+    import mincop.core as core
+
+    classes = [
+        c for c in vars(core).values()
+        if isinstance(c, type) and issubclass(c, Copula) and c is not Copula
+    ]
+    assert len(classes) == 11
+    for cls in classes:
+        own = set(vars(cls))
+        assert len(own & {"cdf_many", "_box_mass_lattice"}) == 1, cls.__name__
+        assert not own & {"box_mass_many", "cdf_grid", "box_mass_grid"}, cls.__name__
+
+
 def test_validate_flags_nonuniform_margins():
     # masses [[1,0],[0,0]]: all mass in one corner cell
     rep = validate(_CornerCell())

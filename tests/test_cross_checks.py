@@ -184,7 +184,7 @@ def test_clayton_box_mass_matches_generic_inclusion_exclusion(d):
     b = np.linspace(0.3, 0.6, d)  # broadcast lo, as RefutedCopula passes it
     for lo, hi in ((Lo, Hi), (zero_col, Hi), (np.broadcast_to(b, Hi.shape), np.maximum(Hi, b))):
         fast = C.box_mass_many(lo, hi)
-        oracle = Copula.box_mass_many(C, lo, hi)
+        oracle = Copula._box_mass_lattice(C, lo.T, hi.T)
         assert np.max(np.abs(fast - oracle)) <= 1e-13
     assert C.box_mass_many(np.zeros((1, d)), np.ones((1, d)))[0] == 1.0
 
@@ -403,14 +403,15 @@ def test_segment_kernel_matches_broadcast_formula_bit_for_bit(C):
     Lo, Hi = kernel_points(d, seed=10 + d)
     assert_bits = np.testing.assert_array_equal
     zero = np.zeros_like(Hi)
-    # (lo, hi, the oracle's lo): the boxes, the origin as None, and
-    # product_moment's one box as (1, d) broadcast views of lo and hi
-    cases = [(Lo, Hi, Lo), (None, Hi, zero)]
+    # (lo faces, hi, the oracle's lo): the boxes, the origin as float faces,
+    # and product_moment's one box as (1, d) broadcast views of lo and hi
+    cases = [(Lo.T, Hi, Lo), ([0.0] * d, Hi, zero)]
     for lo, hi in zip(Lo[:20], Hi[:20]):
         lo1, hi1 = np.broadcast_to(lo, (1, d)), np.broadcast_to(hi, (1, d))
-        cases.append((lo1, hi1, lo1))
+        cases.append((lo1.T, hi1, lo1))
     for lo, hi, oracle_lo in cases:
-        for got, want in zip(C._param_interval(lo, hi), broadcast_param_interval(C, oracle_lo, hi)):
+        interval = C._lattice_interval(lo, hi.T)
+        for got, want in zip(interval, broadcast_param_interval(C, oracle_lo, hi)):
             assert_bits(got, want)
     assert_bits(C.box_mass_many(Lo, Hi), broadcast_box_mass(C, Lo, Hi))
     assert_bits(C.cdf_many(Hi), broadcast_box_mass(C, zero, Hi))
@@ -644,7 +645,7 @@ def test_clayton_grids_match_the_pointwise_kernel_bit_for_bit(d):
             want = C.box_mass_many(grid_points(lo_axes), pts).reshape(shape)
             np.testing.assert_array_equal(got, want)
             if lo_axes is lo or lo_axes is zero_lo:
-                generic = Copula.box_mass_many(C, grid_points(lo_axes), pts).reshape(shape)
+                generic = Copula._box_mass_lattice(C, grid_points(lo_axes).T, pts.T).reshape(shape)
                 assert np.max(np.abs(got - generic)) <= 1e-13
 
 
@@ -745,6 +746,53 @@ def test_segment_float_faces_match_the_materialised_faces_bit_for_bit(C):
     U = face_batch(d, 300, seed=70 + d)
     assert_reflections_match_materialised_faces(C, U, axes, [[0], [0, 1], list(range(d))])
     np.testing.assert_array_equal(C.survival_many(U), C.box_mass_many(1.0 - U, np.ones_like(U)))
+
+
+# -- a reflected box as one inner box against the inclusion-exclusion --
+
+REFLECTED_BOX_INNERS = {
+    **{f"clayton{d}": ClaytonExtreme(d) for d in (3, 4, 5)},
+    "triangle": make_triangle_3d(),
+    "board": random_checkerboard(3, 4, seed=3),
+    "M3": UpperFrechet(3),
+}
+
+
+@pytest.mark.parametrize("C", REFLECTED_BOX_INNERS.values(), ids=REFLECTED_BOX_INNERS.keys())
+def test_reflected_box_matches_the_inclusion_exclusion_over_its_cdf(C):
+    # every K: nu_K C's box masses and survival values, one box of C each,
+    # against the generic inclusion-exclusion over the reflection's own cdf
+    d = C.dim
+    Lo, Hi = generic_boxes(d, seed=80 + d)
+    U = face_batch(d, 300, seed=80 + d)
+    for K in all_subsets(d):
+        R = Reflected(C, K)
+        oracle = Copula._box_mass_lattice(R, Lo.T, Hi.T)
+        assert np.max(np.abs(R.box_mass_many(Lo, Hi) - oracle)) <= 1e-13
+        oracle = Copula._box_mass_lattice(R, (1.0 - U).T, [1.0] * d)
+        assert np.max(np.abs(R.survival_many(U) - oracle)) <= 1e-13
+
+
+def test_a_reflected_batch_is_one_inner_box_per_row(monkeypatch):
+    # one call of the inner kernel per query, with one box per row, not the
+    # 2^d stacked corners of the reflection's cdf
+    shapes = []
+    kernel = ClaytonExtreme._box_mass_lattice
+    monkeypatch.setattr(
+        ClaytonExtreme,
+        "_box_mass_lattice",
+        lambda self, lo, hi: shapes.append(np.broadcast(*lo, *hi).shape) or kernel(self, lo, hi),
+    )
+    d, n = 4, 50
+    Lo, Hi = generic_boxes(d, seed=90)
+    Lo, Hi = Lo[:n], Hi[:n]
+    U = face_batch(d, n, seed=90)
+    for K in all_subsets(d):
+        R = Reflected(ClaytonExtreme(d), K)
+        for query in (lambda: R.box_mass_many(Lo, Hi), lambda: R.survival_many(U)):
+            shapes.clear()
+            query()
+            assert shapes == [(n,)]
 
 
 def pointwise_quadrature(C, n, integrand):

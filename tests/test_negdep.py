@@ -235,7 +235,7 @@ def oracle_scan(C, grid=None):
     # oracle
     pts = scan_points(C, grid)
     lower = C.cdf_many(pts)
-    upper = Copula.box_mass_many(C, pts, np.ones_like(pts))
+    upper = Copula._box_mass_lattice(C, pts.T, np.ones_like(pts).T)
     i = _first_max(np.minimum(lower, upper))
     return min(lower[i], upper[i]), tuple(pts[i]), lower[i], upper[i]
 

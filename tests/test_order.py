@@ -179,7 +179,7 @@ def test_witness_is_the_first_tied_vertex_in_c_order():
         (
             [1.0 - c[::-1] for c in cuts],
             lambda pts: Pi.cdf_many(pts)
-            - Copula.box_mass_many(C, 1.0 - pts, np.ones_like(pts)),
+            - Copula._box_mass_lattice(C, (1.0 - pts).T, np.ones_like(pts).T),
         ),
     ):
         pts = grid_points(axes)
