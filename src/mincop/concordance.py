@@ -37,18 +37,24 @@ takes the first that applies, a named method the first of its kind.
   repeated products.
 
 Quadrature reports the difference to a coarser rule, Monte Carlo a 3-sigma
-half-width (so ``samples`` must be at least 2).  Every Monte Carlo path runs
-one loop (``_monte_carlo``) that fills a preallocated value array in blocks
-of ``_BOX_ROWS`` rows: uniform draws are streamed block by block from one
-generator, so such an estimate holds about 8 bytes per sample plus one
-block, and its draws are those of one full batch; a sampler's points are
-drawn at once (8d bytes per sample) and read block by block.
+half-width (so ``samples`` must be at least 2), both as plain floats.  Every
+Monte Carlo path runs one loop (``_monte_carlo``) that fills a preallocated
+value array in blocks of ``_BOX_ROWS`` rows.  The calling thread draws the
+blocks in order: uniform draws are streamed block by block from one
+generator, so they are those of one full batch, and a sampler's points are
+drawn at once (8d bytes per sample) and read block by block.  The blocks
+are evaluated on up to one thread per CPU, at most ``_MC_WORKERS``, and the
+variance is taken in place, so a uniform estimate holds about 8 bytes per
+sample plus one block per thread; its value and bound have the same bits
+for any number of threads.
 Normalisation constants are recomputed from d at call time and echoed in
 every report so unit errors stay visible.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +89,8 @@ __all__ = [
 ]
 
 MC_DEFAULT_SAMPLES = 10**6
+# the most Monte Carlo blocks evaluated at once, each on its own thread
+_MC_WORKERS = 4
 SIMPSON_PANELS = 4096
 
 
@@ -151,20 +159,65 @@ def _check_samples(samples) -> None:
         raise InputError(f"samples must be an integer >= 2, got {samples!r}")
 
 
-def _monte_carlo(samples: int, block) -> MeasureEstimate:
+def _workers() -> int:
+    """How many Monte Carlo blocks are evaluated at once: the CPUs this
+    process may run on, at most _MC_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MC_WORKERS)
+
+
+def _monte_carlo(samples: int, block, draw) -> MeasureEstimate:
     """The mean of ``samples`` i.i.d. values with a 3-sigma half-width.
 
-    ``block(rows)`` returns the values of the rows in the slice ``rows``;
-    it is called on consecutive blocks of at most _BOX_ROWS rows, in order,
-    and its values go into one preallocated array, so the memory beyond
-    that array (8 bytes per sample) is one block's.
+    The rows are cut into consecutive blocks of at most _BOX_ROWS.  For each
+    block's slice ``rows``, ``draw(rows)`` makes its input ``x`` in the
+    calling thread, in block order, and ``block(x)`` returns the block's
+    values, which go into its rows of one preallocated array.  With more
+    than one block and more than one CPU, up to W = ``_workers()`` blocks
+    are evaluated at once: a block goes to an idle one of W - 1 worker
+    threads, or, with none idle, is evaluated in the calling thread, so the
+    memory beyond the value array (8 bytes per sample) is at most W blocks.
+    One block, or W = 1, starts no thread.  Each value lands in its own slot
+    and the statistics run over the full array once every block is in, so
+    the estimate has the same bits for any W.  The variance is numpy's
+    ``var(ddof=1)`` taken in place (the deviations overwrite the values),
+    and the value and bound are plain floats.
     """
     vals = np.empty(samples)
-    for r in range(0, samples, _BOX_ROWS):
-        rows = slice(r, min(r + _BOX_ROWS, samples))
-        vals[rows] = block(rows)
-    err = 3.0 * float(vals.std(ddof=1)) / np.sqrt(samples)
-    return MeasureEstimate(float(vals.mean()), "monte_carlo", err, samples)
+    blocks = [slice(r, min(r + _BOX_ROWS, samples)) for r in range(0, samples, _BOX_ROWS)]
+
+    def fill(rows, x):
+        vals[rows] = block(x)
+
+    workers = min(_workers(), len(blocks))
+    if workers == 1:
+        for rows in blocks:
+            fill(rows, draw(rows))
+    else:
+        # imported here: it pulls in logging, which start-up need not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            running = []
+            for rows in blocks:
+                x = draw(rows)
+                for f in [f for f in running if f.done()]:
+                    running.remove(f)
+                    f.result()
+                if len(running) < workers - 1:
+                    running.append(pool.submit(fill, rows, x))
+                else:
+                    fill(rows, x)
+            for f in running:
+                f.result()
+    mean = vals.mean()
+    np.subtract(vals, mean, out=vals)
+    np.square(vals, out=vals)
+    std = math.sqrt(float(vals.sum()) / (samples - 1))
+    return MeasureEstimate(float(mean), "monte_carlo", 3.0 * std / math.sqrt(samples), samples)
 
 
 def _sampled(C: Copula, seed: int, samples: int, f) -> MeasureEstimate | None:
@@ -173,7 +226,7 @@ def _sampled(C: Copula, seed: int, samples: int, f) -> MeasureEstimate | None:
     if not C.is_samplable:
         return None
     V = C.sample(seed, samples)
-    return _monte_carlo(samples, lambda rows: f(V[rows]))
+    return _monte_carlo(samples, f, lambda rows: V[rows])
 
 
 def _uniform(d: int, seed: int, samples: int, f) -> MeasureEstimate:
@@ -181,7 +234,7 @@ def _uniform(d: int, seed: int, samples: int, f) -> MeasureEstimate:
     [0, 1]^d, drawn block by block from one generator: consecutive
     ``random((m, d))`` calls give the numbers of one ``(samples, d)`` call."""
     rng = np.random.default_rng(seed)
-    return _monte_carlo(samples, lambda rows: f(rng.random((rows.stop - rows.start, d))))
+    return _monte_carlo(samples, f, lambda rows: rng.random((rows.stop - rows.start, d)))
 
 
 def _refined(rule, n: int, coarse: int) -> MeasureEstimate:
@@ -357,9 +410,11 @@ def spearman_rho(
     d = C.dim
 
     def mean_cdf_pair(C: Copula) -> MeasureEstimate:
-        # uniform cube draws: needs only cdf evaluations
+        # uniform cube draws: needs only cdf evaluations.  The survival half
+        # goes first, so C's values are not held through its larger
+        # temporaries; + commutes, so the bits are those of C + S
         S = survival(C)
-        return _uniform(d, seed, samples, lambda x: 0.5 * (C.cdf_many(x) + S.cdf_many(x)))
+        return _uniform(d, seed, samples, lambda x: 0.5 * (S.cdf_many(x) + C.cdf_many(x)))
 
     inner = _dispatch("spearman_rho", C, method, (
         # int C dQ^Pi = E[prod (1-V_k)] and int (tau C) dQ^Pi = E[prod V_k]

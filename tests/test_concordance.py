@@ -1,6 +1,12 @@
 """Kendall's tau, Spearman's rho, the Pi-integral and the four
 measure-of-concordance axioms as numeric checks."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +36,7 @@ from mincop import (
     spearman_rho,
     survival,
 )
+from mincop import concordance
 from mincop.concordance import kendall_integral, kendall_normalization, spearman_normalization
 from mincop.core import _BOX_ROWS, RefutedCopula
 
@@ -549,7 +556,8 @@ def test_streamed_pi_integral_equals_the_one_shot_batch(C, vals):
 
 def test_monte_carlo_memory_does_not_grow_with_the_batch():
     # beyond the value array (8 bytes per sample) a streamed estimate holds
-    # one block; the parent's one-shot batch held ~110 bytes per sample
+    # at most one block per worker; a one-shot batch holds ~110 bytes per
+    # sample
     import tracemalloc
 
     def peak(samples):
@@ -560,5 +568,120 @@ def test_monte_carlo_memory_does_not_grow_with_the_batch():
         finally:
             tracemalloc.stop()
 
-    small, large = 4 * _BOX_ROWS, 16 * _BOX_ROWS
-    assert peak(large) - peak(small) <= 24 * (large - small)
+    # the value array grows by 8 bytes per sample; a variance that builds its
+    # array of deviations grows by 16 once that array outweighs the blocks
+    # in flight, hence batches of 0.5M and 2M samples
+    small, large = 16 * _BOX_ROWS, 64 * _BOX_ROWS
+    assert peak(large) - peak(small) <= 12 * (large - small)
+
+
+MC_PATHS = {
+    "rho_uniform": lambda: spearman_rho(
+        ClaytonExtreme(3), method="monte_carlo", samples=BLOCKED_SAMPLES).estimate,
+    "pi_uniform": lambda: pi_integral(
+        ClaytonExtreme(3), method="monte_carlo", samples=BLOCKED_SAMPLES).estimate,
+    "pi_sampler": lambda: pi_integral(
+        random_checkerboard(3, 4, seed=5), method="monte_carlo",
+        samples=BLOCKED_SAMPLES).estimate,
+    "kendall_sampler": lambda: kendall_integral(
+        random_checkerboard(3, 4, seed=5), method="monte_carlo", samples=BLOCKED_SAMPLES),
+}
+
+
+@pytest.mark.parametrize("path", sorted(MC_PATHS))
+def test_monte_carlo_reports_plain_floats(path):
+    est = MC_PATHS[path]()
+    assert est.method == "monte_carlo"
+    assert type(est.value) is float and type(est.error_bound) is float
+
+
+def test_workers_count_the_cpus_up_to_the_cap(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert concordance._workers() == min(3, concordance._MC_WORKERS)
+        monkeypatch.delattr(os, "sched_getaffinity")
+    # without an affinity call, the CPU count, or one CPU when it is unknown
+    for cpus, workers in [(64, concordance._MC_WORKERS), (None, 1)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert concordance._workers() == workers
+
+
+PINNED_RUN = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from mincop import ClaytonExtreme, pi_integral, spearman_rho
+from mincop.concordance import _workers
+assert _workers() == 1
+n = int(sys.argv[1])
+for f in (spearman_rho, pi_integral):
+    est = f(ClaytonExtreme(5), samples=n).estimate
+    print(repr(est.value), repr(est.error_bound))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_pooled_blocks_equal_the_inline_loop_of_one_cpu(monkeypatch):
+    # here blocks go to workers as on a machine with _MC_WORKERS CPUs; the
+    # subprocess is pinned to one CPU, so it evaluates every block inline
+    monkeypatch.setattr(concordance, "_workers", lambda: concordance._MC_WORKERS)
+    here = "".join(
+        f"{est.value!r} {est.error_bound!r}\n"
+        for est in (f(ClaytonExtreme(5), samples=BLOCKED_SAMPLES).estimate
+                    for f in (spearman_rho, pi_integral))
+    )
+    src = str(Path(concordance.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c", PINNED_RUN, str(BLOCKED_SAMPLES)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == here
+
+
+def test_blocks_land_in_their_own_rows_under_fast_thread_switches(monkeypatch):
+    # more workers than this machine may have CPUs, switching threads often
+    monkeypatch.setattr(concordance, "_workers", lambda: concordance._MC_WORKERS)
+    n = 12 * _BOX_ROWS
+    vals = np.repeat(np.arange(12.0), _BOX_ROWS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = concordance._monte_carlo(
+            n, lambda k: np.full(_BOX_ROWS, k), lambda rows: float(rows.start // _BOX_ROWS))
+    finally:
+        sys.setswitchinterval(interval)
+    mean, err = one_shot(vals)
+    assert (est.value, est.error_bound) == (float(mean), float(err))
+
+
+class BlockError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad", [0, 3, 5])
+def test_a_failing_block_reraises_and_leaves_no_thread(monkeypatch, bad):
+    monkeypatch.setattr(concordance, "_workers", lambda: concordance._MC_WORKERS)
+    before = threading.active_count()
+
+    def block(r):
+        if r == bad:
+            raise BlockError(f"block {r}")
+        return np.zeros(_BOX_ROWS)
+
+    with pytest.raises(BlockError, match=f"block {bad}"):
+        concordance._monte_carlo(6 * _BOX_ROWS, block, lambda rows: rows.start // _BOX_ROWS)
+    assert threading.active_count() == before
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(concordance, "_workers", lambda: concordance._MC_WORKERS)
+
+    def start(self):
+        raise AssertionError("a one-block estimate started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    for functional in (spearman_rho, pi_integral):
+        est = functional(ClaytonExtreme(3), method="monte_carlo", samples=_BOX_ROWS).estimate
+        assert est.samples_or_nodes == _BOX_ROWS
