@@ -24,7 +24,7 @@ import numpy as np
 
 from . import serialize
 from .concordance import kendall_tau, pi_integral, spearman_rho
-from .core import sample, validate
+from .core import EXACT_TOL, sample, validate
 from .errors import InputError, MincopError, SpecError
 from .negdep import (
     GFunc,
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("copula", help="path to a copula spec JSON")
         p.add_argument("--out", default=None, help="write the report here")
         if tol:
-            p.add_argument("--tol", type=_tolerance, default=1e-9)
+            p.add_argument("--tol", type=_tolerance, default=EXACT_TOL)
         if report:
             p.add_argument("--format", choices=("json", "csv"), default="json")
 

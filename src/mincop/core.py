@@ -32,20 +32,22 @@ The cdf is the box from the origin.  A class defines one of two
 primitives:
 
 * ``cdf_many``, for a closed-form pointwise cdf (checkerboards, M, W,
-  permutations, surgery nodes).  The default ``_box_mass_lattice`` writes
-  the faces out as (N, d) points and runs inclusion-exclusion over the
-  2^d corners (corners on an all-zero lo face drop out, since copulas are
-  grounded), so a box costs O(2^d) cdf values; a dimension cap (default
-  6) keeps that honest.  It stacks every corner of a block of rows into
-  one ``cdf_many`` call and adds the signed values in corner order, so a
+  permutations).  The default ``_box_mass_lattice`` writes the faces out
+  as (N, d) points and runs inclusion-exclusion over the 2^d corners
+  (corners on an all-zero lo face drop out, since copulas are grounded),
+  so a box costs O(2^d) cdf values; a dimension cap (default 6) keeps
+  that honest.  It stacks every corner of a block of rows into one
+  ``cdf_many`` call and adds the signed values in corner order, so a
   board locates its points in the cuts once per block, not once per
   corner.
 * ``_box_mass_lattice``, for a separable or structural measure: the
   kernels of segment copulas and the extreme Clayton, whose cdfs separate
   by axis and take a float face once; Pi's product of side lengths; a
   glue product's product of its halves' lattices; a mixture's weighted
-  sum of its parts'; and a reflection's (or a survival copula's) one box
-  of its inner copula, with the faces that are constant left as floats.
+  sum of its parts'; a reflection's (or a survival copula's) one box of
+  its inner copula, with the faces that are constant left as floats; and
+  a surgery node's seven boxes of its inner copula, combined by the
+  surgery's arithmetic.
 
 A class that defines neither recurses without end.
 
@@ -91,7 +93,6 @@ __all__ = [
     "survival_value",
     "sample",
     "validate",
-    "product_moment",
     "get_dimension_cap",
     "set_dimension_cap",
 ]
@@ -878,8 +879,11 @@ def _lattice_blocks(shape):
     """Index tuples (one slice per axis) that cut a C-order lattice into
     blocks of at most _BOX_ROWS points: whole trailing axes, a run of nodes
     on the first axis whose trailing axes fit, one node on each axis before
-    it."""
+    it.  A lattice of no axes is one box, its block a view of it all."""
     d = len(shape)
+    if not d:
+        yield (Ellipsis,)
+        return
     if 0 in shape:
         return
     j = 0
@@ -1132,6 +1136,9 @@ class RefutedCopula(Copula):
     the same marginals (rho = -1/2), and D lies strictly below it.  A
     comonotone coupling of a scalar with a (d-1)-vector has no canonical
     form for d >= 3, which is why the independent one is used.
+
+    D's box masses and moments on a box each read seven boxes of C
+    (``_boxes``); its cdf is the box from the origin.
     """
 
     def __init__(self, inner: Copula, a, b, p: float):
@@ -1160,60 +1167,45 @@ class RefutedCopula(Copula):
         a.setflags(write=False)
         b.setflags(write=False)
 
-    def _corner_cdfs(self, U: np.ndarray):
-        inner, a, b, p = self.inner, self.a, self.b, self.p
-        ca = inner.cdf_many(np.minimum(U, a)) / p
-        cb = inner.box_mass_many(np.broadcast_to(b, U.shape), np.maximum(U, b)) / p
-        return ca, cb
+    def _boxes(self, lo, hi):
+        """The boxes of C that D's measure on [lo, hi] reads, as lists of
+        (lo_k, hi_k) faces (arrays or floats, as in ``_box_mass_lattice``):
+        the box; its parts A in [0, a] and B in [b, 1], degenerate where it
+        misses a corner, never inverted; and each corner's first-coordinate
+        (A1, B1) and remaining-coordinate (AR, BR) marginal boxes.  A
+        surgery node over a surgery node can get all-float faces: one box.
+        """
+        a, b = self.a.tolist(), self.b.tolist()
+        A = [(x, np.maximum(x, np.minimum(h, t))) for x, h, t in zip(lo, hi, a)]
+        B = [(np.maximum(x, t), np.maximum(h, t)) for x, h, t in zip(lo, hi, b)]
+        A1 = A[:1] + [(0.0, t) for t in a[1:]]
+        AR = [(0.0, a[0])] + A[1:]
+        B1 = B[:1] + [(t, 1.0) for t in b[1:]]
+        BR = [(b[0], 1.0)] + B[1:]
+        return list(zip(lo, hi)), A, B, A1, AR, B1, BR
 
-    def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        inner, a, b, p = self.inner, self.a, self.b, self.p
-        n, d = U.shape
-        ca, cb = self._corner_cdfs(U)
-        c1 = 0.5 * (ca + cb)
-        # first-coordinate / remaining-coordinate marginals of the corners
-        w = np.tile(a, (n, 1))
-        w[:, 0] = np.minimum(U[:, 0], a[0])
-        a1 = inner.cdf_many(w) / p
-        w = np.minimum(U, a)
-        w[:, 0] = a[0]
-        aR = inner.cdf_many(w) / p
-        w = np.ones((n, d))
-        w[:, 0] = np.maximum(U[:, 0], b[0])
-        b1 = inner.box_mass_many(np.broadcast_to(b, U.shape), w) / p
-        w = np.maximum(U, b)
-        w[:, 0] = 1.0
-        bR = inner.box_mass_many(np.broadcast_to(b, U.shape), w) / p
-        c2 = 0.5 * (a1 * bR + b1 * aR)
-        return inner.cdf_many(U) - 2.0 * p * (c1 - c2)
+    def _box_mass_lattice(self, lo, hi) -> np.ndarray:
+        """Q^C - 2p Q^{C_1} + 2p Q^{C_2}: the pieces of ``_boxes``, each
+        at its own broadcast shape, combined by broadcasting."""
+        p = self.p
+        C, A, B, A1, AR, B1, BR = (
+            self.inner._box_mass_lattice(l, h).reshape(np.broadcast(*l, *h).shape)
+            for l, h in (zip(*box) for box in self._boxes(lo, hi))
+        )
+        c1 = 0.5 * (A / p + B / p)
+        c2 = 0.5 * ((A1 / p) * (BR / p) + (B1 / p) * (AR / p))
+        return (C - 2.0 * p * (c1 - c2)).ravel()
 
     def product_moment(self, lo, hi, codes: Sequence[int]) -> float:
-        inner, a, b, p = self.inner, self.a, self.b, self.p
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        # the cross-glued corner marginals are product measures
         codes = list(codes)
-        ones = [MOMENT_ONE] * self.dim
-        total = inner.product_moment(lo, hi, codes)
-        total -= inner.product_moment(lo, np.minimum(hi, a), codes)
-        total -= inner.product_moment(np.maximum(lo, b), hi, codes)
-        # cross-glued corner marginals, each a product measure
-        first_codes = [codes[0]] + ones[1:]
-        rest_codes = [MOMENT_ONE] + codes[1:]
-        lo_a1, hi_a1 = np.zeros(self.dim), a.copy()
-        lo_a1[0], hi_a1[0] = lo[0], min(hi[0], a[0])
-        lo_b1, hi_b1 = b.copy(), np.ones(self.dim)
-        lo_b1[0], hi_b1[0] = max(lo[0], b[0]), hi[0]
-        lo_aR, hi_aR = lo.copy(), np.minimum(hi, a)
-        lo_aR[0], hi_aR[0] = 0.0, a[0]
-        lo_bR, hi_bR = np.maximum(lo, b), hi.copy()
-        lo_bR[0], hi_bR[0] = b[0], 1.0
-        total += (1.0 / p) * (
-            inner.product_moment(lo_a1, hi_a1, first_codes)
-            * inner.product_moment(lo_bR, hi_bR, rest_codes)
-            + inner.product_moment(lo_b1, hi_b1, first_codes)
-            * inner.product_moment(lo_aR, hi_aR, rest_codes)
+        first = codes[:1] + [MOMENT_ONE] * (self.dim - 1)
+        rest = [MOMENT_ONE] + codes[1:]
+        C, A, B, A1, AR, B1, BR = (
+            self.inner.product_moment(*zip(*box), c)
+            for box, c in zip(self._boxes(lo, hi), [codes] * 3 + [first, rest, first, rest])
         )
-        return float(total)
+        return float(C - A - B + (1.0 / self.p) * (A1 * BR + B1 * AR))
 
     def breakpoints(self, axis: int) -> np.ndarray:
         return np.unique(
@@ -1248,10 +1240,6 @@ def sample(C: Copula, seed: int, n: int) -> np.ndarray:
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise InputError(f"sample count must be a nonnegative integer, got {n!r}")
     return C.sample(seed, int(n))
-
-
-def product_moment(C: Copula, lo, hi, codes: Sequence[int]) -> float:
-    return C.product_moment(lo, hi, codes)
 
 
 def grid_axes(copulas: Sequence[Copula], resolution: int) -> list[np.ndarray]:

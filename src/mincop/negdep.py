@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EXACT_TOL,
     CheckerboardCopula,
     Copula,
     GlueProduct,
@@ -93,7 +94,6 @@ __all__ = [
     "trace_csv",
 ]
 
-DEFECT_TOL = 1e-9
 BISECT_TOL = 1e-12
 
 
@@ -111,7 +111,7 @@ class TauCmCertificate:
     grid: str
     defect: float
     worst_point: tuple
-    tol: float = DEFECT_TOL
+    tol: float = EXACT_TOL
 
     @property
     def passed(self) -> bool:
@@ -180,7 +180,7 @@ def _refutable_scan(C: Copula, grid: int | None, tol: float) -> tuple[Copula, tu
 
 
 def tau_cm_certificate(
-    C: Copula, grid: int | None = None, tol: float = DEFECT_TOL
+    C: Copula, grid: int | None = None, tol: float = EXACT_TOL
 ) -> TauCmCertificate:
     """The tau-CM verdict ``refute_minimality`` reaches without surgery: the
     ``tau_cm_defect`` scan, except that a board it passes at ``tol`` is
@@ -360,6 +360,9 @@ def _bisect_monotone(f, target: float, lo: float, hi: float) -> float:
         )
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        # adjacent doubles: no midpoint lies between them
+        if mid == lo or mid == hi:
+            break
         if f(mid) < target:
             lo = mid
         else:
@@ -410,7 +413,7 @@ def _ray(X: Copula, u: np.ndarray, p: float) -> float:
 
 
 def find_corner_pair(
-    C: Copula, grid: int | None = None, tol: float = DEFECT_TOL
+    C: Copula, grid: int | None = None, tol: float = EXACT_TOL
 ) -> CornerPair | None:
     """Points a <= b in the open cube with Q^C[[0,a]] = p = Q^C[[b,1]].
 
@@ -445,7 +448,7 @@ def _corner_pair(C: Copula, scan: tuple, tol: float) -> CornerPair | None:
         b = 1.0 - _ray(survival(C), 1.0 - u, p) * (1.0 - u)
     # both corner boxes, [0,a] and [b,1], in one call
     pa, pb = C.box_mass_many(np.array([np.zeros(C.dim), b]), np.array([a, np.ones(C.dim)]))
-    if abs(pa - p) > 1e-9 or abs(pb - p) > 1e-9:
+    if abs(pa - p) > EXACT_TOL or abs(pb - p) > EXACT_TOL:
         raise RefuterInternalError(
             f"corner masses {pa:.3e}/{pb:.3e} missed p={p:.3e} after the ray solve"
         )
@@ -503,7 +506,7 @@ def _corner_surgery(C: CheckerboardCopula, a, b) -> CheckerboardCopula:
 
 
 def refute_minimality(
-    C: Copula, grid: int | None = None, tol: float = DEFECT_TOL
+    C: Copula, grid: int | None = None, tol: float = EXACT_TOL
 ) -> RefutationCertificate | TauCmCertificate:
     """Either a grid tau-CM certificate, or a verified refutation.
 
@@ -542,7 +545,7 @@ def refute_minimality(
     if order_check.relation != Relation.STRICTLY_BELOW:
         checks.append(f"order check gave {order_check.relation}")
     gap = C.cdf(a) - D.cdf(a)
-    if not gap >= p - 1e-9:
+    if not gap >= p - EXACT_TOL:
         checks.append(f"strict witness D(a) = C(a) - p failed: gap {gap:.3e} vs p {p:.3e}")
     rho_c = spearman_rho(C).value
     rho_d = spearman_rho(D).value
@@ -636,7 +639,7 @@ def descend(
     C: Copula,
     n: int = 16,
     max_iter: int = 50,
-    tol: float = DEFECT_TOL,
+    tol: float = EXACT_TOL,
     cut_cap: int | None = None,
     stall_patience: int = 25,
 ) -> DescentResult:

@@ -25,13 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Copula, _first_max, default_resolution, grid_axes, grid_points, merge_cuts
+from .core import (
+    EXACT_TOL,
+    Copula,
+    _first_max,
+    default_resolution,
+    grid_axes,
+    grid_points,
+    merge_cuts,
+)
 from .errors import DimensionMismatchError
 from .transforms import as_board, orthant_masses
 
 __all__ = ["OrderResult", "Relation", "pointwise_leq", "concordance_leq"]
-
-DEFAULT_TOL = 1e-9
 
 
 class Relation:
@@ -56,7 +62,7 @@ class OrderResult:
     max_violation: float = 0.0
     grid_used: str = ""
     exact: bool = False
-    tol: float = DEFAULT_TOL
+    tol: float = EXACT_TOL
 
     @property
     def below_or_equal(self) -> bool:
@@ -108,7 +114,7 @@ def _operands(C: Copula, D: Copula, grid: int | None):
 
 
 def pointwise_leq(
-    C: Copula, D: Copula, grid: int | None = None, tol: float = DEFAULT_TOL
+    C: Copula, D: Copula, grid: int | None = None, tol: float = EXACT_TOL
 ) -> OrderResult:
     """Check C(u) <= D(u) on a grid; exact when both sides are boards
     (``as_board``) compared on their union cut grid, otherwise a
@@ -134,7 +140,7 @@ def _combine(r1: OrderResult, r2: OrderResult, tol: float) -> OrderResult:
 
 
 def concordance_leq(
-    C: Copula, D: Copula, grid: int | None = None, tol: float = DEFAULT_TOL
+    C: Copula, D: Copula, grid: int | None = None, tol: float = EXACT_TOL
 ) -> OrderResult:
     """The concordance order: conjunction of C <= D and tau(C) <= tau(D)
     pointwise.  ``equal`` requires both gaps <= tol everywhere."""

@@ -24,7 +24,16 @@ from mincop import (
     survival_value,
     validate,
 )
-from mincop.core import Copula, _cumulative, default_resolution, grid_points, merge_cuts
+from mincop.core import (
+    MAX_AXIS_NODES,
+    Copula,
+    Permuted,
+    _cumulative,
+    default_resolution,
+    grid_axes,
+    grid_points,
+    merge_cuts,
+)
 from mincop.negdep import RefutationCertificate, refute_minimality
 from mincop.transforms import discretize, uniform_cuts
 
@@ -237,6 +246,25 @@ def test_segment_system_with_non_uniform_margins_rejected():
 def test_merge_cuts_keeps_earlier_lists_points():
     merged = merge_cuts([0.0, 0.5, 1.0], [0.5 - 1e-14, 0.7, 0.7 + 1e-14])
     assert merged.tolist() == [0.0, 0.5, 0.7, 1.0]
+
+
+def test_grid_axes_thins_a_crowded_axis():
+    # 1000 uniform cells give 1001 nodes: every second one is kept, and so
+    # are both ends of the cube
+    nodes = np.linspace(0.0, 1.0, 1001)
+    for axis in grid_axes([make_basic("product", 2)], 1000):
+        assert len(axis) <= MAX_AXIS_NODES
+        assert axis[0] == 0.0 and axis[-1] == 1.0
+        np.testing.assert_array_equal(axis, nodes[::2])
+
+
+def test_permuted_breakpoints_follow_their_inner_axis():
+    # (pi_sigma C)(u) = C(u[sigma]): axis sigma[i] kinks where C's axis i does
+    C = discretize(make_basic("product", 3), [[0, 0.5, 1], [0, 0.2, 0.7, 1], [0, 0.9, 1]])
+    sigma = [2, 0, 1]
+    P = Permuted(C, sigma)
+    for i, s in enumerate(sigma):
+        np.testing.assert_array_equal(P.breakpoints(s), C.breakpoints(i))
 
 
 def test_dimension_cap_enforced_and_overridable():

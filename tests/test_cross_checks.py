@@ -9,6 +9,7 @@ import pytest
 
 from mincop import (
     LowerFrechet2d,
+    MixtureCopula,
     Permuted,
     Reflected,
     UpperFrechet,
@@ -29,6 +30,7 @@ from mincop.core import (
     _BOX_ROWS,
     CUT_GAP,
     MOMENT_1MV,
+    MOMENT_ONE,
     MOMENT_V,
     CheckerboardCopula,
     ClaytonExtreme,
@@ -42,6 +44,7 @@ from mincop.core import (
     grid_points,
     merge_cuts,
 )
+from mincop.errors import UnsupportedRepresentationError
 
 
 def _mc_box_moment(C, lo, hi, seed, n=300_000):
@@ -181,7 +184,7 @@ def test_clayton_box_mass_matches_generic_inclusion_exclusion(d):
     Lo, Hi = clayton_boxes(d, seed=d)
     zero_col = Lo.copy()
     zero_col[:, d // 2] = 0.0  # an axis that is not free
-    b = np.linspace(0.3, 0.6, d)  # broadcast lo, as RefutedCopula passes it
+    b = np.linspace(0.3, 0.6, d)  # a broadcast view as lo: one lo corner for every row
     for lo, hi in ((Lo, Hi), (zero_col, Hi), (np.broadcast_to(b, Hi.shape), np.maximum(Hi, b))):
         fast = C.box_mass_many(lo, hi)
         oracle = Copula._box_mass_lattice(C, lo.T, hi.T)
@@ -305,13 +308,7 @@ def generic_boxes(d, seed):
 
 def generic_box_copulas():
     boards = [random_checkerboard(d, 4, seed=d) for d in (2, 3, 4, 5)]
-    pair = find_corner_pair(boards[1])
-    return boards + [
-        UpperFrechet(3),
-        LowerFrechet2d(),
-        Permuted(boards[1], [2, 0, 1]),
-        RefutedCopula(boards[1], pair.a, pair.b, pair.p),
-    ]
+    return boards + [UpperFrechet(3), LowerFrechet2d(), Permuted(boards[1], [2, 0, 1])]
 
 
 @pytest.mark.parametrize("C", generic_box_copulas(), ids=lambda C: f"{type(C).__name__}{C.dim}")
@@ -724,8 +721,9 @@ def test_clayton_float_faces_match_the_materialised_faces_bit_for_bit(d):
 
 
 def test_default_box_mass_lattice_keeps_the_materialised_faces_bit_for_bit():
-    # inner copulas without a per-axis kernel write the faces out: the same
-    # box_mass_many call on the same (N, d) arrays
+    # M has no per-axis kernel and writes the faces out; a surgery node hands
+    # its float faces through its seven boxes to a board, which writes them
+    # out: either way the bits of box_mass_many on the (N, d) arrays
     board = random_checkerboard(3, 4, seed=3)
     pair = find_corner_pair(board)
     axes = lattice_axes(3, seed=60, lengths=[4, 3, 2])
@@ -793,6 +791,150 @@ def test_a_reflected_batch_is_one_inner_box_per_row(monkeypatch):
             shapes.clear()
             query()
             assert shapes == [(n,)]
+
+
+# -- the surgery node's seven boxes against its pointwise formulas ----------
+
+
+def pointwise_surgery_cdf(D, U):
+    # D = C - 2p C_1 + 2p C_2 at each row of U, every corner function one
+    # inner cdf_many or box_mass_many call on (N, d) points
+    inner, a, b, p = D.inner, D.a, D.b, D.p
+    n, d = U.shape
+    B = np.broadcast_to(b, U.shape)
+    ca = inner.cdf_many(np.minimum(U, a)) / p
+    cb = inner.box_mass_many(B, np.maximum(U, b)) / p
+    c1 = 0.5 * (ca + cb)
+    w = np.tile(a, (n, 1))
+    w[:, 0] = np.minimum(U[:, 0], a[0])
+    a1 = inner.cdf_many(w) / p
+    w = np.minimum(U, a)
+    w[:, 0] = a[0]
+    aR = inner.cdf_many(w) / p
+    w = np.ones((n, d))
+    w[:, 0] = np.maximum(U[:, 0], b[0])
+    b1 = inner.box_mass_many(B, w) / p
+    w = np.maximum(U, b)
+    w[:, 0] = 1.0
+    bR = inner.box_mass_many(B, w) / p
+    c2 = 0.5 * (a1 * bR + b1 * aR)
+    return inner.cdf_many(U) - 2.0 * p * (c1 - c2)
+
+
+def vector_surgery_moment(D, lo, hi, codes):
+    # D's product moment from lo/hi vectors edited piece by piece
+    inner, a, b, p = D.inner, D.a, D.b, D.p
+    lo, hi, codes = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), list(codes)
+    ones = [MOMENT_ONE] * D.dim
+    total = inner.product_moment(lo, hi, codes)
+    total -= inner.product_moment(lo, np.minimum(hi, a), codes)
+    total -= inner.product_moment(np.maximum(lo, b), hi, codes)
+    first_codes = [codes[0]] + ones[1:]
+    rest_codes = [MOMENT_ONE] + codes[1:]
+    lo_a1, hi_a1 = np.zeros(D.dim), a.copy()
+    lo_a1[0], hi_a1[0] = lo[0], min(hi[0], a[0])
+    lo_b1, hi_b1 = b.copy(), np.ones(D.dim)
+    lo_b1[0], hi_b1[0] = max(lo[0], b[0]), hi[0]
+    lo_aR, hi_aR = lo.copy(), np.minimum(hi, a)
+    lo_aR[0], hi_aR[0] = 0.0, a[0]
+    lo_bR, hi_bR = np.maximum(lo, b), hi.copy()
+    lo_bR[0], hi_bR[0] = b[0], 1.0
+    total += (1.0 / p) * (
+        inner.product_moment(lo_a1, hi_a1, first_codes)
+        * inner.product_moment(lo_bR, hi_bR, rest_codes)
+        + inner.product_moment(lo_b1, hi_b1, first_codes)
+        * inner.product_moment(lo_aR, hi_aR, rest_codes)
+    )
+    return float(total)
+
+
+def surgery_node(C):
+    pair = find_corner_pair(C)
+    return RefutedCopula(C, pair.a, pair.b, pair.p)
+
+
+SURGERY_INNERS = {
+    "board2": random_checkerboard(2, 4, seed=2),
+    "board3": random_checkerboard(3, 4, seed=3),
+    "M3_segment": make_basic("upper_frechet", 3),
+    "M3_analytic": UpperFrechet(3),
+    "Pi3": ProductCopula(3),
+    "mixture_M2_Pi2": MixtureCopula([(UpperFrechet(2), 0.5), (ProductCopula(2), 0.5)]),
+    "reflected_clayton": Reflected(ClaytonExtreme(3), [0]),
+}
+
+
+@pytest.mark.parametrize("C", SURGERY_INNERS.values(), ids=SURGERY_INNERS.keys())
+def test_surgery_cdf_matches_the_pointwise_formula_bit_for_bit(C):
+    D = surgery_node(C)
+    d = D.dim
+    U = face_batch(d, 300, seed=100 + d)
+    np.testing.assert_array_equal(D.cdf_many(U), pointwise_surgery_cdf(D, U))
+    for axes in (grid_axes([D], 8), lattice_axes(d, seed=100 + d)):
+        want = pointwise_surgery_cdf(D, grid_points(axes)).reshape([len(a) for a in axes])
+        np.testing.assert_array_equal(D.cdf_grid(axes), want)
+
+
+@pytest.mark.parametrize("C", SURGERY_INNERS.values(), ids=SURGERY_INNERS.keys())
+def test_surgery_moment_matches_the_vector_formula_bit_for_bit(C):
+    # sub-boxes that miss a corner, straddle it or hold it, the whole cube
+    # and boxes from the origin, under every code of every axis
+    D = surgery_node(C)
+    d = D.dim
+    rng = np.random.default_rng(d)
+    A, B = rng.random((2, 8, d))
+    boxes = list(zip(np.minimum(A, B), np.maximum(A, B)))
+    boxes += [(np.zeros(d), np.ones(d)), (np.zeros(d), D.a), (D.b, np.ones(d)), (np.zeros(d), B[0])]
+    for lo, hi in boxes:
+        for codes in itertools.product((MOMENT_ONE, MOMENT_V, MOMENT_1MV), repeat=d):
+            try:
+                want = vector_surgery_moment(D, lo, hi, codes)
+            except UnsupportedRepresentationError:
+                with pytest.raises(UnsupportedRepresentationError):
+                    D.product_moment(lo, hi, codes)
+                continue
+            assert D.product_moment(lo, hi, codes) == want
+
+
+@pytest.fixture(scope="module")
+def surgery_box_nodes():
+    # a board, a segment copula, the reflected Clayton, and the witness of a
+    # witness: a surgery node whose inner node gets all-float boxes
+    witness = refute_minimality(Reflected(ClaytonExtreme(3), [0])).copula
+    return {
+        "board": surgery_node(random_checkerboard(3, 4, seed=3)),
+        "M3_segment": surgery_node(make_basic("upper_frechet", 3)),
+        "reflected_clayton": witness,
+        "witness_of_witness": refute_minimality(witness).copula,
+    }
+
+
+@pytest.mark.parametrize("name", ["board", "M3_segment", "reflected_clayton", "witness_of_witness"])
+def test_surgery_box_matches_the_inclusion_exclusion_over_its_cdf(surgery_box_nodes, name):
+    # box masses and survival values as seven inner boxes, against the
+    # generic inclusion-exclusion over D's own cdf
+    D = surgery_box_nodes[name]
+    assert isinstance(D, RefutedCopula)
+    d = D.dim
+    Lo, Hi = generic_boxes(d, seed=110 + d)
+    U = face_batch(d, 300, seed=110 + d)
+    oracle = Copula._box_mass_lattice(D, Lo.T, Hi.T)
+    assert np.max(np.abs(D.box_mass_many(Lo, Hi) - oracle)) <= 1e-13
+    oracle = Copula._box_mass_lattice(D, (1.0 - U).T, [1.0] * d)
+    assert np.max(np.abs(D.survival_many(U) - oracle)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_clayton_lattice_of_no_axes_is_one_box(d):
+    # every face a float: one value, the cdf or the box mass of that box
+    C = ClaytonExtreme(d)
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        lo, hi = np.sort(rng.random((2, d)) ** (1.0 / d), axis=0).tolist()
+        got = C._box_mass_lattice([0.0] * d, hi)
+        assert got.shape == (1,) and got[0] == C.cdf(hi)
+        got = C._box_mass_lattice(lo, hi)
+        assert got.shape == (1,) and got[0] == C.box_mass(lo, hi)
 
 
 def pointwise_quadrature(C, n, integrand):

@@ -36,6 +36,8 @@ from mincop.core import (
     CheckerboardCopula,
     ClaytonExtreme,
     Copula,
+    GlueProduct,
+    MixtureCopula,
     Reflected,
     RefutedCopula,
     _first_max,
@@ -45,7 +47,7 @@ from mincop.core import (
 )
 import mincop.negdep as negdep
 import mincop.order as order
-from mincop.errors import RefuterInternalError
+from mincop.errors import RefuterInternalError, UnsupportedRepresentationError
 from mincop.negdep import (
     BISECT_TOL,
     _bisect_monotone,
@@ -156,6 +158,31 @@ def test_hyperplane_monte_carlo_fallback():
     Pi = make_basic("product", 2)
     spec = HyperplaneSpec((0, 1), (affine(), affine()), 1.0)
     assert hyperplane_mass(Pi, spec, eps=0.05) == pytest.approx(0.0975, abs=5e-3)
+
+
+def test_hyperplane_mixture_weighs_its_parts():
+    # W's segment lies on u1 + u2 = 1, M's diagonal meets it in one point
+    W, M = make_basic("lower_frechet_2d", 2), make_basic("upper_frechet", 2)
+    C = MixtureCopula([(W, 0.25), (M, 0.75)])
+    spec = HyperplaneSpec((0, 1), (affine(), affine()), 1.0)
+    assert hyperplane_mass(C, spec, eps=0.0) == 0.25
+
+
+@pytest.mark.parametrize("left_first", [True, False])
+def test_hyperplane_glue_with_every_axis_in_one_half(left_first):
+    # the band lives in one half: the other factor's coordinates are free
+    W, M = make_basic("lower_frechet_2d", 2), make_basic("upper_frechet", 2)
+    glue = GlueProduct(W, M) if left_first else GlueProduct(M, W)
+    K = (0, 1) if left_first else (2, 3)
+    assert hyperplane_mass(glue, HyperplaneSpec(K, (affine(), affine()), 1.0)) == 1.0
+    assert hyperplane_mass(glue, HyperplaneSpec(K, (affine(), affine()), 0.5)) == 0.0
+
+
+def test_hyperplane_mass_without_a_path_raises():
+    # no segments, no board, no mixture or glue structure and no sampler
+    spec = HyperplaneSpec((0, 1, 2), tuple(affine() for _ in range(3)), 2.0)
+    with pytest.raises(UnsupportedRepresentationError, match="samplable"):
+        hyperplane_mass(ClaytonExtreme(3), spec)
 
 
 # -- corner pairs ----------------------------------------------------------
@@ -789,3 +816,50 @@ def test_ray_bisects_off_a_board(monkeypatch):
     assert cert.order_check.relation == Relation.STRICTLY_BELOW
     assert abs(C.box_mass(np.zeros(3), cert.a) - cert.p) <= 1e-9
     assert abs(C.box_mass(cert.b, np.ones(3)) - cert.p) <= 1e-9
+
+
+def bisection_of_100_halvings(f, target, lo, hi):
+    # the bisection with no stop at adjacent doubles: it halves 100 times
+    # unless the bracket narrows below 1e-16, which a root in [0.5, 1],
+    # where doubles are 1.1e-16 apart, never does
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-16:
+            break
+    return hi
+
+
+def counted(f, calls):
+    return lambda x: calls.append(x) or f(x)
+
+
+def test_bisection_stops_at_adjacent_doubles():
+    rng = np.random.default_rng(0)
+    roots = np.concatenate([rng.random(100), 0.5 + 0.5 * rng.random(100), [1e-3, 0.5, 1.0]])
+    for r in roots:
+        for f, target in ((lambda x: x, r), (lambda x: x**3, r**3), (lambda x: float(x >= r), 0.5)):
+            calls = []
+            got = _bisect_monotone(counted(f, calls), target, 0.0, 1.0)
+            assert got == bisection_of_100_halvings(f, target, 0.0, 1.0)
+            assert len(calls) <= 60
+
+
+def test_refuting_the_reflected_clayton_bisects_in_few_calls(monkeypatch):
+    # each ray bisection makes at most 60 cdf calls (102 without the stop at
+    # adjacent doubles) and lands where 100 halvings land
+    counts = []
+
+    def bisect(f, target, lo, hi):
+        calls = []
+        got = _bisect_monotone(counted(f, calls), target, lo, hi)
+        assert got == bisection_of_100_halvings(f, target, lo, hi)
+        counts.append(len(calls))
+        return got
+
+    monkeypatch.setattr("mincop.negdep._bisect_monotone", bisect)
+    assert refute_minimality(Reflected(ClaytonExtreme(3), [0])).passed
+    assert counts and max(counts) <= 60

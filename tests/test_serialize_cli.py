@@ -27,7 +27,8 @@ from mincop import (
     to_spec,
 )
 from mincop.cli import main
-from mincop.core import grid_points
+from mincop.core import ClaytonExtreme, LowerFrechet2d, RefutedCopula, grid_points
+from mincop.serialize import dump, load
 
 
 def roundtrip_agrees(C, n=9, tol=1e-12):
@@ -86,6 +87,33 @@ def test_parse_rejects_unknown_kind():
 def test_parse_rejects_missing_fields():
     with pytest.raises(SpecError):
         parse_spec({"kind": "reflected", "dim": 2})
+
+
+def test_refuted_witness_roundtrips_exactly():
+    # a surgery node over a surgery node: same corners, same mass, same bits
+    D = refute_minimality(Reflected(ClaytonExtreme(3), [0])).copula
+    D = refute_minimality(D).copula
+    E = parse_spec(json.loads(json.dumps(to_spec(D))))
+    assert isinstance(E, RefutedCopula) and isinstance(E.inner, RefutedCopula)
+    assert np.array_equal(E.a, D.a) and np.array_equal(E.b, D.b) and E.p == D.p
+    U = grid_points([np.linspace(0, 1, 7)] * 3)
+    np.testing.assert_array_equal(E.cdf_many(U), D.cdf_many(U))
+
+
+def test_analytic_lower_frechet_roundtrips_as_analytic():
+    doc = to_spec(make_basic("lower_frechet_2d", 2, "analytic"))
+    assert doc == {"kind": "lower_frechet", "dim": 2, "representation": "analytic", "schema_version": 1}
+    assert isinstance(parse_spec(doc), LowerFrechet2d)
+
+
+def test_dump_and_load_roundtrip(tmp_path):
+    C = refute_minimality(make_basic("upper_frechet", 2)).copula
+    path = str(tmp_path / "witness.json")
+    dump(C, path)
+    assert isinstance(load(path), RefutedCopula)
+    assert to_spec(load(path)) == to_spec(C)
+    with pytest.raises(SpecError, match="missing.json"):
+        load(str(tmp_path / "missing.json"))
 
 
 # -- CLI ---------------------------------------------------------------
