@@ -104,7 +104,12 @@ def _numbers(text: str, kind=float) -> list:
 
 
 def _tau_cm_doc(cert: TauCmCertificate) -> dict:
-    return {"defect": cert.defect, "worst_point": list(cert.worst_point), "grid": cert.grid}
+    return {
+        "defect": cert.defect,
+        "worst_point": list(cert.worst_point),
+        "grid": cert.grid,
+        "exact": cert.exact,
+    }
 
 
 def _cmd_eval(C, args):

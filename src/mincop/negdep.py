@@ -2,7 +2,25 @@
 
 A copula is *Kendall-countermonotonic* (tau-CM) when, for every interior u,
 at least one of the corner masses Q^C[[0,u]], Q^C[[u,1]] vanishes; this is
-equivalent to int C dQ^C = 0 and to minimising multivariate Kendall's tau.
+equivalent to int C dQ^C = 0, to minimising multivariate Kendall's tau,
+and to no two points of its support being strictly ordered on every axis.
+
+With no grid given, ``tau_cm_defect``, ``tau_cm_certificate``,
+``find_corner_pair`` and ``refute_minimality`` read that last form off the
+support before any scan (``_decided_scan``).  For a segment copula the
+largest slack min_k (y_k - x_k), over points x and y of every ordered pair
+of segments, is the maximum of a concave piecewise-linear function on the
+parameter square, found among its corners and the crossings of its pieces.
+By rule the extreme Clayton copula has no pair (its mass lies on a level set
+of a strictly increasing sum), and a glue product has one iff both halves
+do (a one-dimensional half, Pi and boards always do).  No pair is an exact
+verdict, defect 0, with no scan; rounding cannot flip it at the tolerance,
+since uniform margins bound a segment's mass by its slowest coordinate
+speed, so a slack delta hides at most 2 S delta of defect on S segments.  A
+pair that the grid scan misses, lying between its lines, is scanned again
+with the pair's midpoint on every axis.  Every other input, and an explicit
+grid, is scanned as follows.
+
 Every minimal copula (in the concordance order) is tau-CM, so exhibiting an
 interior point with both corner masses positive refutes minimality
 constructively:
@@ -46,6 +64,8 @@ is identically c or meets it in finitely many points).
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +73,11 @@ import numpy as np
 from .core import (
     EXACT_TOL,
     CheckerboardCopula,
+    ClaytonExtreme,
     Copula,
     GlueProduct,
     MixtureCopula,
+    ProductCopula,
     RefutedCopula,
     SegmentCopula,
     _along,
@@ -96,6 +118,11 @@ __all__ = [
 
 BISECT_TOL = 1e-12
 
+# the grid description of a verdict read off the support, with no scan
+SUPPORT_TEST = "support: no two points strictly ordered on every axis"
+# pair-candidate-axis elements per block of the segment-pair test
+_PAIR_BLOCK = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # tau-CM defect
@@ -104,14 +131,19 @@ BISECT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TauCmCertificate:
-    """Grid-level tau-CM certificate: the worst interior value of
-    min{C(u), Q^C[[u,1]]}, where it occurred, and the tolerance the verdict
-    was reached with."""
+    """tau-CM certificate: the worst value of min{C(u), Q^C[[u,1]]} found,
+    where it occurred, and the tolerance the verdict was reached with.
+
+    ``exact`` is True when the support proves tau-CM (``grid`` is then
+    ``SUPPORT_TEST`` and the defect 0); otherwise the defect is the worst
+    over the interior vertices of the grid that ``grid`` describes, and a
+    pass is grid-level."""
 
     grid: str
     defect: float
     worst_point: tuple
     tol: float = EXACT_TOL
+    exact: bool = False
 
     @property
     def passed(self) -> bool:
@@ -125,16 +157,144 @@ def _lowered(C: Copula, grid: int | None) -> Copula:
     return C if board is None else board
 
 
-def _scan(C: Copula, grid: int | None) -> tuple[float, tuple, str, float, float]:
+@functools.lru_cache(maxsize=None)
+def _crossing_axes(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The axis pairs (k, l), as a (2, n) index array, and the axis triples
+    (k, l, m), as (3, n), whose crossings are candidate maxima of the
+    segment-pair slack in d dimensions."""
+    pairs, triples = (
+        np.array(list(itertools.combinations(range(d), r)), dtype=int).reshape(-1, r).T
+        for r in (2, 3)
+    )
+    # every caller shares the cached arrays
+    pairs.setflags(write=False)
+    triples.setflags(write=False)
+    return pairs, triples
+
+
+def _pair_vertices(a, b, c, pairs, triples) -> tuple[np.ndarray, np.ndarray]:
+    """(t, s), each (P, candidates), clipped to the unit square: the
+    vertices at which the concave piecewise-linear slack
+    min_k f_k(t, s), f_k = c_k + b_k s - a_k t, of each of P segment pairs
+    may attain its maximum over the square.  These are its 4 corners, the
+    crossings f_k = f_l on its 4 edges, and the crossings
+    f_k = f_l = f_m inside it.  A crossing of parallel pieces, which does
+    not exist, is taken at 0 instead, and every candidate is clipped into
+    the square: each is a point of the square, so no candidate exceeds the
+    maximum, which the true vertices attain."""
+
+    def diff(X, k, l):
+        return X[:, k] - X[:, l]
+
+    def quotient(num, den):
+        return num / np.where(den == 0, np.inf, den)
+
+    k, l = pairs
+    # f_k - f_l = dc + db s - da t
+    dc, da, db = (diff(X, k, l) for X in (c, a, b))
+    zero = np.zeros_like(dc)
+    one = np.ones_like(dc)
+    k, l, m = triples
+    c1, a1, b1 = (diff(X, k, l) for X in (c, a, b))
+    c2, a2, b2 = (diff(X, k, m) for X in (c, a, b))
+    det = a1 * b2 - b1 * a2
+    corners_t = np.broadcast_to([0.0, 0.0, 1.0, 1.0], (len(a), 4))
+    corners_s = np.broadcast_to([0.0, 1.0, 0.0, 1.0], (len(a), 4))
+    t = np.concatenate(
+        [corners_t, zero, one, quotient(dc, da), quotient(dc + db, da),
+         quotient(b2 * c1 - b1 * c2, det)],
+        axis=1,
+    )
+    s = np.concatenate(
+        [corners_s, quotient(-dc, db), quotient(da - dc, db), zero, one,
+         quotient(c1 * a2 - a1 * c2, det)],
+        axis=1,
+    )
+    return np.clip(t, 0.0, 1.0, out=t), np.clip(s, 0.0, 1.0, out=s)
+
+
+def _segment_slack(C: SegmentCopula) -> tuple[float, np.ndarray, np.ndarray]:
+    """The maximum over ordered pairs (i, j) of segments, i = j included,
+    and over t, s in [0, 1] of min_k (y_jk(s) - x_ik(t)), with the points
+    x, y that attain it.
+
+    For each pair the slack is the minimum of d affine functions of (t, s),
+    so its maximum over the square lies at one of ``_pair_vertices``; one
+    numpy pass evaluates every candidate of a block of pairs.  The maximum
+    is >= 0 (x = y on one segment) and > 0 iff two points of the support
+    are strictly ordered on every axis.
+    """
+    n, d = len(C.masses), C.dim
+    pairs, triples = _crossing_axes(d)
+    per_pair = (4 + 4 * pairs.shape[1] + triples.shape[1]) * d
+    step = max(1, _PAIR_BLOCK // per_pair)
+    best, witness = -np.inf, None
+    for lo in range(0, n * n, step):
+        i, j = np.divmod(np.arange(lo, min(lo + step, n * n)), n)
+        a, b = C.dirs[i], C.dirs[j]
+        c = C.starts[j] - C.starts[i]
+        t, s = _pair_vertices(a, b, c, pairs, triples)
+        slack = np.min(c[:, None] + s[..., None] * b[:, None] - t[..., None] * a[:, None], axis=2)
+        q = _first_max(slack)
+        if slack.flat[q] > best:
+            p, r = np.unravel_index(q, slack.shape)
+            best = float(slack[p, r])
+            witness = (C.starts[i[p]] + t[p, r] * a[p], C.starts[j[p]] + s[p, r] * b[p])
+    return best, *witness
+
+
+def _support_slack(C: Copula) -> tuple[float, np.ndarray | None, np.ndarray | None] | None:
+    """(slack, x, y) read off C's support, or None where it is not read.
+
+    A slack > 0 says that the points x < y of the support (the closure of
+    the set carrying mass) are strictly ordered on every axis, by at least
+    the slack; a slack of 0 that no two points are.  Segment copulas take
+    the maximum of ``_segment_slack``.  By rule, ``ClaytonExtreme`` has no
+    pair: its mass lies on the level set sum_k g(u_k) = d-1 of a strictly
+    increasing sum.  A glue product's support is the product of its halves',
+    so it has a pair iff both halves have one, with slack the smaller of
+    theirs: one-dimensional copulas and Pi (x = 0, y = 1) and boards (the
+    corners of their heaviest cell) always have one.  Everything else
+    gives None.
+    """
+    if isinstance(C, SegmentCopula):
+        return _segment_slack(C)
+    if isinstance(C, ClaytonExtreme):
+        return 0.0, None, None
+    if C.dim == 1 or isinstance(C, ProductCopula):
+        return 1.0, np.zeros(C.dim), np.ones(C.dim)
+    if isinstance(C, CheckerboardCopula):
+        cell = np.unravel_index(np.argmax(C.masses), C.masses.shape)
+        x = np.array([c[i] for c, i in zip(C.cuts, cell)])
+        y = np.array([c[i + 1] for c, i in zip(C.cuts, cell)])
+        return float(np.min(y - x)), x, y
+    if isinstance(C, GlueProduct):
+        halves = [_support_slack(X) for X in (C.left, C.right)]
+        if any(h is not None and h[0] <= 0 for h in halves):
+            return 0.0, None, None
+        if any(h is None for h in halves):
+            return None
+        (sl, xl, yl), (sr, xr, yr) = halves
+        return min(sl, sr), np.concatenate([xl, xr]), np.concatenate([yl, yr])
+    return None
+
+
+def _scan(
+    C: Copula, grid: int | None, extra: np.ndarray | None = None
+) -> tuple[float, tuple, str, float, float]:
     """(defect, worst point, grid description, C(u), Q^C[[u,1]] at the worst
     point u) over the interior vertices: the one scan behind
-    ``tau_cm_defect``, ``find_corner_pair`` and each step of ``descend``."""
+    ``tau_cm_defect``, ``find_corner_pair`` and each step of ``descend``.
+    The coordinates of a point ``extra`` join a non-board's axes."""
     C = _lowered(C, grid)
     if grid is None and isinstance(C, CheckerboardCopula):
         cuts, kind = C.cuts, "checkerboard vertices"
     else:
         res = grid if grid is not None else default_resolution(C.dim)
         cuts, kind = grid_axes([C], res), f"uniform {res}+breakpoints"
+        if extra is not None:
+            cuts = [merge_cuts(c, [x]) for c, x in zip(cuts, extra)]
+            kind += "+support pair"
     desc = f"{kind}, sizes {[len(c) for c in cuts]}"
     if any(len(c) < 3 for c in cuts):
         return 0.0, (), desc, 0.0, 0.0
@@ -146,19 +306,54 @@ def _scan(C: Copula, grid: int | None) -> tuple[float, tuple, str, float, float]
     return float(defect[idx]), worst, desc, float(lower[idx]), float(upper[idx])
 
 
+def _decided_scan(
+    C: Copula, grid: int | None, tol: float
+) -> tuple[float, tuple, str, float, float]:
+    """``_scan``'s result, settled from the support first when no grid is
+    given: the decision behind ``tau_cm_defect``, ``tau_cm_certificate``,
+    ``find_corner_pair`` and ``refute_minimality``.
+
+    C comes lowered as ``_scan`` lowers it, and a board is left to the
+    scan.  Where ``_support_slack`` reads the support, a slack <= 0 proves tau-CM
+    with no scan: defect 0 at no point, described as ``SUPPORT_TEST``.
+    Rounding cannot flip that verdict at ``tol``: uniform margins give each
+    segment's mass m_i <= min_k |v_ik| (its direction v_i), so a slack
+    delta hides at most 2 S delta of defect on S segments.  A pair whose scan
+    passes at ``tol`` lies between the grid lines, and the scan is taken
+    again with the pair's midpoint u = (x + y)/2, where both corner boxes
+    carry mass, on every axis.  Everything else, and an explicit grid,
+    gets ``_scan`` unchanged.
+    """
+    support = None
+    if grid is None and not isinstance(C, CheckerboardCopula):
+        support = _support_slack(C)
+    if support is not None and support[0] <= 0:
+        return 0.0, (), SUPPORT_TEST, 0.0, 0.0
+    scan = _scan(C, grid)
+    if support is not None and scan[0] <= tol:
+        _, x, y = support
+        scan = _scan(C, grid, 0.5 * (x + y))
+    return scan
+
+
 def tau_cm_defect(
     C: Copula, grid: int | None = None
 ) -> tuple[float, tuple, str]:
     """max over interior scan points of min{C(u), (tau C)(1-u)}.
 
-    Returns (defect, worst_point, grid description).  A defect <= 1e-9 is a
-    grid-level tau-CM certificate; a larger defect exhibits a point whose
-    two corner boxes both carry mass.  Ties break lexicographically.
-    Copulas that are boards (with ``grid=None``; see ``as_board``) read
-    both corner masses at their interior vertices off the mass tensor, with
-    no interpolation.
+    Returns (defect, worst_point, grid description).  With ``grid=None``
+    the support decides first (``_decided_scan``): a segment copula with no
+    two support points strictly ordered on every axis, the extreme Clayton
+    copula and a glue product with such a half return (0.0, (),
+    ``SUPPORT_TEST``), an exact verdict; a segment copula whose pair the
+    grid misses is scanned again at the pair's midpoint.  Otherwise a defect
+    <= 1e-9 is a grid-level tau-CM certificate; a larger defect exhibits a
+    point whose two corner boxes both carry mass.  Ties break
+    lexicographically.  Copulas that are boards (with ``grid=None``; see
+    ``as_board``) read both corner masses at their interior vertices off
+    the mass tensor, with no interpolation.
     """
-    defect, worst, desc, _, _ = _scan(C, grid)
+    defect, worst, desc, _, _ = _decided_scan(_lowered(C, grid), grid, EXACT_TOL)
     return defect, worst, desc
 
 
@@ -168,10 +363,11 @@ def _refutable_scan(C: Copula, grid: int | None, tol: float) -> tuple[Copula, tu
     No board is tau-CM: at the midpoint of a cell of mass m both corner
     boxes hold at least m/2^d.  So a board whose scan finds no defect above
     ``tol`` is rebuilt, as the same measure, on its cuts plus its cell
-    midpoints, and scanned at those vertices.
+    midpoints, and scanned at those vertices.  Other copulas get
+    ``_decided_scan``.
     """
     C = _lowered(C, grid)
-    scan = _scan(C, grid)
+    scan = _decided_scan(C, grid, tol)
     if scan[0] <= tol and isinstance(C, CheckerboardCopula):
         cuts = [merge_cuts(c, 0.5 * (c[:-1] + c[1:])) for c in C.cuts]
         C = CheckerboardCopula(cuts, _split_cells(C, cuts))
@@ -179,14 +375,19 @@ def _refutable_scan(C: Copula, grid: int | None, tol: float) -> tuple[Copula, tu
     return C, scan
 
 
+def _certificate(scan: tuple, tol: float) -> TauCmCertificate:
+    defect, worst, desc, _, _ = scan
+    return TauCmCertificate(desc, defect, worst, tol, exact=desc == SUPPORT_TEST)
+
+
 def tau_cm_certificate(
     C: Copula, grid: int | None = None, tol: float = EXACT_TOL
 ) -> TauCmCertificate:
     """The tau-CM verdict ``refute_minimality`` reaches without surgery: the
-    ``tau_cm_defect`` scan, except that a board it passes at ``tol`` is
-    scanned again at its cell midpoints, where no board passes."""
-    _, (defect, worst, desc, _, _) = _refutable_scan(C, grid, tol)
-    return TauCmCertificate(desc, defect, worst, tol)
+    ``tau_cm_defect`` decision, exact when the support proves tau-CM,
+    except that a board it passes at ``tol`` is scanned again at its cell
+    midpoints, where no board passes."""
+    return _certificate(_refutable_scan(C, grid, tol)[1], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +624,15 @@ def find_corner_pair(
     where the continuous ray map alpha -> C(alpha u) reaches p; otherwise the
     same is done on the survival side and mapped back through u -> 1-u.
     With ``grid=None`` a copula that is a board (``as_board``) is scanned at
-    its vertices.  The ray runs on C at u or on its survival copula at 1-u,
-    and is solved exactly on a board and bisected otherwise.  Returns None
-    iff the defect is already below ``tol`` (grid tau-CM).
+    its vertices, and a support with no two points strictly ordered on
+    every axis gives None with no scan; a segment pair that the scan passes
+    at ``tol`` is scanned again at its midpoint (``_decided_scan``).  The ray
+    runs on C at u or on its survival copula at 1-u, and is solved exactly
+    on a board and bisected otherwise.  Returns None iff the defect is
+    already below ``tol`` (tau-CM, exactly or on the grid).
     """
     C = _lowered(C, grid)
-    return _corner_pair(C, _scan(C, grid), tol)
+    return _corner_pair(C, _decided_scan(C, grid, tol), tol)
 
 
 def _corner_pair(C: Copula, scan: tuple, tol: float) -> CornerPair | None:
@@ -508,9 +712,15 @@ def _corner_surgery(C: CheckerboardCopula, a, b) -> CheckerboardCopula:
 def refute_minimality(
     C: Copula, grid: int | None = None, tol: float = EXACT_TOL
 ) -> RefutationCertificate | TauCmCertificate:
-    """Either a grid tau-CM certificate, or a verified refutation.
+    """Either a tau-CM certificate, or a verified refutation.
 
-    The refutation's ``copula`` is the D that was verified.  With
+    The certificate is ``tau_cm_certificate``'s: with ``grid=None`` it is
+    exact when the support has no two points strictly ordered on every
+    axis (segment copulas, the extreme Clayton copula, glue products with
+    such a half; no scan runs), and grid-level otherwise; a segment pair
+    between the grid lines is scanned again at its midpoint and refuted
+    (``_decided_scan``).  The refutation's ``copula`` is the D that was
+    verified.  With
     ``grid=None`` a copula that is exactly a board (a checkerboard, Pi, and
     mixtures, glues, reflections and permutations of boards; see
     ``as_board``) is refuted as that board: D is the tensor-surgery board,
@@ -525,8 +735,7 @@ def refute_minimality(
     C, scan = _refutable_scan(C, grid, tol)
     pair = _corner_pair(C, scan, tol)
     if pair is None:
-        defect, worst, desc, _, _ = scan
-        return TauCmCertificate(desc, defect, worst, tol)
+        return _certificate(scan, tol)
     a, b, p = pair.a, pair.b, pair.p
     if isinstance(C, CheckerboardCopula):
         # the surgery on the refined grid is exact, and so is the order check

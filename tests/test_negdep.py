@@ -1,6 +1,8 @@
 """Extreme-negative-dependence certificates, the corner surgery and the
 descent loop."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,13 @@ from mincop import (
     make_mixture,
     make_reflected_upper,
     make_triangle_3d,
+    mixture_all_reflections,
     permute,
     random_checkerboard,
     reflect,
     refute_minimality,
     shuffle_a,
+    shuffle_b,
     spearman_rho,
     survival,
     tau_cm_certificate,
@@ -40,6 +44,7 @@ from mincop.core import (
     MixtureCopula,
     Reflected,
     RefutedCopula,
+    SegmentCopula,
     _first_max,
     default_resolution,
     grid_axes,
@@ -55,6 +60,7 @@ from mincop.negdep import (
     _corner_surgery,
     _scan,
 )
+from mincop.reference_values import _hyperplane_certified_catalog
 from mincop.serialize import to_spec
 
 
@@ -490,24 +496,176 @@ def test_refute_tau_cm_iff_defect_below_tol():
 
 
 @pytest.mark.parametrize(
-    "make, tau_cm",
+    "make, tau_cm, scans",
     [
-        (make_triangle_3d, True),
-        (lambda: make_basic("lower_frechet_2d", 2), True),
-        (lambda: make_basic("upper_frechet", 3), False),
-        (lambda: random_checkerboard(2, 8, seed=3), False),
+        # the support proves the triangle and W tau-CM with no scan
+        (make_triangle_3d, True, 0),
+        (lambda: make_basic("lower_frechet_2d", 2), True, 0),
+        (lambda: make_basic("upper_frechet", 3), False, 1),
+        (lambda: random_checkerboard(2, 8, seed=3), False, 1),
     ],
     ids=["triangle", "W", "M_3", "board"],
 )
-def test_refute_scans_once(monkeypatch, make, tau_cm):
+def test_refute_scans_once(monkeypatch, make, tau_cm, scans):
     C = make()
     calls = []
     monkeypatch.setattr(negdep, "_scan", lambda *args: calls.append(1) or _scan(*args))
     cert = refute_minimality(C)
-    assert len(calls) == 1
+    assert len(calls) == scans
     assert isinstance(cert, TauCmCertificate) == tau_cm
     if tau_cm:
         assert cert == tau_cm_certificate(C)
+
+
+# -- tau-CM read off the support --------------------------------------------
+
+# two segments whose comparable pair, inside the short increasing one, lies
+# between the lines of the default 32-cell scan: not tau-CM (tau = -0.9998),
+# and at u = (0.995, 0.005) both corner boxes carry 0.005
+HIDDEN_PAIR = SegmentCopula(
+    [[0.0, 1.0], [0.99, 0.0]], [[0.99, 0.01], [1.0, 0.01]], [0.99, 0.01]
+)
+
+
+def reflection_mixture(seed):
+    # a few nu_K(M) pieces with random weights (no pair), and M as one more
+    # piece at odd seeds (a pair along its diagonal)
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    Ks = [K for r in range(1, d) for K in itertools.combinations(range(d), r)]
+    chosen = rng.choice(len(Ks), size=min(len(Ks), int(rng.integers(1, 4))), replace=False)
+    pieces = [make_reflected_upper(d, Ks[i]) for i in chosen]
+    if seed % 2:
+        pieces.append(make_basic("upper_frechet", d))
+    return make_mixture(list(zip(pieces, rng.dirichlet(np.ones(len(pieces))))))
+
+
+SUPPORT_SEGMENTS = {
+    "M_2": lambda: make_basic("upper_frechet", 2),
+    "M_3": lambda: make_basic("upper_frechet", 3),
+    "W": lambda: make_basic("lower_frechet_2d", 2),
+    "triangle": make_triangle_3d,
+    "shuffle_a": shuffle_a,
+    "shuffle_b": shuffle_b,
+    "mar3": lambda: mixture_all_reflections(3),
+    "mar4": lambda: mixture_all_reflections(4),
+    "hidden_pair": lambda: HIDDEN_PAIR,
+    # the pair x on W, y on M peaks inside an edge: t = 1/2, s = 1
+    "mixture(M, W)": lambda: make_mixture(
+        [(make_basic("upper_frechet", 2), 0.5), (make_basic("lower_frechet_2d", 2), 0.5)]
+    ),
+    **{
+        f"K-CM {name}": (lambda C=C: C)
+        for name, C, _ in _hyperplane_certified_catalog()
+        if isinstance(C, SegmentCopula)
+    },
+    **{f"nu_K(M) mixture {s}": (lambda s=s: reflection_mixture(s)) for s in range(8)},
+}
+
+SUPPORT_RULES = {
+    **{
+        f"K-CM {name}": (lambda C=C: C)
+        for name, C, _ in _hyperplane_certified_catalog()
+        if not isinstance(C, SegmentCopula)
+    },
+    "clayton_extreme_3": lambda: make_basic("clayton_extreme", 3),
+    "clayton_extreme_4": lambda: make_basic("clayton_extreme", 4),
+    "glue(W, board)": lambda: make_glue_product(
+        make_basic("lower_frechet_2d", 2), random_checkerboard(2, 4, seed=1)
+    ),
+    "glue(M_2, Pi_1)": lambda: make_glue_product(
+        make_basic("upper_frechet", 2), make_basic("product", 1)
+    ),
+    "glue(hidden_pair, board)": lambda: make_glue_product(
+        HIDDEN_PAIR, random_checkerboard(2, 4, seed=1)
+    ),
+    "glue(Pi_2, hidden_pair)": lambda: make_glue_product(
+        make_basic("product", 2), HIDDEN_PAIR
+    ),
+}
+
+
+def fine_grid_slack(C, m=201):
+    # the slack min_k (y_k - x_k) of every segment pair at every (t, s) of an
+    # m x m grid, and the most it can miss the maximum by: half a grid step
+    # in t and in s, each times the largest |dx_k/dt|
+    t = np.linspace(0.0, 1.0, m)
+    X = C.starts[:, None, :] + t[:, None] * C.dirs[:, None, :]
+    best = max(
+        (X[:, None, :, :] - X[i][None, :, None, :]).min(axis=3).max()
+        for i in range(len(C.masses))
+    )
+    return best, np.abs(C.dirs).max() / (m - 1)
+
+
+def random_segments(seed):
+    # segments in general position, whose pairs peak at edge and interior
+    # crossings too; a measure with other margins than a copula's, which the
+    # slack does not read
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 3
+    n = 4
+    return SegmentCopula(rng.random((n, d)), rng.random((n, d)), np.full(n, 1 / n), _skip_margin_check=True)
+
+
+@pytest.mark.parametrize("name", list(SUPPORT_SEGMENTS) + [f"random {s}" for s in range(12)])
+def test_segment_slack_is_the_fine_grid_maximum(name):
+    if name.startswith("random"):
+        C = random_segments(int(name.split()[1]))
+    else:
+        C = SUPPORT_SEGMENTS[name]()
+    slack, x, y = negdep._segment_slack(C)
+    best, miss = fine_grid_slack(C)
+    assert best - 1e-12 <= slack <= best + miss + 1e-12
+    # the witness attains the slack
+    assert np.min(y - x) == pytest.approx(slack, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", list(SUPPORT_SEGMENTS) + list(SUPPORT_RULES))
+def test_support_verdict_agrees_with_the_corner_masses(name):
+    C = {**SUPPORT_SEGMENTS, **SUPPORT_RULES}[name]()
+    slack, x, y = negdep._support_slack(C)
+    if slack <= 0:
+        # no pair: no scan point has two loaded corners either
+        assert _scan(C, None)[0] <= 1e-9
+        assert tau_cm_certificate(C).exact
+        return
+    # a pair: both corner boxes at its midpoint carry mass, read by the cdf
+    # and by the generic inclusion-exclusion over it
+    u = 0.5 * (x + y)
+    assert C.cdf_many(u[None])[0] > 0
+    assert Copula._box_mass_lattice(C, u[:, None], np.ones((C.dim, 1)))[0] > 0
+    assert not tau_cm_certificate(C).exact
+
+
+@pytest.mark.parametrize(
+    "C",
+    [
+        HIDDEN_PAIR,
+        make_glue_product(HIDDEN_PAIR, make_basic("product", 1)),
+        make_glue_product(make_basic("product", 2), HIDDEN_PAIR),
+    ],
+    ids=["segments", "glue(C, Pi_1)", "glue(Pi_2, C)"],
+)
+def test_refute_finds_the_pair_between_grid_lines(C):
+    # an explicit grid keeps the grid scan, which misses the pair
+    assert tau_cm_defect(C, grid=default_resolution(C.dim))[0] <= 1e-9
+    defect, worst, desc = tau_cm_defect(C)
+    assert defect > 1e-9 and "+support pair" in desc
+    cert = tau_cm_certificate(C)
+    assert not cert.passed and not cert.exact
+    assert find_corner_pair(C).p == pytest.approx(defect, abs=1e-12)
+    refuted = refute_minimality(C)
+    assert isinstance(refuted, RefutationCertificate) and refuted.passed
+    assert refuted.order_check.relation == Relation.STRICTLY_BELOW
+
+
+def test_refute_the_two_segment_spec():
+    cert = refute_minimality(HIDDEN_PAIR)
+    assert isinstance(cert, RefutationCertificate) and cert.passed
+    assert np.allclose(cert.a, [0.995, 0.005], atol=1e-12)
+    assert cert.p == pytest.approx(0.005, abs=1e-12)
+    assert cert.rho_drop == pytest.approx(1.75e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("start", ["product", "upper_frechet"])

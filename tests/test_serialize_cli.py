@@ -557,3 +557,57 @@ def test_cli_mutated_input_never_leaks_a_traceback(tmp_path_factory, doc, args):
     path.write_text(json.dumps(doc))
     argv = [args[0], str(path)] + args[1:]
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "doc, exact",
+    [
+        ({"kind": "triangle", "dim": 3}, True),
+        ({"kind": "clayton_extreme", "dim": 3}, True),
+        (
+            to_spec(make_glue_product(make_basic("lower_frechet_2d", 2), make_basic("product", 1))),
+            True,
+        ),
+        # a mixture with a Pi piece: its support is not read, so the scan decides
+        (MIXTURE_NEAR_W, False),
+    ],
+    ids=["triangle", "clayton_extreme", "glue(W, Pi_1)", "mixture_near_W"],
+)
+def test_cli_tau_cm_reports_an_exact_verdict(tmp_path, capsys, doc, exact):
+    assert tau_cm_certificate(parse_spec(doc)).exact is exact
+    spec = write_spec(tmp_path, "c.json", doc)
+    assert main(["certify", spec, "--tau-cm"]) == (0 if exact else 1)
+    section = json.loads(capsys.readouterr().out)["tau_cm"]
+    assert section["exact"] is exact and section["passed"] is exact
+    if exact:
+        assert section["defect"] == 0.0 and section["worst_point"] == []
+        assert main(["refute", spec]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"] == "tau_cm" and doc["exact"] is True
+
+
+def test_cli_refutes_a_pair_between_grid_lines(tmp_path, capsys):
+    # the comparable pair of the short segment lies between the scan's grid
+    # lines; the support test finds it and the scan reads it at its midpoint
+    spec = write_spec(
+        tmp_path,
+        "two.json",
+        {
+            "schema_version": 1,
+            "dim": 2,
+            "kind": "segments",
+            "segments": [
+                {"start": [0.0, 1.0], "end": [0.99, 0.01], "mass": 0.99},
+                {"start": [0.99, 0.0], "end": [1.0, 0.01], "mass": 0.01},
+            ],
+        },
+    )
+    assert main(["refute", spec]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == "refuted"
+    assert doc["p"] == pytest.approx(0.005, abs=1e-12)
+    assert doc["order_check"]["relation"] == "strictly_below"
+    assert main(["certify", spec, "--tau-cm"]) == 1
+    section = json.loads(capsys.readouterr().out)["tau_cm"]
+    assert section["passed"] is False and section["exact"] is False
+    assert section["defect"] == pytest.approx(0.005, abs=1e-12)
