@@ -58,6 +58,7 @@ the seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -198,9 +199,19 @@ def _moment_eval(code: int, x: np.ndarray) -> np.ndarray:
     return 1.0 - x
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [-1, 1], computed once per m and
+    shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _gauss_nodes(m: int, lo, hi):
     """Gauss-Legendre nodes/weights mapped to [lo, hi] (lo, hi may be arrays)."""
-    x, w = np.polynomial.legendre.leggauss(m)
+    x, w = _gauss_rule(m)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
@@ -1272,21 +1283,45 @@ def grid_axes(copulas: Sequence[Copula], resolution: int) -> list[np.ndarray]:
 def merge_cuts(*cut_lists) -> np.ndarray:
     """Sorted union of cut lists without near-duplicates.
 
-    A point within CUT_GAP of a point already kept is dropped.  The lists are
-    taken in order, so the points of earlier lists win: a board's cuts merged
-    with new corners keep every cut of the board.  Sorting stands in for
-    ``np.unique``: a repeated point is within CUT_GAP of its copy, and the
-    points kept from different lists are distinct.
+    Every distinct point of the first list is kept, however close to
+    another.  A point of a later list within CUT_GAP of a point already
+    kept, or of the point before it in its own list, is dropped.  So the
+    points of earlier lists win: a board's cuts merged with new corners
+    keep every cut of the board.  Sorting stands in for ``np.unique``: a
+    repeated point is within any gap of its copy, and the points kept from
+    different lists are distinct.
     """
     kept = np.empty(0)
-    for cuts in cut_lists:
+    for i, cuts in enumerate(cut_lists):
         new = np.sort(np.asarray(cuts, dtype=float), axis=None)
-        new = new[np.diff(new, prepend=-np.inf) > CUT_GAP]
+        new = new[np.diff(new, prepend=-np.inf) > (CUT_GAP if i else 0.0)]
         if kept.size:
             new = new[np.abs(new[:, None] - kept).min(axis=1) > CUT_GAP]
             new = np.sort(np.concatenate([kept, new]))
         kept = new
     return kept
+
+
+def _insert_cuts(cuts: np.ndarray, points) -> np.ndarray:
+    """``merge_cuts(cuts, points)`` for strictly increasing ``cuts``, by
+    insertion: each point is placed by ``searchsorted`` and compared with
+    its two neighbours among the cuts only.  A few points cost a few scalar
+    steps, not a merge of whole arrays.  Returns ``cuts`` itself when no
+    point is inserted."""
+    pieces, start, prev = [], 0, -np.inf
+    last = len(cuts) - 1
+    for x in sorted(map(float, points)):
+        # as in merge_cuts, a point within CUT_GAP of the one before it in
+        # its list is dropped
+        if x - prev > CUT_GAP:
+            i = int(np.searchsorted(cuts, x))
+            if min(abs(x - cuts[max(i - 1, 0)]), abs(x - cuts[min(i, last)])) > CUT_GAP:
+                pieces += [cuts[start:i], [x]]
+                start = i
+        prev = x
+    if not pieces:
+        return cuts
+    return np.concatenate(pieces + [cuts[start:]])
 
 
 def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:

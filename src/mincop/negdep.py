@@ -10,10 +10,12 @@ With no grid given, ``tau_cm_defect``, ``tau_cm_certificate``,
 support before any scan (``_decided_scan``).  For a segment copula the
 largest slack min_k (y_k - x_k), over points x and y of every ordered pair
 of segments, is the maximum of a concave piecewise-linear function on the
-parameter square, found among its corners and the crossings of its pieces.
-By rule the extreme Clayton copula has no pair (its mass lies on a level set
-of a strictly increasing sum), and a glue product has one iff both halves
-do (a one-dimensional half, Pi and boards always do).  No pair is an exact
+parameter square, found among its corners and the crossings of its pieces;
+a reflection of a segment copula is read as one, and a permutation maps
+its inner copula's pair through sigma.  By rule the extreme Clayton copula
+and W have no pair (their mass lies on a level set of a strictly
+increasing sum), and a glue product has one iff both halves do (a
+one-dimensional half, Pi and boards always do).  No pair is an exact
 verdict, defect 0, with no scan; rounding cannot flip it at the tolerance,
 since uniform margins bound a segment's mass by its slowest coordinate
 speed, so a slack delta hides at most 2 S delta of defect on S segments.  A
@@ -43,9 +45,10 @@ constructively:
    producing D with D <= C, tau(D) <= tau(C) and D(a) = C(a) - p.  On a
    board D is the board read off the mass tensor refined by the cut
    planes at a and b, which makes every check exact; C is verified as the
-   same refinement, its cells split onto D's own cut arrays, so the order
-   check reads both boards on those cuts with no merge, and C's rho is
-   summed over the refined cells.  On any other copula D is a
+   same refinement, the one split tensor the surgery cuts into, on D's own
+   cut arrays, so the order check reads both boards on those cuts with no
+   merge, C's rho is summed over the refined cells and the witness gap
+   C(a) - D(a) is read off both vertex cdfs.  On any other copula D is a
    ``RefutedCopula`` node.  The D that is returned is the D that was
    verified: the certificate carries its order relation, validity report
    and strict Spearman-rho drop; verification failure is an internal
@@ -76,12 +79,16 @@ from .core import (
     ClaytonExtreme,
     Copula,
     GlueProduct,
+    LowerFrechet2d,
     MixtureCopula,
+    Permuted,
     ProductCopula,
+    Reflected,
     RefutedCopula,
     SegmentCopula,
     _along,
     _first_max,
+    _insert_cuts,
     default_resolution,
     grid_axes,
     merge_cuts,
@@ -95,6 +102,7 @@ from .transforms import (
     as_board,
     discretize,
     orthant_masses,
+    reflect,
     survival,
     uniform_cuts,
 )
@@ -249,9 +257,12 @@ def _support_slack(C: Copula) -> tuple[float, np.ndarray | None, np.ndarray | No
     A slack > 0 says that the points x < y of the support (the closure of
     the set carrying mass) are strictly ordered on every axis, by at least
     the slack; a slack of 0 that no two points are.  Segment copulas take
-    the maximum of ``_segment_slack``.  By rule, ``ClaytonExtreme`` has no
-    pair: its mass lies on the level set sum_k g(u_k) = d-1 of a strictly
-    increasing sum.  A glue product's support is the product of its halves',
+    the maximum of ``_segment_slack``, and so does a reflection of one,
+    taken as the segment copula ``reflect`` makes of it.  A permutation
+    keeps the inner copula's slack, its pair mapped through sigma.  By
+    rule, ``ClaytonExtreme`` and ``LowerFrechet2d`` have no pair: their mass
+    lies on a level set of a strictly increasing sum (sum_k g(u_k) = d-1,
+    u_1 + u_2 = 1).  A glue product's support is the product of its halves',
     so it has a pair iff both halves have one, with slack the smaller of
     theirs: one-dimensional copulas and Pi (x = 0, y = 1) and boards (the
     corners of their heaviest cell) always have one.  Everything else
@@ -259,7 +270,17 @@ def _support_slack(C: Copula) -> tuple[float, np.ndarray | None, np.ndarray | No
     """
     if isinstance(C, SegmentCopula):
         return _segment_slack(C)
-    if isinstance(C, ClaytonExtreme):
+    if isinstance(C, Reflected) and isinstance(C.inner, SegmentCopula):
+        return _segment_slack(reflect(C.inner, C.K))
+    if isinstance(C, Permuted):
+        inner = _support_slack(C.inner)
+        if inner is None or inner[1] is None:
+            return inner
+        slack, x, y = inner
+        pair = np.empty((2, C.dim))
+        pair[:, list(C.sigma)] = x, y
+        return slack, pair[0], pair[1]
+    if isinstance(C, (ClaytonExtreme, LowerFrechet2d)):
         return 0.0, None, None
     if C.dim == 1 or isinstance(C, ProductCopula):
         return 1.0, np.zeros(C.dim), np.ones(C.dim)
@@ -343,8 +364,9 @@ def tau_cm_defect(
 
     Returns (defect, worst_point, grid description).  With ``grid=None``
     the support decides first (``_decided_scan``): a segment copula with no
-    two support points strictly ordered on every axis, the extreme Clayton
-    copula and a glue product with such a half return (0.0, (),
+    two support points strictly ordered on every axis (or a reflection or
+    permutation of one), the extreme Clayton copula, W and a glue product
+    with such a half return (0.0, (),
     ``SUPPORT_TEST``), an exact verdict; a segment copula whose pair the
     grid misses is scanned again at the pair's midpoint.  Otherwise a defect
     <= 1e-9 is a grid-level tau-CM certificate; a larger defect exhibits a
@@ -687,17 +709,28 @@ class RefutationCertificate:
 
 
 def _corner_surgery(C: CheckerboardCopula, a, b) -> CheckerboardCopula:
+    """The board D of ``_refined_surgery``, with no board built for C."""
+    return _refined_surgery(C, a, b)[1]
+
+
+def _refined_surgery(
+    C: CheckerboardCopula, a, b
+) -> tuple[np.ndarray, CheckerboardCopula]:
     """The corner surgery on a board, as algebra on its mass tensor.
 
     On C's cuts refined by a and b, the corner blocks A = [0,a] and B = [b,1]
     are emptied and outer(A_1, B_R)/|B| + outer(B_1, A_R)/|A| is added: X_1
     is a block's first-axis marginal, X_R its remaining-axes marginal and |X|
-    its realised mass, which keeps the total mass exact.  A block ends at the
-    kept cut nearest its corner, as the merge may drop a corner next to a
-    cut.  Returns the surgery result on the refined cuts.
+    its realised mass, which keeps the total mass exact.  a and b are
+    inserted into each axis's cut array (``_insert_cuts``), which keeps every
+    cut of C and drops a corner within CUT_GAP of a cut, so a block ends at
+    the kept cut nearest its corner; an axis that gains no cut keeps C's
+    array itself, and its cells are not split.  Returns C's masses on the
+    refined cuts and the surgery result D on them.
     """
-    cuts = [merge_cuts(c, [x, y]) for c, x, y in zip(C.cuts, a, b)]
-    masses = _split_cells(C, cuts)
+    cuts = [_insert_cuts(c, (x, y)) for c, x, y in zip(C.cuts, a, b)]
+    refined = _split_cells(C, cuts)
+    masses = refined.copy()
     lo = tuple(slice(0, np.argmin(np.abs(c - x))) for c, x in zip(cuts, a))
     hi = tuple(slice(np.argmin(np.abs(c - x)), None) for c, x in zip(cuts, b))
     A, B = masses[lo].copy(), masses[hi].copy()
@@ -706,7 +739,17 @@ def _corner_surgery(C: CheckerboardCopula, a, b) -> CheckerboardCopula:
     glue = lambda X, Y: np.multiply.outer(X.sum(axis=rest), Y.sum(axis=0)) / Y.sum()
     masses[lo[:1] + hi[1:]] += glue(A, B)
     masses[hi[:1] + lo[1:]] += glue(B, A)
-    return CheckerboardCopula(cuts, masses)
+    return refined, CheckerboardCopula(cuts, masses)
+
+
+def _witness_gap(C: CheckerboardCopula, D: CheckerboardCopula, a: np.ndarray) -> float:
+    """C(a) - D(a) for two boards on the same cuts.  When a lies on those
+    cuts the two vertex cdfs hold the values, and interpolation would give
+    exactly them (weights 1.0 and 0.0); otherwise the cdfs interpolate."""
+    at = tuple(int(np.searchsorted(c, x)) for c, x in zip(D.cuts, a))
+    if all(i < len(c) and c[i] == x for c, i, x in zip(D.cuts, at, a)):
+        return float(C.vertex_cdf[at]) - float(D.vertex_cdf[at])
+    return C.cdf(a) - D.cdf(a)
 
 
 def refute_minimality(
@@ -716,8 +759,9 @@ def refute_minimality(
 
     The certificate is ``tau_cm_certificate``'s: with ``grid=None`` it is
     exact when the support has no two points strictly ordered on every
-    axis (segment copulas, the extreme Clayton copula, glue products with
-    such a half; no scan runs), and grid-level otherwise; a segment pair
+    axis (segment copulas and their reflections and permutations, the
+    extreme Clayton copula, W, glue products with such a half; no scan
+    runs), and grid-level otherwise; a segment pair
     between the grid lines is scanned again at its midpoint and refuted
     (``_decided_scan``).  The refutation's ``copula`` is the D that was
     verified.  With
@@ -739,13 +783,16 @@ def refute_minimality(
     a, b, p = pair.a, pair.b, pair.p
     if isinstance(C, CheckerboardCopula):
         # the surgery on the refined grid is exact, and so is the order check
-        # of two boards (grid=None); C is refined onto D's cut arrays
-        # themselves, so that check reads both on those cuts with no merge
-        D = _corner_surgery(C, a, b)
-        C = CheckerboardCopula(D.cuts, _split_cells(C, D.cuts))
+        # of two boards (grid=None); C is its own masses split by the
+        # surgery, on D's cut arrays themselves, so that check reads both on
+        # those cuts with no merge
+        refined, D = _refined_surgery(C, a, b)
+        C = CheckerboardCopula(D.cuts, refined)
         grid = None
+        gap = _witness_gap(C, D, a)
     else:
         D = RefutedCopula(C, a, b, p)
+        gap = C.cdf(a) - D.cdf(a)
     report = validate(D)
     order_check = concordance_leq(D, C, grid)
     checks: list[str] = []
@@ -753,7 +800,6 @@ def refute_minimality(
         checks.append(f"validate failed: {report}")
     if order_check.relation != Relation.STRICTLY_BELOW:
         checks.append(f"order check gave {order_check.relation}")
-    gap = C.cdf(a) - D.cdf(a)
     if not gap >= p - EXACT_TOL:
         checks.append(f"strict witness D(a) = C(a) - p failed: gap {gap:.3e} vs p {p:.3e}")
     rho_c = spearman_rho(C).value

@@ -276,7 +276,7 @@ def build_rows(progress=None) -> list[Row]:
         ok += bool(good)
     emit(
         _value_row(
-            "K-CM => grid tau-CM => Kendall minimum",
+            "K-CM => tau-CM => Kendall minimum",
             0,
             1.0,
             ok / len(certified),

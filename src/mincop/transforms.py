@@ -162,9 +162,13 @@ def _refines(cuts: Sequence[np.ndarray], C: Copula) -> bool:
 
 def _split_cells(C: CheckerboardCopula, cuts: list[np.ndarray]) -> np.ndarray:
     """C's masses on cuts that contain its own: each cell's mass is split by
-    width fractions, so empty cells stay exactly 0."""
+    width fractions, so empty cells stay exactly 0.  An axis whose target is
+    C's own cut array is left as it is (every fraction there is 1.0); with
+    no axis split, C's own read-only masses come back."""
     masses = C.masses
     for k, (c, t) in enumerate(zip(C.cuts, cuts)):
+        if t is c:
+            continue
         parent = np.searchsorted(c, t[:-1], side="right") - 1
         frac = np.diff(t) / np.diff(c)[parent]
         masses = np.take(masses, parent, axis=k) * _along(frac, k, C.dim)

@@ -40,6 +40,8 @@ from mincop.core import (
     RefutedCopula,
     SegmentCopula,
     _gauss_nodes,
+    _gauss_rule,
+    _insert_cuts,
     grid_axes,
     grid_points,
     merge_cuts,
@@ -474,10 +476,12 @@ def test_board_cdf_matches_one_weight_per_corner_bit_for_bit(d):
 
 
 def unique_merge_cuts(*cut_lists):
+    # the first list keeps every distinct point
     kept = np.empty(0)
-    for cuts in cut_lists:
+    for i, cuts in enumerate(cut_lists):
         new = np.unique(np.asarray(cuts, dtype=float))
-        new = new[np.diff(new, prepend=-np.inf) > CUT_GAP]
+        if i:
+            new = new[np.diff(new, prepend=-np.inf) > CUT_GAP]
         if kept.size:
             new = new[np.abs(new[:, None] - kept).min(axis=1) > CUT_GAP]
         kept = np.union1d(kept, new)
@@ -499,6 +503,34 @@ def test_merge_cuts_matches_the_unique_merge_bit_for_bit():
         got, want = merge_cuts(*lists), unique_merge_cuts(*lists)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_merge_cuts_keeps_every_point_of_the_first_list():
+    cuts = [0.0, 0.5, 0.5 + 5e-14, 0.5 + 5e-14, 1.0]
+    assert merge_cuts(cuts, [0.5 + 2e-14]).tolist() == [0.0, 0.5, 0.5 + 5e-14, 1.0]
+
+
+def random_board_cuts(rng):
+    # strictly increasing cuts from 0 to 1, some pairs within CUT_GAP
+    inner = rng.random(rng.integers(0, 8))
+    inner = np.concatenate([inner, inner[:2] + rng.choice([5e-14, 1e-13, 2e-13], size=len(inner[:2]))])
+    return np.unique(np.concatenate([[0.0, 1.0], inner[(inner > 0) & (inner < 1)]]))
+
+
+def test_insert_cuts_matches_the_merge_bit_for_bit():
+    # corners on a cut, within CUT_GAP of a cut or of each other, and just
+    # past it; nothing inserted returns the board's array itself
+    rng = np.random.default_rng(1)
+    shifts = [0.0, 1e-14, -5e-14, 1e-13, -1e-13, 1.5e-13, 1e-12]
+    for _ in range(3000):
+        cuts = random_board_cuts(rng)
+        x = rng.choice(cuts) if rng.random() < 0.5 else rng.random()
+        x += rng.choice(shifts)
+        y = x + rng.choice(shifts + [rng.random()]) if rng.random() < 0.5 else rng.choice(cuts)
+        x, y = float(np.clip(x, 0.0, 1.0)), float(np.clip(y, 0.0, 1.0))
+        got, want = _insert_cuts(cuts, (x, y)), merge_cuts(cuts, [x, y])
+        np.testing.assert_array_equal(got, want)
+        assert (got is cuts) == (len(want) == len(cuts))
 
 
 
@@ -935,6 +967,16 @@ def test_clayton_lattice_of_no_axes_is_one_box(d):
         assert got.shape == (1,) and got[0] == C.cdf(hi)
         got = C._box_mass_lattice(lo, hi)
         assert got.shape == (1,) and got[0] == C.box_mass(lo, hi)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 33])
+def test_gauss_rule_is_shared_read_only_with_numpys_bits(m):
+    x, w = _gauss_rule(m)
+    assert _gauss_rule(m)[0] is x and _gauss_rule(m)[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    want = np.polynomial.legendre.leggauss(m)
+    np.testing.assert_array_equal(x, want[0])
+    np.testing.assert_array_equal(w, want[1])
 
 
 def pointwise_quadrature(C, n, integrand):

@@ -41,7 +41,9 @@ from mincop.core import (
     ClaytonExtreme,
     Copula,
     GlueProduct,
+    LowerFrechet2d,
     MixtureCopula,
+    Permuted,
     Reflected,
     RefutedCopula,
     SegmentCopula,
@@ -58,7 +60,9 @@ from mincop.negdep import (
     _bisect_monotone,
     _corner_pair,
     _corner_surgery,
+    _refined_surgery,
     _scan,
+    _witness_gap,
 )
 from mincop.reference_values import _hyperplane_certified_catalog
 from mincop.serialize import to_spec
@@ -563,6 +567,16 @@ SUPPORT_SEGMENTS = {
 }
 
 SUPPORT_RULES = {
+    # nodes over segment copulas, as parse_spec builds them
+    "W analytic": LowerFrechet2d,
+    "Permuted(triangle)": lambda: Permuted(make_triangle_3d(), (2, 0, 1)),
+    "Permuted(M_3)": lambda: Permuted(make_basic("upper_frechet", 3), (1, 2, 0)),
+    "Permuted(glue(hidden_pair, Pi_1))": lambda: Permuted(
+        make_glue_product(HIDDEN_PAIR, make_basic("product", 1)), (2, 0, 1)
+    ),
+    "Reflected(M_3, {0})": lambda: Reflected(make_basic("upper_frechet", 3), [0]),
+    "Reflected(shuffle_a, {1})": lambda: Reflected(shuffle_a(), [1]),
+    "Reflected(triangle, all)": lambda: Reflected(make_triangle_3d(), range(3)),
     **{
         f"K-CM {name}": (lambda C=C: C)
         for name, C, _ in _hyperplane_certified_catalog()
@@ -644,8 +658,9 @@ def test_support_verdict_agrees_with_the_corner_masses(name):
         HIDDEN_PAIR,
         make_glue_product(HIDDEN_PAIR, make_basic("product", 1)),
         make_glue_product(make_basic("product", 2), HIDDEN_PAIR),
+        Permuted(make_glue_product(HIDDEN_PAIR, make_basic("product", 1)), (2, 0, 1)),
     ],
-    ids=["segments", "glue(C, Pi_1)", "glue(Pi_2, C)"],
+    ids=["segments", "glue(C, Pi_1)", "glue(Pi_2, C)", "permuted glue(C, Pi_1)"],
 )
 def test_refute_finds_the_pair_between_grid_lines(C):
     # an explicit grid keeps the grid scan, which misses the pair
@@ -658,6 +673,31 @@ def test_refute_finds_the_pair_between_grid_lines(C):
     refuted = refute_minimality(C)
     assert isinstance(refuted, RefutationCertificate) and refuted.passed
     assert refuted.order_check.relation == Relation.STRICTLY_BELOW
+
+
+def test_support_slack_maps_a_pair_through_sigma():
+    # the permuted node's pair is the permuted segment copula's, its
+    # coordinates moved by sigma
+    inner = make_glue_product(HIDDEN_PAIR, make_basic("product", 1))
+    slack, x, y = negdep._support_slack(inner)
+    sigma = (2, 0, 1)
+    got = negdep._support_slack(Permuted(inner, sigma))
+    assert got[0] == slack
+    for inner_point, point in zip((x, y), got[1:]):
+        np.testing.assert_array_equal(point[list(sigma)], inner_point)
+
+
+@pytest.mark.parametrize(
+    "C",
+    [LowerFrechet2d(), Permuted(make_triangle_3d(), (2, 0, 1)), Reflected(make_triangle_3d(), range(3))],
+    ids=["W analytic", "Permuted(triangle)", "Reflected(triangle)"],
+)
+def test_support_decides_nodes_over_segments_exactly(C):
+    cert = tau_cm_certificate(C)
+    assert cert.exact and cert.passed
+    assert cert.grid == negdep.SUPPORT_TEST and cert.defect == 0.0
+    assert tau_cm_defect(C) == (0.0, (), negdep.SUPPORT_TEST)
+    assert isinstance(refute_minimality(C), TauCmCertificate)
 
 
 def test_refute_the_two_segment_spec():
@@ -870,6 +910,69 @@ def test_tensor_surgery_corner_next_to_a_cut():
     assert [len(c) for c in D.cuts] == [5, 5]
     oracle = discretize(RefutedCopula(board, a, b, p), D.cuts)
     assert np.max(np.abs(D.masses - oracle.masses)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "board",
+    [random_checkerboard(d, n, seed=s) for d, n in ((2, 8), (3, 6), (4, 4)) for s in range(4)]
+    + [skewed_board()],
+)
+def test_witness_gap_reads_the_vertices_bit_for_bit(board):
+    # the corner a lies on the refined cuts, so the gap is read off both
+    # boards' vertex cdfs; the interpolated cdfs give the same bits
+    pair = find_corner_pair(board)
+    refined, D = _refined_surgery(board, pair.a, pair.b)
+    C = CheckerboardCopula(D.cuts, refined)
+    assert all(np.isin(x, c) for x, c in zip(pair.a, D.cuts))
+    assert _witness_gap(C, D, pair.a) == C.cdf(pair.a) - D.cdf(pair.a)
+    assert _witness_gap(C, D, pair.a) >= pair.p - 1e-9
+
+
+def test_witness_gap_interpolates_off_the_cuts():
+    # corners 1e-14 off the cuts are not inserted: the gap falls back to the
+    # interpolated cdfs
+    board = discretize(make_basic("product", 2), 4)
+    a = np.array([0.25, 0.25]) + 1e-14
+    b = 1.0 - a
+    refined, D = _refined_surgery(board, a, b)
+    C = CheckerboardCopula(D.cuts, refined)
+    assert not np.isin(a[0], D.cuts[0])
+    assert _witness_gap(C, D, a) == C.cdf(a) - D.cdf(a)
+
+
+def test_surgery_keeps_the_board_array_of_an_axis_it_does_not_cut():
+    # a and b lie on the board's cuts: no axis gains a cut, so every cut
+    # array and the mass tensor are the board's own, and nothing is split
+    board = random_checkerboard(2, 4, seed=0)
+    a, b = np.array([0.25, 0.5]), np.array([0.75, 0.5])
+    refined, D = _refined_surgery(board, a, b)
+    assert all(c is t for c, t in zip(board.cuts, D.cuts))
+    assert refined is board.masses
+    assert not refined.flags.writeable
+
+
+CLOSE_CUTS = [0.0, 0.25, 0.5, 0.50000000000005, 1.0]
+
+
+def close_cuts_board():
+    # a valid board two of whose cuts lie within CUT_GAP of each other
+    masses = np.zeros((4, 4))
+    masses[0, 0] = masses[1, 1] = 0.25
+    masses[2, 2] = 5e-14
+    masses[3, 3] = 0.49999999999995
+    return CheckerboardCopula([CLOSE_CUTS, CLOSE_CUTS], masses)
+
+
+def test_refute_a_board_with_cuts_within_cut_gap():
+    # the refinement keeps every cut of the board, so its cells split by
+    # fractions of their own widths
+    board = close_cuts_board()
+    cert = refute_minimality(board)
+    assert isinstance(cert, RefutationCertificate) and cert.passed
+    assert all(np.isin(CLOSE_CUTS, c).all() for c in cert.copula.cuts)
+    assert validate(cert.copula).passed
+    # so does the midpoint refinement of tau_cm_certificate
+    assert not tau_cm_certificate(board).passed
 
 
 # -- descent ----------------------------------------------------------------

@@ -9,6 +9,8 @@ from mincop import (
     Relation,
     concordance_leq,
     kendall_tau,
+    make_mixture,
+    make_reflected_upper,
     random_checkerboard,
     reflect,
     reflection_sum,
@@ -17,7 +19,7 @@ from mincop import (
     survival,
     tau_cm_defect,
 )
-from mincop.core import grid_points
+from mincop.core import SegmentCopula, grid_points
 
 boards = st.builds(
     random_checkerboard,
@@ -117,3 +119,29 @@ def test_every_board_is_refuted(board):
     # pair is refuted at its cell midpoints
     cert = refute_minimality(board)
     assert isinstance(cert, RefutationCertificate) and cert.passed
+
+
+@st.composite
+def reflections_with_a_shuffle(draw):
+    """nu_K(M) in d = 3 or 4 (K a nonempty proper subset), mixed with a
+    small shuffle of M: n comonotone diagonals of the cubes of side 1/n
+    that per-axis permutations of the blocks place, so its margins are
+    uniform.  Each diagonal holds two points strictly ordered on every
+    axis."""
+    d = draw(st.integers(3, 4))
+    K = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=d - 1))
+    n = draw(st.integers(1, 4))
+    blocks = [draw(st.permutations(range(n))) for _ in range(d)]
+    starts = np.array(blocks, dtype=float).T / n
+    shuffle = SegmentCopula(starts, starts + 1.0 / n, np.full(n, 1.0 / n))
+    w = draw(st.floats(1e-4, 0.1))
+    return make_mixture([(make_reflected_upper(d, sorted(K)), 1.0 - w), (shuffle, w)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(reflections_with_a_shuffle())
+def test_a_shuffle_of_m_piece_refutes_a_reflection_of_m(C):
+    # nu_K(M) alone is tau-CM; any weight on a comonotone piece is not
+    cert = refute_minimality(C)
+    assert isinstance(cert, RefutationCertificate) and cert.passed
+    assert cert.order_check.relation == Relation.STRICTLY_BELOW

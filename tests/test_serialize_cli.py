@@ -570,8 +570,19 @@ def test_cli_mutated_input_never_leaks_a_traceback(tmp_path_factory, doc, args):
         ),
         # a mixture with a Pi piece: its support is not read, so the scan decides
         (MIXTURE_NEAR_W, False),
+        ({"kind": "lower_frechet", "dim": 2, "representation": "analytic"}, True),
+        ({"kind": "permuted", "sigma": [2, 0, 1], "inner": {"kind": "triangle", "dim": 3}}, True),
+        ({"kind": "reflected", "K": [0, 1, 2], "inner": {"kind": "triangle", "dim": 3}}, True),
     ],
-    ids=["triangle", "clayton_extreme", "glue(W, Pi_1)", "mixture_near_W"],
+    ids=[
+        "triangle",
+        "clayton_extreme",
+        "glue(W, Pi_1)",
+        "mixture_near_W",
+        "W analytic",
+        "permuted triangle",
+        "reflected triangle",
+    ],
 )
 def test_cli_tau_cm_reports_an_exact_verdict(tmp_path, capsys, doc, exact):
     assert tau_cm_certificate(parse_spec(doc)).exact is exact
@@ -611,3 +622,17 @@ def test_cli_refutes_a_pair_between_grid_lines(tmp_path, capsys):
     section = json.loads(capsys.readouterr().out)["tau_cm"]
     assert section["passed"] is False and section["exact"] is False
     assert section["defect"] == pytest.approx(0.005, abs=1e-12)
+
+
+def test_cli_refutes_a_board_with_cuts_within_cut_gap(tmp_path, capsys):
+    # two of the board's own cuts lie 5e-14 apart; the surgery keeps both
+    cuts = [0, 0.25, 0.5, 0.50000000000005, 1.0]
+    masses = [0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 5e-14, 0, 0, 0, 0, 0.49999999999995]
+    doc = {"schema_version": 1, "kind": "checkerboard", "dim": 2, "cuts": [cuts, cuts],
+           "shape": [4, 4], "masses": masses}
+    spec = write_spec(tmp_path, "close.json", doc)
+    assert main(["refute", spec]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"] == "refuted"
+    assert out["order_check"]["relation"] == "strictly_below"
+    assert out["witness_copula"]["cuts"] == [cuts, cuts]
