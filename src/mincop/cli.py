@@ -384,6 +384,9 @@ def main(argv=None) -> int:
     except _Unwritable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except MincopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,18 +23,16 @@ takes the first that applies, a named method the first of its kind.
   products, mixtures and surgery nodes.  Without a moment path (e.g. the
   extreme Clayton) they take tensor Gauss-Legendre for d <= 4, then Monte
   Carlo: rho over uniform draws, the Pi-integral over C's sampler, or
-  without one over uniform draws x of Q^C[[x, 1]].  The
-  quadrature evaluates on the tensor grid of the Gauss nodes, with each
-  node's weight the left-to-right product of its axes' weights: rho reads
-  tau C as a box mass of C (the survival copula's ``cdf_grid``, one box of
-  C per node), and the Pi-integral integrates Q^C[[x, 1]]
-  (``_box_mass_lattice`` on the grid's lattice).
-  Every box [1 - u, 1] or [x, 1] passes its upper face as the float 1.0,
-  on the grid and on the uniform draws alike; the extreme Clayton
-  computes its cdf and such box masses on one separable kernel, which
-  takes g once per node and once per float face, phi at the shape of each
-  corner's g-sum (once for the all-ones corner) and phi's integer power by
-  repeated products.
+  without one over uniform draws x of Q^C[[x, 1]].  The quadrature
+  evaluates on the tensor grid of the Gauss nodes, with each node's weight
+  the left-to-right product of its axes' weights: rho reads tau C as a box
+  mass of C (the survival copula's ``cdf_grid``, one box of C per node),
+  and the Pi-integral integrates Q^C[[x, 1]] on the grid's lattice.  Both
+  run the one block loop of every lattice query (``_lattice_box_mass``),
+  so no kernel holds more than a block of the grid at once.  Every box
+  [1 - u, 1] or [x, 1] passes its upper face as the float 1.0, on the grid
+  and on the uniform draws alike, which a separable kernel (the extreme
+  Clayton's) takes once.
 
 Quadrature reports the difference to a coarser rule, Monte Carlo a 3-sigma
 half-width (so ``samples`` must be at least 2), both as plain floats.  Every
@@ -53,6 +51,7 @@ every report so unit errors stay visible.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -259,16 +258,16 @@ def _cube_quadrature(C: Copula, nodes: int, integrand) -> MeasureEstimate | None
     """Tensor Gauss-Legendre over the unit cube at ``nodes`` and at half as
     many (at least 4) per axis; None for d > 4.  ``integrand(axes)`` is the
     integrand's C-order tensor on the grid of the node arrays ``axes``; a
-    node's weight is the left-to-right product of its axes' weights."""
+    node's weight is the left-to-right product of its axes' weights, made
+    after the integrand, so that the weights are not held through it."""
     if C.dim > 4:
         return None
 
     def rule(n: int) -> tuple[float, int]:
         xs, ws = _gauss_nodes(n, 0.0, 1.0)
-        w = ws
-        for _ in range(C.dim - 1):
-            w = np.multiply.outer(w, ws)
-        return float(w.ravel() @ integrand([xs] * C.dim).ravel()), w.size
+        vals = integrand([xs] * C.dim).ravel()
+        w = functools.reduce(np.multiply.outer, [ws] * C.dim).ravel()
+        return float(w @ vals), w.size
 
     return _refined(rule, nodes, max(4, nodes // 2))
 
@@ -443,11 +442,11 @@ def pi_integral(
         ("exact", lambda C: _moment_mean(C, MOMENT_V)),
         # E[prod V_k] = int Q^C[[x, 1]] dx (Fubini on the indicator of [x, 1])
         ("quadrature", lambda C: _cube_quadrature(
-            C, quad_nodes, lambda ax: C._box_mass_lattice(_lattice(ax), upper))),
+            C, quad_nodes, lambda ax: C._lattice_box_mass(_lattice(ax), upper))),
         ("monte_carlo", lambda C: _sampled(C, seed, samples, lambda V: V.prod(axis=1))),
         # without a sampler, over uniform draws x of the same Q^C[[x, 1]]
         ("monte_carlo", lambda C: _uniform(
-            C.dim, seed, samples, lambda x: C._box_mass_lattice(x.T, upper))),
+            C.dim, seed, samples, lambda x: C._lattice_box_mass(x.T, upper))),
     ))
     return FunctionalReport("pi_integral", C.dim, est, 1.0)
 

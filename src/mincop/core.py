@@ -24,22 +24,23 @@ Analytic nodes (``UpperFrechet``, ``LowerFrechet2d``, ``ProductCopula``,
 
 Each query has a batch form (``cdf_many``, ``box_mass_many`` on (N, d)
 arrays) and a lattice form (``cdf_grid``, ``box_mass_grid`` on a product
-grid).  All four are one call of one per-axis entry point,
-``_box_mass_lattice(lo, hi)``: each box face is an array that broadcasts
-to the lattice (a batch is the lattice whose axes all lie along axis 0)
-or a float constant over it, 0.0 as a lower face and 1.0 as an upper one.
-The cdf is the box from the origin.  A class defines one of two
-primitives:
+grid).  All four run one block loop, ``Copula._lattice_box_mass(lo, hi)``,
+over one per-axis kernel, ``_box_mass_lattice(lo, hi)``: each box face is
+an array that broadcasts to the lattice (a batch is the lattice whose axes
+all lie along axis 0) or a float constant over it, 0.0 as a lower face and
+1.0 as an upper one.  The loop hands the kernel blocks of at most
+_BOX_ROWS points, so a kernel's temporaries scale with a block, never with
+the lattice.  The cdf is the box from the origin.  A class defines one of
+two primitives:
 
 * ``cdf_many``, for a closed-form pointwise cdf (checkerboards, M, W,
   permutations).  The default ``_box_mass_lattice`` writes the faces out
   as (N, d) points and runs inclusion-exclusion over the 2^d corners
   (corners on an all-zero lo face drop out, since copulas are grounded),
   so a box costs O(2^d) cdf values; a dimension cap (default 6) keeps
-  that honest.  It stacks every corner of a block of rows into one
-  ``cdf_many`` call and adds the signed values in corner order, so a
-  board locates its points in the cuts once per block, not once per
-  corner.
+  that honest.  It stacks every corner of its rows into ``cdf_many``
+  calls and adds the signed values in corner order, so a board locates
+  its points in the cuts once per call, not once per corner.
 * ``_box_mass_lattice``, for a separable or structural measure: the
   kernels of segment copulas and the extreme Clayton, whose cdfs separate
   by axis and take a float face once; Pi's product of side lengths; a
@@ -48,8 +49,6 @@ primitives:
   its inner copula, with the faces that are constant left as floats; and
   a surgery node's seven boxes of its inner copula, combined by the
   surgery's arithmetic.
-
-A class that defines neither recurses without end.
 
 All values are immutable after construction and safe to share.  Evaluation
 is vectorised with numpy and deterministic; sampling is deterministic given
@@ -98,8 +97,8 @@ __all__ = [
     "set_dimension_cap",
 ]
 
-# Rows per block of a box-mass evaluation (the stacked corners of the generic
-# inclusion-exclusion, ClaytonExtreme's kernel): bounds their temporaries.
+# Points per block of a lattice query (Copula._lattice_box_mass) and rows per
+# stacked cdf_many call of the generic inclusion-exclusion: bounds temporaries.
 _BOX_ROWS = 1 << 15
 
 # Exact paths report and test against this tolerance; it is never silently
@@ -272,9 +271,9 @@ class Copula:
     ``cdf_many`` (a closed-form pointwise cdf; box masses then come from
     the default ``_box_mass_lattice``, inclusion-exclusion over it) or
     ``_box_mass_lattice`` (a separable or structural box mass; the cdf is
-    then the box from the origin).  Every other query derives from
-    ``_box_mass_lattice``.  A class that defines neither recurses without
-    end: each default calls the other.
+    then the box from the origin).  Every other query runs it block by
+    block (``_lattice_box_mass``).  A class that defines neither recurses
+    without end: each default calls the other.
     """
 
     dim: int
@@ -283,21 +282,21 @@ class Copula:
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         """C at each row of an (N, d) batch: the box from the origin."""
-        return self._box_mass_lattice([0.0] * self.dim, U.T)
+        return self._lattice_box_mass([0.0] * self.dim, U.T)
 
     def cdf(self, u) -> float:
         return float(self.cdf_many(as_points(u, self.dim))[0])
 
     def box_mass_many(self, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
         """Q^C[[lo, hi]] for each row of two (N, d) batches of box faces."""
-        return self._box_mass_lattice(Lo.T, Hi.T)
+        return self._lattice_box_mass(Lo.T, Hi.T)
 
     def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """C at every vertex of the product grid of ``axes`` (one node array
         per axis), as the C-order tensor of shape ``[len(a) for a in axes]``:
-        ``_box_mass_lattice`` from the origin on the grid's lattice.
+        ``_lattice_box_mass`` from the origin on the grid's lattice.
         """
-        flat = self._box_mass_lattice([0.0] * self.dim, _lattice(axes))
+        flat = self._lattice_box_mass([0.0] * self.dim, _lattice(axes))
         return flat.reshape([len(a) for a in axes])
 
     def box_mass_grid(
@@ -306,14 +305,27 @@ class Copula:
         """Q^C[[lo, hi]] for every box of the product grid, as the C-order
         tensor of shape ``[len(a) for a in hi_axes]``: the box at index i has
         lo_k = lo_axes[k][i_k] and hi_k = hi_axes[k][i_k], so each axis
-        holds as many lo nodes as hi nodes: ``_box_mass_lattice`` on the
+        holds as many lo nodes as hi nodes: ``_lattice_box_mass`` on the
         two grids' lattices.
         """
-        flat = self._box_mass_lattice(_lattice(lo_axes), _lattice(hi_axes))
+        flat = self._lattice_box_mass(_lattice(lo_axes), _lattice(hi_axes))
         return flat.reshape([len(a) for a in hi_axes])
 
+    def _lattice_box_mass(self, lo, hi) -> np.ndarray:
+        """Q^C[[lo, hi]] on a lattice of any size, flat in C order: one
+        ``_box_mass_lattice`` call if it holds at most _BOX_ROWS points, else
+        one per block of ``_lattice_blocks``, on faces cut to it (``_on_block``)."""
+        shape = np.broadcast(*lo, *hi).shape
+        if math.prod(shape) <= _BOX_ROWS:
+            return self._box_mass_lattice(lo, hi)
+        out = np.empty(shape)
+        for block in _lattice_blocks(shape):
+            part = out[block]  # a view; no block's values outlive their copy
+            part[...] = self._box_mass_lattice(*_on_block([lo, hi], block)).reshape(part.shape)
+        return out.ravel()
+
     def _box_mass_lattice(self, lo, hi) -> np.ndarray:
-        """Q^C[[lo, hi]] at every point of a lattice, flat in C order.
+        """Q^C[[lo, hi]] on one lattice block (``_lattice_box_mass``), flat in C order.
 
         ``lo[k]`` and ``hi[k]`` are axis k's faces: arrays that broadcast to
         the lattice (a batch's columns all lie along its one axis), or
@@ -323,7 +335,7 @@ class Copula:
         that takes lo on an axis where every lo is 0 adds nothing: such an
         axis always takes hi, and with no other axis the box mass is one
         ``cdf_many`` call on the hi points.  Otherwise the 2^f corners of
-        the f free axes are stacked into one ``cdf_many`` call per block of
+        the f free axes are stacked into one ``cdf_many`` call per run of
         ``_BOX_ROWS >> f`` rows, so no call holds more than _BOX_ROWS rows,
         and their signed values are added in corner order, lo side first:
         each row gets the bits that one call per corner gives.
@@ -356,7 +368,7 @@ class Copula:
 
     def survival_many(self, U: np.ndarray) -> np.ndarray:
         """(tau C)(u) = Q^C[[1-u, 1]], the survival-copula value."""
-        return self._box_mass_lattice((1.0 - U).T, [1.0] * self.dim)
+        return self._lattice_box_mass((1.0 - U).T, [1.0] * self.dim)
 
     def survival_value(self, u) -> float:
         return float(self.survival_many(as_points(u, self.dim))[0])
@@ -432,7 +444,7 @@ class CheckerboardCopula(Copula):
         tol = max(CONSTRUCTION_TOL, masses.size * 1e-16)
         total = masses.sum()
         if abs(total - 1.0) > tol:
-            raise ValidationError(f"total mass {total!r} != 1 (tol {tol:.1e})")
+            raise ValidationError(f"total mass {float(total)!r} != 1 (tol {tol:.1e})")
         for k in range(d):
             slab = masses.sum(axis=tuple(i for i in range(d) if i != k))
             widths = np.diff(cuts[k])
@@ -553,6 +565,8 @@ class SegmentCopula(Copula):
     Every query runs one kernel, ``_lattice_interval``: each segment's
     parameter interval inside every box of a lattice, folded one axis at a
     time; ``product_moment`` integrates over the interval of its one box.
+    Its temporaries hold a value per segment and point, so the block loop
+    of ``Copula._lattice_box_mass`` bounds them by segments x _BOX_ROWS.
     """
 
     def __init__(self, starts, ends, masses, _skip_margin_check: bool = False):
@@ -573,7 +587,7 @@ class SegmentCopula(Copula):
         if np.any(masses <= 0):
             raise InputError("segment masses must be positive")
         if abs(masses.sum() - 1.0) > CONSTRUCTION_TOL:
-            raise ValidationError(f"segment masses sum to {masses.sum()!r}, not 1")
+            raise ValidationError(f"segment masses sum to {float(masses.sum())!r}, not 1")
         dirs = ends - starts
         if np.any(np.abs(dirs) < 1e-12):
             raise InputError(
@@ -785,9 +799,10 @@ class ClaytonExtreme(Copula):
     Its measure concentrates on the surface sum_k g(u_k) = d-1.
     At d=2 the formula reduces to W.  The sum is separable, so one kernel,
     ``_box_mass_lattice``, serves the cdf and box masses of batches and
-    lattices: g once per node (once in all on a float face such as a
-    survival box's upper face 1.0), phi once per corner at the shape of
-    its g-sum; the cdf is the box from the origin, its hi corner alone.
+    lattices, a block at a time: g once per node (once in all on a float
+    face such as a survival box's upper face 1.0), phi once per corner at
+    the shape of its g-sum; the cdf is the box from the origin, its hi
+    corner alone.
     phi's integer power is d-2 repeated products: most arguments of phi
     are exactly 0, and ``np.power`` falls off its fast path on zeros
     (several times slower per element than a product).  Products give
@@ -802,58 +817,32 @@ class ClaytonExtreme(Copula):
             raise InputError("copulas need dimension >= 2")
 
     def _box_mass_lattice(self, lo, hi) -> np.ndarray:
-        """Q^C[[lo, hi]] at every lattice point (faces as in
-        ``Copula._box_mass_lattice``), flat in C order, in blocks of at most
-        _BOX_ROWS points: the sum over the box corners, walked as
-        ``Copula._box_mass_lattice`` walks them, of (-1)^{lo sides}
-        phi(sum_k g_k).  g is taken once per float face (g(1.0) is exactly
-        1.0) and once per node and block of an array face; an axis whose lo
-        is 0 everywhere takes only its hi side.  phi runs at the shape of
-        its corner's g-sum and is added into the block by broadcasting, so
-        a corner whose sum is constant along an axis is evaluated once
-        along it (the all-hi corner of a survival box once in all).
-        """
+        """Q^C[[lo, hi]] at every point of a block, flat in C order: the sum
+        over the box corners, walked as ``Copula._box_mass_lattice`` walks
+        them, of (-1)^{lo sides} phi(sum_k g_k); an axis whose lo is 0
+        everywhere takes only its hi side, and g(1.0) is exactly 1.0."""
         d = self.dim
         e = 1.0 / (d - 1)
-        free = _free_axes(lo)
         shape = np.broadcast(*lo, *hi).shape
+        sides = [
+            ((np.power(x, e), 1), (np.power(h, e), 0)) if f else ((np.power(h, e), 0),)
+            for x, h, f in zip(lo, hi, _free_axes(lo))
+        ]
         out = np.zeros(shape)
-
-        def g(x):
-            """block -> g of face x on the block; a float face's g is taken
-            here, once."""
-            if not isinstance(x, np.ndarray):
-                gx = np.power(x, e)
-                return lambda block: gx
-            # the block's part of x, whole along the axes x broadcasts on
-            return lambda block: np.power(
-                x[tuple(b if n > 1 else slice(None) for b, n in zip(block, x.shape))], e
-            )
-
-        g_lo = [g(x) if f else None for x, f in zip(lo, free)]
-        g_hi = [g(x) for x in hi]
-        for block in _lattice_blocks(shape):
-            sides = [
-                ((gl(block), 1), (gh(block), 0)) if f else ((gh(block), 0),)
-                for gl, gh, f in zip(g_lo, g_hi, free)
-            ]
-            acc = out[block]
-            x = np.empty(acc.shape)
-            y = np.empty(acc.shape)
-            for s, lows in _corner_fold(sides, np.add):
-                # a sum narrower than the block gets buffers of its own shape
-                xs, ys = (x, y) if s.shape == acc.shape else (np.empty(s.shape), np.empty(s.shape))
-                np.subtract(s, d - 1, out=xs)
-                np.maximum(xs, 0.0, out=xs)
-                np.copyto(ys, xs)
-                for _ in range(d - 2):
-                    ys *= xs
-                if lows % 2:
-                    acc -= ys
-                else:
-                    acc += ys
-            # free this block's g and buffers before the next block's exist
-            del sides, s, x, y, xs, ys
+        x = np.empty(shape)
+        y = np.empty(shape)
+        for s, lows in _corner_fold(sides, np.add):
+            # a sum narrower than the block gets buffers of its own shape
+            xs, ys = (x, y) if s.shape == shape else (np.empty(s.shape), np.empty(s.shape))
+            np.subtract(s, d - 1, out=xs)
+            np.maximum(xs, 0.0, out=xs)
+            np.copyto(ys, xs)
+            for _ in range(d - 2):
+                ys *= xs
+            if lows % 2:
+                out -= ys
+            else:
+                out += ys
         return out.ravel()
 
 
@@ -887,14 +876,11 @@ def _points(faces, shape) -> np.ndarray:
 
 
 def _lattice_blocks(shape):
-    """Index tuples (one slice per axis) that cut a C-order lattice into
-    blocks of at most _BOX_ROWS points: whole trailing axes, a run of nodes
-    on the first axis whose trailing axes fit, one node on each axis before
-    it.  A lattice of no axes is one box, its block a view of it all."""
+    """Index tuples (one slice per axis) that cut a C-order lattice of one
+    or more axes into blocks of at most _BOX_ROWS points: whole trailing
+    axes, a run of nodes on the first axis whose trailing axes fit, one node
+    on each axis before it."""
     d = len(shape)
-    if not d:
-        yield (Ellipsis,)
-        return
     if 0 in shape:
         return
     j = 0
@@ -908,6 +894,18 @@ def _lattice_blocks(shape):
                 + (slice(r, r + step),)
                 + (slice(None),) * (d - j - 1)
             )
+
+
+def _on_block(faces, block):
+    """Box faces on one block of ``_lattice_blocks``: a float face as it is,
+    an array face (or a batch's faces in one array, a row per axis) sliced
+    on each of its trailing axes that it varies along, a list item by item."""
+    if isinstance(faces, list):
+        return [_on_block(x, block) for x in faces]
+    if not isinstance(faces, np.ndarray):
+        return faces
+    tail = faces.shape[faces.ndim - len(block) :]
+    return faces[(Ellipsis,) + tuple(b if n > 1 else slice(None) for b, n in zip(block, tail))]
 
 
 def _corner_fold(sides, op, k=0, acc=None, tag=0):

@@ -323,7 +323,7 @@ def _scan(
     lower, upper = (X[interior] for X in orthant_masses(C, cuts))
     defect = np.minimum(lower, upper)
     idx = np.unravel_index(_first_max(defect), defect.shape)
-    worst = tuple(c[i + 1] for c, i in zip(cuts, idx))
+    worst = tuple(float(c[i + 1]) for c, i in zip(cuts, idx))
     return float(defect[idx]), worst, desc, float(lower[idx]), float(upper[idx])
 
 

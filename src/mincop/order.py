@@ -78,7 +78,7 @@ def _classify(c_vals, d_vals, cuts, grid_desc, exact, tol) -> OrderResult:
     diff = (c_vals - d_vals).ravel()
     # a witness is one vertex: its index on each axis, read off the cuts
     point = lambda i: tuple(
-        grid_points([c[[j]] for c, j in zip(cuts, np.unravel_index(i, c_vals.shape))])[0]
+        grid_points([c[[j]] for c, j in zip(cuts, np.unravel_index(i, c_vals.shape))])[0].tolist()
     )
     over = float(diff.max(initial=0.0))  # C above D
     under = float((-diff).max(initial=0.0))  # D above C

@@ -575,6 +575,22 @@ def test_monte_carlo_memory_does_not_grow_with_the_batch():
     assert peak(large) - peak(small) <= 12 * (large - small)
 
 
+def test_pi_integral_quadrature_memory_stays_at_its_peak():
+    # the d = 4 quadrature's 24^4-node box masses Q^C[[x, 1]] run the block
+    # loop of every lattice query; their tracemalloc peak was 6.82 MB when
+    # the extreme Clayton's kernel cut its own blocks, and it must not grow
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        est = pi_integral(ClaytonExtreme(4), method="quadrature").estimate
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.samples_or_nodes == 24**4
+    assert peak <= 6.83e6
+
+
 MC_PATHS = {
     "rho_uniform": lambda: spearman_rho(
         ClaytonExtreme(3), method="monte_carlo", samples=BLOCKED_SAMPLES).estimate,

@@ -692,6 +692,110 @@ def test_clayton_grid_blocks_stay_within_box_rows():
         assert np.all(seen == 1)
 
 
+# -- the block loop against one kernel call on the whole lattice --------------
+
+
+def shuffle_of_m(n, seed=1):
+    # the cells (i, s_2(i), s_3(i))/n of two successive permutation draws,
+    # each carrying its increasing diagonal at mass 1/n
+    rng = np.random.default_rng(seed)
+    starts = np.column_stack([np.arange(n), rng.permutation(n), rng.permutation(n)]) / n
+    return SegmentCopula(starts, starts + 1.0 / n, np.full(n, 1.0 / n))
+
+
+def block_loop_queries(d, seed):
+    # lattices and a batch of at least three blocks each: random boxes, the
+    # cdf's boxes (every lo the float 0.0) and survival boxes (every hi the
+    # float 1.0) on a lattice, and random boxes on a batch (the faces a
+    # batch's transpose, one array)
+    from mincop.core import _lattice
+
+    rng = np.random.default_rng(seed)
+    hi = _lattice(lattice_axes(d, seed, [-(-3 * _BOX_ROWS // 13 ** (d - 1)) + 1] + [13] * (d - 1)))
+    lo = [x * rng.random(x.shape) for x in hi]
+    A, B = rng.random((2, 3 * _BOX_ROWS + 5, d))
+    return [
+        (lo, hi),
+        ([0.0] * d, hi),
+        ([1.0 - x for x in hi], [1.0] * d),
+        (np.minimum(A, B).T, np.maximum(A, B).T),
+    ]
+
+
+def blocked_and_whole(C, lo, hi, monkeypatch):
+    # the block loop's values, checked to come from three or more kernel
+    # calls of at most _BOX_ROWS points that cover the lattice once, and the
+    # values of one kernel call on the whole lattice
+    kernel, sizes = type(C)._box_mass_lattice, []
+    monkeypatch.setattr(
+        type(C),
+        "_box_mass_lattice",
+        lambda self, l, h: sizes.append(np.broadcast(*l, *h).size) or kernel(self, l, h),
+    )
+    got = C._lattice_box_mass(lo, hi)
+    monkeypatch.undo()
+    assert len(sizes) >= 3 and max(sizes) <= _BOX_ROWS and sum(sizes) == got.size
+    return got, kernel(C, lo, hi)
+
+
+def segment_surgery_node():
+    C = shuffle_of_m(8)
+    pair = find_corner_pair(C)
+    return RefutedCopula(C, pair.a, pair.b, pair.p)
+
+
+BLOCK_LOOP_BITS = {
+    "board": random_checkerboard(3, 4, seed=3),
+    "clayton3": ClaytonExtreme(3),
+    "clayton4": ClaytonExtreme(4),
+    "reflected_clayton": Reflected(ClaytonExtreme(3), [0, 2]),
+    "pi3": ProductCopula(3),
+}
+BLOCK_LOOP_ROUNDING = {
+    "segments": shuffle_of_m(12),
+    "glue_segment_half": GlueProduct(shuffle_a(), ProductCopula(1)),
+    "reflected_segments": Reflected(make_triangle_3d(), [1]),
+    "surgery_on_segments": segment_surgery_node(),
+}
+
+
+@pytest.mark.parametrize("C", BLOCK_LOOP_BITS.values(), ids=BLOCK_LOOP_BITS.keys())
+def test_block_loop_matches_one_kernel_call_bit_for_bit(C, monkeypatch):
+    # these kernels compute each point on its own, so cutting the lattice
+    # into blocks cannot move a bit
+    for lo, hi in block_loop_queries(C.dim, seed=100 + C.dim):
+        np.testing.assert_array_equal(*blocked_and_whole(C, lo, hi, monkeypatch))
+
+
+@pytest.mark.parametrize("C", BLOCK_LOOP_ROUNDING.values(), ids=BLOCK_LOOP_ROUNDING.keys())
+def test_block_loop_matches_one_kernel_call_to_rounding(C, monkeypatch):
+    # a segment kernel ends in the BLAS product masses @ lengths, whose
+    # rounding of one column can depend on how many columns the call holds
+    for lo, hi in block_loop_queries(C.dim, seed=110 + C.dim):
+        got, want = blocked_and_whole(C, lo, hi, monkeypatch)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_segment_grid_memory_is_bounded_by_a_block():
+    # the segment kernel holds a value per segment and point; folded over
+    # the whole 65^3 lattice at once it peaked at ~254 MB (17 arrays of
+    # segments x _BOX_ROWS doubles).  In blocks it holds the output and the
+    # fold's two running bounds t0 and t1 at block size, with a third array
+    # of headroom
+    import tracemalloc
+
+    C = shuffle_of_m(60)
+    axes = [np.linspace(0.0, 1.0, 65)] * 3
+    tracemalloc.start()
+    try:
+        C.cdf_grid(axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 65**3 * 8 + 3 * len(C.masses) * _BOX_ROWS * 8
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_reflected_clayton_cdf_grid_matches_cdf_many_bit_for_bit(d):
     axes = lattice_axes(d, seed=40 + d)

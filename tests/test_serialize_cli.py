@@ -636,3 +636,71 @@ def test_cli_refutes_a_board_with_cuts_within_cut_gap(tmp_path, capsys):
     assert out["result"] == "refuted"
     assert out["order_check"]["relation"] == "strictly_below"
     assert out["witness_copula"]["cuts"] == [cuts, cuts]
+
+
+MEMORY_ERROR_RUN = """
+import sys
+import mincop.cli as cli
+
+def exhausted(*args, **kwargs):
+    raise MemoryError(*sys.argv[2:])
+
+cli.refute_minimality = exhausted
+sys.exit(cli.main(["refute", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "reason, line",
+    [
+        (["Unable to allocate 1.56 GiB for an array with shape (100, 128, 128, 128)"],
+         "memory error: Unable to allocate 1.56 GiB for an array with shape (100, 128, 128, 128)"),
+        ([], "memory error: out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_cli_memory_exhaustion_exits_two_without_a_traceback(tmp_path, reason, line):
+    # a verb that runs out of memory (numpy raises a MemoryError subclass)
+    # reports one named line on stderr and exits 2, in a process of its own
+    # so that an uncaught exception would print its traceback there
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mincop
+
+    src = str(Path(mincop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    spec = write_spec(tmp_path, "pi.json", {"kind": "product", "dim": 2})
+    run = subprocess.run(
+        [sys.executable, "-c", MEMORY_ERROR_RUN, spec, *reason],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr == line + "\n"
+    assert run.stdout == ""
+
+
+def test_reports_and_messages_hold_plain_floats():
+    # numpy 2 writes a numpy scalar as np.float64(0.5) in a repr and in a
+    # message's {!r}; every coordinate and value they show is a float
+    import re
+
+    from mincop import ValidationError, concordance_leq, shuffle_b
+    from mincop.core import CheckerboardCopula, SegmentCopula
+
+    cert = tau_cm_certificate(make_basic("upper_frechet", 2), grid=4)
+    order = concordance_leq(shuffle_a(), shuffle_b())
+    assert cert.worst_point == (0.5, 0.5) and order.witness_points
+    for point in (cert.worst_point, *order.witness_points):
+        assert all(type(x) is float for x in point)
+    assert "np.float64" not in repr(cert) + repr(order)
+    for build, message in (
+        (lambda: CheckerboardCopula([[0.0, 1.0], [0.0, 1.0]], [[2.0]]), "total mass 2.0 != 1"),
+        (lambda: SegmentCopula([[0.0, 0.0]], [[1.0, 1.0]], [0.5]), "segment masses sum to 0.5, not 1"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build()
