@@ -109,6 +109,7 @@ def _tau_cm_doc(cert: TauCmCertificate) -> dict:
         "worst_point": list(cert.worst_point),
         "grid": cert.grid,
         "exact": cert.exact,
+        "tol": cert.tol,
     }
 
 
@@ -213,6 +214,7 @@ def _cmd_certify(C, args):
             "c": spec.c,
             "eps": args.eps,
             "band_mass": mass,
+            "tol": args.tol,
             "certified": mass >= 1.0 - args.tol,
         }
     ok = all(section.get("passed", section.get("certified")) for section in doc.values())
@@ -226,6 +228,7 @@ def _cmd_validate(C, args):
         "worst_margin_defect": rep.worst_margin_defect,
         "worst_grounding_defect": rep.worst_grounding_defect,
         "grid": rep.grid,
+        "tol": rep.tol,
         "passed": rep.passed,
     }, 0 if rep.passed else 1
 
@@ -274,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, tol=False, report=True):
+    def common(p, tol=False, report=True, grid=False):
         # each verb registers only the options it reads
         p.add_argument("copula", help="path to a copula spec JSON")
         p.add_argument("--out", default=None, help="write the report here")
@@ -282,6 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=_tolerance, default=EXACT_TOL)
         if report:
             p.add_argument("--format", choices=("json", "csv"), default="json")
+        if grid:
+            p.add_argument(
+                "--grid",
+                type=int,
+                default=None,
+                help="uniform cells per axis (at least 2), plus breakpoints; "
+                "without it a board is read at its own vertices",
+            )
 
     p = sub.add_parser("eval", help="evaluate the cdf (or survival value) at a point")
     common(p)
@@ -307,9 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("order", help="pointwise and concordance order check")
-    common(p, tol=True)
+    common(p, tol=True, grid=True)
     p.add_argument("other", help="path to the second copula spec")
-    p.add_argument("--grid", type=int, default=None)
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("transform", help="reflect / permute / discretize")
@@ -320,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("refute", help="tau-CM certificate or minimality refutation")
-    common(p, tol=True)
-    p.add_argument("--grid", type=int, default=None)
+    common(p, tol=True, grid=True)
     p.set_defaults(func=_cmd_refute)
 
     p = sub.add_parser("descend", help="iterated surgery toward a tau-CM board")
@@ -332,22 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_descend)
 
     p = sub.add_parser("certify", help="tau-CM and/or K-CM certificates")
-    common(p, tol=True)
+    common(p, tol=True, grid=True)
     p.add_argument("--tau-cm", action="store_true")
     p.add_argument("--k-cm", default=None, help="path to a hyperplane spec JSON")
-    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--eps", type=_tolerance, default=0.0, help="hyperplane band half-width")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("validate", help="copula axiom check on a grid")
-    common(p)
-    p.add_argument(
-        "--grid",
-        type=int,
-        default=None,
-        help="uniform cells per axis, plus breakpoints; without it a board is "
-        "checked at its own vertices",
-    )
+    common(p, grid=True)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("reproduce", help="recompute the published-values table")

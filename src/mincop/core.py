@@ -1255,12 +1255,13 @@ def grid_axes(copulas: Sequence[Copula], resolution: int) -> list[np.ndarray]:
     """Per-axis evaluation nodes: a uniform grid augmented with every natural
     breakpoint (cuts, segment endpoints, surgery corners) of the copulas,
     thinned to at most about MAX_AXIS_NODES per axis.  Breakpoints are where
-    piecewise-linear cdfs attain extreme differences.
+    piecewise-linear cdfs attain extreme differences.  A resolution below 2
+    is rejected: one cell leaves an axis with no breakpoint at {0, 1}.
     """
     if not copulas:
         raise InputError("grid_axes needs at least one copula")
-    if resolution < 1:
-        raise InputError(f"grid resolution must be >= 1, got {resolution}")
+    if resolution < 2:
+        raise InputError(f"grid resolution must be >= 2, got {resolution}")
     d = copulas[0].dim
     axes = []
     for k in range(d):

@@ -34,12 +34,12 @@ constructively:
    1-u) until both corner boxes carry exactly p.  A copula that is exactly
    a board (``transforms.as_board``: a checkerboard, Pi, and mixtures,
    glues, reflections and permutations of boards) is scanned at its own
-   vertices and solves the ray exactly; other representations scan a
-   uniform grid augmented with their breakpoints and bisect.  No board is
-   tau-CM (it has a density), so ``refute_minimality`` and
-   ``tau_cm_certificate`` scan a board with no refutable vertex again at
-   its cell midpoints; ``tau_cm_defect`` and ``descend`` keep the vertex
-   scan.
+   vertices and halves its ray on a fitted cell polynomial; other
+   representations scan a uniform grid augmented with their breakpoints
+   and bisect.  No board is tau-CM (it has a density), so
+   ``refute_minimality`` and ``tau_cm_certificate`` scan a board with no
+   refutable vertex again at its heaviest cell's midpoint, as a segment
+   pair is; ``tau_cm_defect`` and ``descend`` keep the vertex scan.
 2. ``refute_minimality`` performs the corner surgery: the two comonotone
    corner pieces are replaced by a cross-glued, de-comonotonised pair,
    producing D with D <= C, tau(D) <= tau(C) and D(a) = C(a) - p.  On a
@@ -130,6 +130,9 @@ BISECT_TOL = 1e-12
 SUPPORT_TEST = "support: no two points strictly ordered on every axis"
 # pair-candidate-axis elements per block of the segment-pair test
 _PAIR_BLOCK = 1 << 16
+
+# a scan's (defect, worst point u, grid description, C(u), Q^C[[u,1]])
+_Scan = tuple[float, tuple, str, float, float]
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +303,19 @@ def _support_slack(C: Copula) -> tuple[float, np.ndarray | None, np.ndarray | No
     return None
 
 
-def _scan(
-    C: Copula, grid: int | None, extra: np.ndarray | None = None
-) -> tuple[float, tuple, str, float, float]:
-    """(defect, worst point, grid description, C(u), Q^C[[u,1]] at the worst
-    point u) over the interior vertices: the one scan behind
+def _scan(C: Copula, grid: int | None, extra: np.ndarray | None = None) -> _Scan:
+    """The worst of a lowered C's interior vertices: the one scan behind
     ``tau_cm_defect``, ``find_corner_pair`` and each step of ``descend``.
-    The coordinates of a point ``extra`` join a non-board's axes."""
-    C = _lowered(C, grid)
+    A board with no grid is read at its own vertices, anything else on the
+    uniform grid plus its breakpoints; a point ``extra`` joins the axes."""
     if grid is None and isinstance(C, CheckerboardCopula):
         cuts, kind = C.cuts, "checkerboard vertices"
     else:
         res = grid if grid is not None else default_resolution(C.dim)
         cuts, kind = grid_axes([C], res), f"uniform {res}+breakpoints"
-        if extra is not None:
-            cuts = [merge_cuts(c, [x]) for c, x in zip(cuts, extra)]
-            kind += "+support pair"
+    if extra is not None:
+        cuts = [_insert_cuts(c, [x]) for c, x in zip(cuts, extra)]
+        kind += "+support pair"
     desc = f"{kind}, sizes {[len(c) for c in cuts]}"
     if any(len(c) < 3 for c in cuts):
         return 0.0, (), desc, 0.0, 0.0
@@ -327,23 +327,20 @@ def _scan(
     return float(defect[idx]), worst, desc, float(lower[idx]), float(upper[idx])
 
 
-def _decided_scan(
-    C: Copula, grid: int | None, tol: float
-) -> tuple[float, tuple, str, float, float]:
-    """``_scan``'s result, settled from the support first when no grid is
-    given: the decision behind ``tau_cm_defect``, ``tau_cm_certificate``,
-    ``find_corner_pair`` and ``refute_minimality``.
+def _decided_scan(C: Copula, grid: int | None, tol: float) -> _Scan:
+    """``_scan``'s result on a lowered C, settled from the support first
+    when no grid is given: the decision behind ``tau_cm_defect``,
+    ``tau_cm_certificate``, ``find_corner_pair`` and ``refute_minimality``.
 
-    C comes lowered as ``_scan`` lowers it, and a board is left to the
-    scan.  Where ``_support_slack`` reads the support, a slack <= 0 proves tau-CM
-    with no scan: defect 0 at no point, described as ``SUPPORT_TEST``.
-    Rounding cannot flip that verdict at ``tol``: uniform margins give each
-    segment's mass m_i <= min_k |v_ik| (its direction v_i), so a slack
-    delta hides at most 2 S delta of defect on S segments.  A pair whose scan
-    passes at ``tol`` lies between the grid lines, and the scan is taken
-    again with the pair's midpoint u = (x + y)/2, where both corner boxes
-    carry mass, on every axis.  Everything else, and an explicit grid,
-    gets ``_scan`` unchanged.
+    A board is left to the scan.  Where ``_support_slack`` reads the
+    support, a slack <= 0 proves tau-CM with no scan: defect 0 at no point,
+    described as ``SUPPORT_TEST``.  Rounding cannot flip that verdict at
+    ``tol``: uniform margins give each segment's mass m_i <= min_k |v_ik|
+    (its direction v_i), so a slack delta hides at most 2 S delta of defect
+    on S segments.  A pair whose scan passes at ``tol`` lies between the
+    grid lines, and the scan is taken again with the pair's midpoint
+    u = (x + y)/2, where both corner boxes carry mass, on every axis.
+    Everything else, and an explicit grid, gets ``_scan`` unchanged.
     """
     support = None
     if grid is None and not isinstance(C, CheckerboardCopula):
@@ -379,25 +376,19 @@ def tau_cm_defect(
     return defect, worst, desc
 
 
-def _refutable_scan(C: Copula, grid: int | None, tol: float) -> tuple[Copula, tuple]:
-    """C lowered as ``_scan`` lowers it, and the scan to refute it on.
-
-    No board is tau-CM: at the midpoint of a cell of mass m both corner
-    boxes hold at least m/2^d.  So a board whose scan finds no defect above
-    ``tol`` is rebuilt, as the same measure, on its cuts plus its cell
-    midpoints, and scanned at those vertices.  Other copulas get
-    ``_decided_scan``.
-    """
-    C = _lowered(C, grid)
+def _refutable_scan(C: Copula, grid: int | None, tol: float) -> _Scan:
+    """``_decided_scan`` on a lowered C, but a board it passes at ``tol`` is
+    scanned again with its heaviest cell's midpoint (``_support_slack``'s
+    pair) on every axis.  No board is tau-CM: at the midpoint of a cell of
+    mass m both corner boxes hold at least m/2^d."""
     scan = _decided_scan(C, grid, tol)
     if scan[0] <= tol and isinstance(C, CheckerboardCopula):
-        cuts = [merge_cuts(c, 0.5 * (c[:-1] + c[1:])) for c in C.cuts]
-        C = CheckerboardCopula(cuts, _split_cells(C, cuts))
-        scan = _scan(C, None)
-    return C, scan
+        _, x, y = _support_slack(C)
+        scan = _scan(C, grid, 0.5 * (x + y))
+    return scan
 
 
-def _certificate(scan: tuple, tol: float) -> TauCmCertificate:
+def _certificate(scan: _Scan, tol: float) -> TauCmCertificate:
     defect, worst, desc, _, _ = scan
     return TauCmCertificate(desc, defect, worst, tol, exact=desc == SUPPORT_TEST)
 
@@ -407,9 +398,9 @@ def tau_cm_certificate(
 ) -> TauCmCertificate:
     """The tau-CM verdict ``refute_minimality`` reaches without surgery: the
     ``tau_cm_defect`` decision, exact when the support proves tau-CM,
-    except that a board it passes at ``tol`` is scanned again at its cell
-    midpoints, where no board passes."""
-    return _certificate(_refutable_scan(C, grid, tol)[1], tol)
+    except that a board it passes at ``tol`` is scanned again at its
+    heaviest cell's midpoint (``_refutable_scan``), where no board passes."""
+    return _certificate(_refutable_scan(_lowered(C, grid), grid, tol), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -596,14 +587,15 @@ def _bisect_monotone(f, target: float, lo: float, hi: float) -> float:
 
 
 def _ray(X: Copula, u: np.ndarray, p: float) -> float:
-    """The smallest alpha in [0,1] with X(alpha u) = p: solved exactly on a
-    board, bisected on the continuous nondecreasing map otherwise.
+    """The smallest alpha in [0,1] with X(alpha u) = p: halved on the cell
+    polynomial on a board, bisected on the nondecreasing map otherwise.
 
     On a board the ray map alpha -> X(alpha u) kinks only at the breakpoints
     cuts[k] / u[k]; between two of them alpha u stays in one cell, where the
     multilinear X is a polynomial of degree <= d in alpha.  One cdf call at
-    the breakpoints brackets the crossing, a second at d+1 nodes gives the
-    polynomial, and the crossing is its root inside the bracket.
+    the breakpoints brackets the crossing, a second at d+1 nodes fits the
+    polynomial, and the bracket is halved on it down to adjacent doubles,
+    with no sign check at its ends that rounding could trip.
     """
     if not isinstance(X, CheckerboardCopula):
         return _bisect_monotone(lambda t: X.cdf(t * u), p, 0.0, 1.0)
@@ -619,20 +611,15 @@ def _ray(X: Copula, u: np.ndarray, p: float) -> float:
     lo, hi = t[j - 1], t[j]
     s = np.linspace(0.0, 1.0, X.dim + 1)
     vals = X.cdf_many((lo + s * (hi - lo))[:, None] * u)
-    coef = np.linalg.solve(np.vander(s), vals - p)  # highest power first
-    # leading coefficients at rounding level would give spurious huge roots
-    roots = np.roots(coef[np.argmax(np.abs(coef) > 1e-15 * np.abs(coef).max()):])
-    real = roots.real[np.abs(roots.imag) <= 1e-9]
-    inside = real[(real >= -1e-9) & (real <= 1.0 + 1e-9)]
-    # the secant is a fallback for a bracket too flat to give a root
-    x = inside.min() if inside.size else (p - f[j - 1]) / (f[j] - f[j - 1])
-    # companion-matrix roots lose digits when the leading coefficient is
-    # small; two Newton steps on the polynomial restore them
-    dcoef = np.polyder(coef)
-    for _ in range(2):
-        if np.polyval(dcoef, x) > 0:
-            x -= np.polyval(coef, x) / np.polyval(dcoef, x)
-    return float(lo + np.clip(x, 0.0, 1.0) * (hi - lo))
+    # highest power first, as Python floats for the Horner steps
+    coef = np.linalg.solve(np.vander(s), vals - p).tolist()
+    below, above = 0.0, 1.0
+    while below < (mid := 0.5 * (below + above)) < above:
+        if functools.reduce(lambda v, c: v * mid + c, coef, 0.0) < 0:
+            below = mid
+        else:
+            above = mid
+    return float(lo + above * (hi - lo))
 
 
 def find_corner_pair(
@@ -649,9 +636,9 @@ def find_corner_pair(
     its vertices, and a support with no two points strictly ordered on
     every axis gives None with no scan; a segment pair that the scan passes
     at ``tol`` is scanned again at its midpoint (``_decided_scan``).  The ray
-    runs on C at u or on its survival copula at 1-u, and is solved exactly
-    on a board and bisected otherwise.  Returns None iff the defect is
-    already below ``tol`` (tau-CM, exactly or on the grid).
+    runs on C at u or on its survival copula at 1-u (``_ray``).  Returns
+    None iff the defect is already below ``tol`` (tau-CM, exactly or on the
+    grid).
     """
     C = _lowered(C, grid)
     return _corner_pair(C, _decided_scan(C, grid, tol), tol)
@@ -708,9 +695,9 @@ class RefutationCertificate:
         )
 
 
-def _corner_surgery(C: CheckerboardCopula, a, b) -> CheckerboardCopula:
-    """The board D of ``_refined_surgery``, with no board built for C."""
-    return _refined_surgery(C, a, b)[1]
+def _nearest(cuts, x) -> tuple[int, ...]:
+    """The index of the cut nearest x_k on each axis."""
+    return tuple(int(np.argmin(np.abs(c - v))) for c, v in zip(cuts, x))
 
 
 def _refined_surgery(
@@ -731,8 +718,8 @@ def _refined_surgery(
     cuts = [_insert_cuts(c, (x, y)) for c, x, y in zip(C.cuts, a, b)]
     refined = _split_cells(C, cuts)
     masses = refined.copy()
-    lo = tuple(slice(0, np.argmin(np.abs(c - x))) for c, x in zip(cuts, a))
-    hi = tuple(slice(np.argmin(np.abs(c - x)), None) for c, x in zip(cuts, b))
+    lo = tuple(slice(0, i) for i in _nearest(cuts, a))
+    hi = tuple(slice(i, None) for i in _nearest(cuts, b))
     A, B = masses[lo].copy(), masses[hi].copy()
     masses[lo] = masses[hi] = 0.0
     rest = tuple(range(1, C.dim))
@@ -743,13 +730,11 @@ def _refined_surgery(
 
 
 def _witness_gap(C: CheckerboardCopula, D: CheckerboardCopula, a: np.ndarray) -> float:
-    """C(a) - D(a) for two boards on the same cuts.  When a lies on those
-    cuts the two vertex cdfs hold the values, and interpolation would give
-    exactly them (weights 1.0 and 0.0); otherwise the cdfs interpolate."""
-    at = tuple(int(np.searchsorted(c, x)) for c, x in zip(D.cuts, a))
-    if all(i < len(c) and c[i] == x for c, i, x in zip(D.cuts, at, a)):
-        return float(C.vertex_cdf[at]) - float(D.vertex_cdf[at])
-    return C.cdf(a) - D.cdf(a)
+    """C(a) - D(a) for two boards on the same cuts, read off both vertex
+    cdfs at the cut nearest each a_k, where ``_refined_surgery`` ends the
+    emptied block [0, a]."""
+    at = _nearest(D.cuts, a)
+    return float(C.vertex_cdf[at]) - float(D.vertex_cdf[at])
 
 
 def refute_minimality(
@@ -770,13 +755,14 @@ def refute_minimality(
     ``as_board``) is refuted as that board: D is the tensor-surgery board,
     so refuting it again stays on boards.  Other inputs, and every input but
     a checkerboard when a ``grid`` is given, get a ``RefutedCopula`` node.
-    A board is never certified: one whose scan finds no pair is refuted on
-    its cell midpoints (``_refutable_scan``).  The refuter is one-sided: a
-    TauCmCertificate does not prove minimality (tau-CM non-minimal copulas
-    exist in dimension >= 4).
+    A board is never certified: one whose scan finds no pair is refuted at
+    its heaviest cell's midpoint (``_refutable_scan``).  The refuter is
+    one-sided: a TauCmCertificate does not prove minimality (tau-CM
+    non-minimal copulas exist in dimension >= 4).
     """
     # one scan serves both outcomes: the corner pair, or the certificate
-    C, scan = _refutable_scan(C, grid, tol)
+    C = _lowered(C, grid)
+    scan = _refutable_scan(C, grid, tol)
     pair = _corner_pair(C, scan, tol)
     if pair is None:
         return _certificate(scan, tol)
@@ -950,6 +936,6 @@ def descend(
                 status = "stalled"
                 break
         trace.append(DescentStep(it, kendall, rho, defect, pair.p, coarsened))
-        board = _corner_surgery(board, pair.a, pair.b)
+        board = _refined_surgery(board, pair.a, pair.b)[1]
         board, coarsened = _coarsen(board, cap)
     return DescentResult(final=board, trace=tuple(trace), status=status)

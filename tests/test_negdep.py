@@ -54,12 +54,11 @@ from mincop.core import (
 )
 import mincop.negdep as negdep
 import mincop.order as order
-from mincop.errors import RefuterInternalError, UnsupportedRepresentationError
+from mincop.errors import InputError, RefuterInternalError, UnsupportedRepresentationError
 from mincop.negdep import (
     BISECT_TOL,
     _bisect_monotone,
     _corner_pair,
-    _corner_surgery,
     _refined_surgery,
     _scan,
     _witness_gap,
@@ -326,6 +325,22 @@ def test_board_scan_and_ray_match_the_oracle():
             solved["lower" if np.array_equal(pair.b, worst) else "survival"] += 1
     # both sides of the ray solve are exercised
     assert min(solved.values()) >= 3
+
+
+def test_board_ray_needs_no_root_finder(monkeypatch):
+    # the crossing is read off the fitted cell polynomial by halving, so the
+    # pairs match the bisection oracle with the eigenvalue root finder gone
+    def unavailable(*args, **kw):
+        raise AssertionError("root finder called")
+
+    monkeypatch.setattr(np, "roots", unavailable)
+    monkeypatch.setattr(np.linalg, "eigvals", unavailable)
+    for board in ORACLE_BOARDS:
+        pair = find_corner_pair(board)
+        a, b, p = oracle_pair(board)
+        assert np.max(np.abs(pair.a - a)) <= 1e-12
+        assert np.max(np.abs(pair.b - b)) <= 1e-12
+        assert abs(pair.p - p) <= 1e-15
 
 
 NON_BOARD_SCANS = [
@@ -718,9 +733,22 @@ def test_refute_refutes_a_board_without_a_vertex_pair(start):
     cert = refute_minimality(board)
     assert isinstance(cert, RefutationCertificate) and cert.passed
     assert cert.p >= board.masses.max() / 4
+    # the rescan inserts the heaviest cell's midpoint into the board's cuts
+    # and the surgery inserts a and b: no second board on the cell midpoints
+    for cut, witness in zip(board.cuts, cert.copula.cuts):
+        assert np.isin(cut, witness).all() and len(witness) <= len(cut) + 2
+    assert [len(c) for c in cert.copula.cuts] == [18, 18]
     certificate = tau_cm_certificate(board)
     assert not certificate.passed
-    assert certificate.defect == cert.p
+    assert "+support pair" in certificate.grid
+    assert certificate.defect == cert.p == 0.015625
+
+
+def test_an_explicit_grid_needs_an_interior_node():
+    # one cell per axis leaves Pi's and M's axes at {0, 1}: no vertex to scan
+    for C in (make_basic("product", 2), make_basic("upper_frechet", 3)):
+        with pytest.raises(InputError, match="got 1"):
+            tau_cm_defect(C, grid=1)
 
 
 def test_refuted_node_checks_corner_masses():
@@ -742,7 +770,7 @@ def parent_board_refutation(C):
     elif su - p > BISECT_TOL:
         b = 1.0 - negdep._ray(survival(C), 1.0 - u, p) * (1.0 - u)
     corners = [C.box_mass(np.zeros(C.dim), a), C.box_mass(b, np.ones(C.dim))]
-    D = _corner_surgery(C, a, b)
+    D = _refined_surgery(C, a, b)[1]
     refined = discretize(C, [c.copy() for c in D.cuts])
     assert not any(c is t for c, t in zip(refined.cuts, D.cuts))
     report = validate(D)
@@ -894,7 +922,7 @@ def test_survival_of_surgery_node_closed_form():
 def test_tensor_surgery_matches_refuted_node(board):
     # the oracle evaluates the surgery node through the generic cdf path
     pair = find_corner_pair(board)
-    D = _corner_surgery(board, pair.a, pair.b)
+    D = _refined_surgery(board, pair.a, pair.b)[1]
     oracle = discretize(RefutedCopula(board, pair.a, pair.b, pair.p), D.cuts)
     assert np.max(np.abs(D.masses - oracle.masses)) <= 1e-12
 
@@ -906,7 +934,7 @@ def test_tensor_surgery_corner_next_to_a_cut():
     a = np.array([0.5, 0.5])
     b = a + 1e-14
     p = board.box_mass(b, np.ones(2))
-    D = _corner_surgery(board, a, b)
+    D = _refined_surgery(board, a, b)[1]
     assert [len(c) for c in D.cuts] == [5, 5]
     oracle = discretize(RefutedCopula(board, a, b, p), D.cuts)
     assert np.max(np.abs(D.masses - oracle.masses)) <= 1e-12
@@ -928,16 +956,25 @@ def test_witness_gap_reads_the_vertices_bit_for_bit(board):
     assert _witness_gap(C, D, pair.a) >= pair.p - 1e-9
 
 
-def test_witness_gap_interpolates_off_the_cuts():
-    # corners 1e-14 off the cuts are not inserted: the gap falls back to the
-    # interpolated cdfs
+def test_witness_gap_reads_the_surgery_corner_vertex(monkeypatch):
+    # corners 1e-14 off the cuts are not inserted: the emptied block ends at
+    # the vertex (0.25, 0.25), and the gap is read there, off both vertex
+    # cdfs; the interpolated cdfs at a give the same value
     board = discretize(make_basic("product", 2), 4)
     a = np.array([0.25, 0.25]) + 1e-14
     b = 1.0 - a
     refined, D = _refined_surgery(board, a, b)
     C = CheckerboardCopula(D.cuts, refined)
     assert not np.isin(a[0], D.cuts[0])
-    assert _witness_gap(C, D, a) == C.cdf(a) - D.cdf(a)
+    interpolated = C.cdf(a) - D.cdf(a)
+
+    def unavailable(*args, **kw):
+        raise AssertionError("cdf called")
+
+    monkeypatch.setattr(CheckerboardCopula, "cdf", unavailable)
+    gap = _witness_gap(C, D, a)
+    assert gap == C.vertex_cdf[1, 1] - D.vertex_cdf[1, 1]
+    assert gap == interpolated
 
 
 def test_surgery_keeps_the_board_array_of_an_axis_it_does_not_cut():

@@ -459,6 +459,49 @@ def test_cli_tau_cm_verdict_reads_its_tol(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"] == "tau_cm"
 
 
+def test_cli_verdicts_echo_their_tol(tmp_path, capsys):
+    spec = write_spec(tmp_path, "tri.json", {"kind": "triangle", "dim": 3})
+    hyp = write_spec(
+        tmp_path, "hyp.json", {"K": [0, 1, 2], "g": [{"form": "affine"}] * 3, "c": 1.5}
+    )
+    assert main(["certify", spec, "--tau-cm", "--k-cm", hyp, "--tol", "0.3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tau_cm"]["tol"] == doc["k_cm"]["tol"] == 0.3
+    assert main(["refute", spec, "--tol", "0.3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == "tau_cm" and doc["tol"] == 0.3
+    # validate judges at its fixed bound, and says which
+    assert main(["validate", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 1e-9
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify", "pi2.json", "--tau-cm", "--grid", "1"],
+        ["refute", "m3.json", "--grid", "1"],
+        ["order", "pi2.json", "m2.json", "--grid", "1"],
+        ["order", "m2.json", "pi2.json", "--grid", "1"],
+        ["validate", "pi2.json", "--grid", "1"],
+    ],
+    ids=["certify", "refute", "order", "order-swapped", "validate"],
+)
+def test_cli_grid_without_an_interior_node_exits_two(tmp_path, capsys, args):
+    # one cell per axis leaves every axis of Pi_2, M_2 and M_3 at {0, 1}:
+    # no interior vertex to scan, and only the corners every copula shares
+    for name, doc in (
+        ("pi2.json", {"kind": "product", "dim": 2}),
+        ("m2.json", {"kind": "upper_frechet", "dim": 2}),
+        ("m3.json", {"kind": "upper_frechet", "dim": 3}),
+    ):
+        write_spec(tmp_path, name, doc)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: grid resolution must be >= 2, got 1\n"
+
+
 def test_cli_csv_report_flattens_nested_keys(tmp_path, capsys):
     board = random_checkerboard(2, 3, seed=0)
     spec = write_spec(tmp_path, "board.json", to_spec(board))
