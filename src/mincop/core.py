@@ -458,12 +458,19 @@ class CheckerboardCopula(Copula):
         self.cuts = cuts
         self.masses = masses
         self.masses.setflags(write=False)
-        self._vertex_cdf = _cumulative(masses)
-        self._vertex_cdf.setflags(write=False)
+        self._vertex_cdf = None
 
     @property
     def vertex_cdf(self) -> np.ndarray:
-        """cdf values at all grid vertices (cumulative mass sums, exact)."""
+        """cdf values at all grid vertices (cumulative mass sums, exact),
+        computed on first read: a board whose cdf nobody reads (a reflected
+        board, the refined input of a refutation) never builds it.  Two
+        threads reading it first at once compute the same tensor, and
+        either may be kept."""
+        if self._vertex_cdf is None:
+            S = _cumulative(self.masses)
+            S.setflags(write=False)
+            self._vertex_cdf = S
         return self._vertex_cdf
 
     def _locate(self, U: np.ndarray):
@@ -482,8 +489,8 @@ class CheckerboardCopula(Copula):
         # a corner's vertex lies ``off`` places past its cell's lowest vertex
         # in the C-order vertex values
         idx, frac = self._locate(U)
-        shape = self._vertex_cdf.shape
-        vals = self._vertex_cdf.ravel()
+        S = self.vertex_cdf
+        shape, vals = S.shape, S.ravel()
         base = np.ravel_multi_index(idx, shape)
         steps = [math.prod(shape[k + 1 :]) for k in range(self.dim)]
         sides = [((1.0 - f, 0), (f, step)) for f, step in zip(frac, steps)]
@@ -537,10 +544,11 @@ class CheckerboardCopula(Copula):
         """int C dQ^C, exact: the cell average of a multilinear C is its
         corner average."""
         d = self.dim
+        S = self.vertex_cdf
         acc = np.zeros(self.masses.shape)
         for mask in _corner_masks(d):
             sl = tuple(slice(m, m + s) for m, s in zip(mask, self.masses.shape))
-            acc += self._vertex_cdf[sl]
+            acc += S[sl]
         return float(np.sum(self.masses * acc) / 2**d)
 
     def breakpoints(self, axis: int) -> np.ndarray:

@@ -39,17 +39,24 @@ constructively:
    and bisect.  No board is tau-CM (it has a density), so
    ``refute_minimality`` and ``tau_cm_certificate`` scan a board with no
    refutable vertex again at its heaviest cell's midpoint, as a segment
-   pair is; ``tau_cm_defect`` and ``descend`` keep the vertex scan.
+   pair is; ``tau_cm_defect`` and ``descend`` keep the vertex scan, except
+   on a board with a single cell on some axis, which has no interior
+   vertex and is read at that midpoint by every scan.
 2. ``refute_minimality`` performs the corner surgery: the two comonotone
    corner pieces are replaced by a cross-glued, de-comonotonised pair,
    producing D with D <= C, tau(D) <= tau(C) and D(a) = C(a) - p.  On a
    board D is the board read off the mass tensor refined by the cut
-   planes at a and b, which makes every check exact; C is verified as the
-   same refinement, the one split tensor the surgery cuts into, on D's own
-   cut arrays, so the order check reads both boards on those cuts with no
-   merge, C's rho is summed over the refined cells and the witness gap
-   C(a) - D(a) is read off both vertex cdfs.  On any other copula D is a
-   ``RefutedCopula`` node.  The D that is returned is the D that was
+   planes at a and b, which makes every check exact.  C is verified as
+   the same refinement, the one split tensor the surgery cuts into, on
+   D's own cut arrays, and every check but D's validity reads one tensor,
+   the mass difference C - D on those cuts: the corner masses are the two
+   blocks the surgery empties, checked against p there; the witness gap
+   C(a) - D(a) is its sum over [0, a]; the order check takes its
+   cumulative sums from both corners, with no merge; and the Spearman-rho
+   drop is its inner product with the cells' midpoint weights, since rho
+   is linear in a board's masses.  On any other copula D is a
+   ``RefutedCopula`` node, whose corner boxes are checked by one
+   ``box_mass_many`` call.  The D that is returned is the D that was
    verified: the certificate carries its order relation, validity report
    and strict Spearman-rho drop; verification failure is an internal
    error, never a silent pass.
@@ -94,7 +101,7 @@ from .core import (
     merge_cuts,
     validate,
 )
-from .concordance import spearman_rho
+from .concordance import spearman_normalization, spearman_rho
 from .errors import InputError, RefuterInternalError, UnsupportedRepresentationError
 from .order import OrderResult, Relation, concordance_leq
 from .transforms import (
@@ -307,9 +314,16 @@ def _scan(C: Copula, grid: int | None, extra: np.ndarray | None = None) -> _Scan
     """The worst of a lowered C's interior vertices: the one scan behind
     ``tau_cm_defect``, ``find_corner_pair`` and each step of ``descend``.
     A board with no grid is read at its own vertices, anything else on the
-    uniform grid plus its breakpoints; a point ``extra`` joins the axes."""
+    uniform grid plus its breakpoints; a point ``extra`` joins the axes.  A
+    board with a single cell on some axis has no interior vertex, but it has
+    a density, so it is read with its heaviest cell's midpoint
+    (``_support_slack``'s pair) on every axis, as ``_refutable_scan`` reads
+    a board that passes."""
     if grid is None and isinstance(C, CheckerboardCopula):
         cuts, kind = C.cuts, "checkerboard vertices"
+        if extra is None and any(len(c) < 3 for c in cuts):
+            _, x, y = _support_slack(C)
+            extra = 0.5 * (x + y)
     else:
         res = grid if grid is not None else default_resolution(C.dim)
         cuts, kind = grid_axes([C], res), f"uniform {res}+breakpoints"
@@ -636,16 +650,22 @@ def find_corner_pair(
     its vertices, and a support with no two points strictly ordered on
     every axis gives None with no scan; a segment pair that the scan passes
     at ``tol`` is scanned again at its midpoint (``_decided_scan``).  The ray
-    runs on C at u or on its survival copula at 1-u (``_ray``).  Returns
-    None iff the defect is already below ``tol`` (tau-CM, exactly or on the
-    grid).
+    runs on C at u or on its survival copula at 1-u (``_ray``), and both
+    corner boxes are then checked to carry p (``_check_corner_boxes``).
+    Returns None iff the defect is already below ``tol`` (tau-CM, exactly
+    or on the grid).
     """
     C = _lowered(C, grid)
-    return _corner_pair(C, _decided_scan(C, grid, tol), tol)
+    pair = _corner_pair(C, _decided_scan(C, grid, tol), tol)
+    if pair is not None:
+        _check_corner_boxes(C, pair)
+    return pair
 
 
 def _corner_pair(C: Copula, scan: tuple, tol: float) -> CornerPair | None:
-    """``find_corner_pair`` on a lowered C from its ``_scan`` result."""
+    """``find_corner_pair`` on a lowered C from its ``_scan`` result, with
+    the corner masses unchecked: on a board the surgery checks them
+    (``_refined_surgery``), elsewhere ``_check_corner_boxes`` does."""
     defect, u, _, cu, su = scan
     if defect <= tol:
         return None
@@ -659,13 +679,24 @@ def _corner_pair(C: Copula, scan: tuple, tol: float) -> CornerPair | None:
         a = _ray(C, u, p) * u
     elif su - p > BISECT_TOL:
         b = 1.0 - _ray(survival(C), 1.0 - u, p) * (1.0 - u)
-    # both corner boxes, [0,a] and [b,1], in one call
-    pa, pb = C.box_mass_many(np.array([np.zeros(C.dim), b]), np.array([a, np.ones(C.dim)]))
+    return CornerPair(a=a, b=b, p=float(p))
+
+
+def _check_corner_masses(pa: float, pb: float, p: float) -> None:
+    """Raise unless both corner masses are p within EXACT_TOL."""
     if abs(pa - p) > EXACT_TOL or abs(pb - p) > EXACT_TOL:
         raise RefuterInternalError(
             f"corner masses {pa:.3e}/{pb:.3e} missed p={p:.3e} after the ray solve"
         )
-    return CornerPair(a=a, b=b, p=float(p))
+
+
+def _check_corner_boxes(C: Copula, pair: CornerPair) -> None:
+    """Check that both corner boxes, [0,a] and [b,1], carry p: one
+    ``box_mass_many`` call."""
+    pa, pb = C.box_mass_many(
+        np.array([np.zeros(C.dim), pair.b]), np.array([pair.a, np.ones(C.dim)])
+    )
+    _check_corner_masses(pa, pb, pair.p)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +732,7 @@ def _nearest(cuts, x) -> tuple[int, ...]:
 
 
 def _refined_surgery(
-    C: CheckerboardCopula, a, b
+    C: CheckerboardCopula, a, b, p: float
 ) -> tuple[np.ndarray, CheckerboardCopula]:
     """The corner surgery on a board, as algebra on its mass tensor.
 
@@ -712,8 +743,12 @@ def _refined_surgery(
     inserted into each axis's cut array (``_insert_cuts``), which keeps every
     cut of C and drops a corner within CUT_GAP of a cut, so a block ends at
     the kept cut nearest its corner; an axis that gains no cut keeps C's
-    array itself, and its cells are not split.  Returns C's masses on the
-    refined cuts and the surgery result D on them.
+    array itself, and its cells are not split.  Both blocks' masses are
+    checked against p at EXACT_TOL (``RefuterInternalError`` otherwise), so
+    the surgery is the corner check of a board's refutation and of each
+    descent step.  Snapping a corner to a cut within CUT_GAP moves a block's
+    mass by at most d * CUT_GAP, since margins are uniform.  Returns C's
+    masses on the refined cuts and the surgery result D on them.
     """
     cuts = [_insert_cuts(c, (x, y)) for c, x, y in zip(C.cuts, a, b)]
     refined = _split_cells(C, cuts)
@@ -721,20 +756,34 @@ def _refined_surgery(
     lo = tuple(slice(0, i) for i in _nearest(cuts, a))
     hi = tuple(slice(i, None) for i in _nearest(cuts, b))
     A, B = masses[lo].copy(), masses[hi].copy()
+    pa, pb = A.sum(), B.sum()
+    _check_corner_masses(pa, pb, p)
     masses[lo] = masses[hi] = 0.0
     rest = tuple(range(1, C.dim))
-    glue = lambda X, Y: np.multiply.outer(X.sum(axis=rest), Y.sum(axis=0)) / Y.sum()
-    masses[lo[:1] + hi[1:]] += glue(A, B)
-    masses[hi[:1] + lo[1:]] += glue(B, A)
+    glue = lambda X, Y, y: np.multiply.outer(X.sum(axis=rest), Y.sum(axis=0)) / y
+    masses[lo[:1] + hi[1:]] += glue(A, B, pb)
+    masses[hi[:1] + lo[1:]] += glue(B, A, pa)
     return refined, CheckerboardCopula(cuts, masses)
 
 
-def _witness_gap(C: CheckerboardCopula, D: CheckerboardCopula, a: np.ndarray) -> float:
-    """C(a) - D(a) for two boards on the same cuts, read off both vertex
-    cdfs at the cut nearest each a_k, where ``_refined_surgery`` ends the
-    emptied block [0, a]."""
-    at = _nearest(D.cuts, a)
-    return float(C.vertex_cdf[at]) - float(D.vertex_cdf[at])
+def _witness_gap(delta: np.ndarray, cuts, a: np.ndarray) -> float:
+    """C(a) - D(a) for two boards on the same ``cuts`` with mass difference
+    ``delta`` = C - D: delta summed over the cells below the cut nearest
+    each a_k, where ``_refined_surgery`` ends the emptied block [0, a]."""
+    return float(delta[tuple(slice(0, i) for i in _nearest(cuts, a))].sum())
+
+
+def _rho_drop(delta: np.ndarray, cuts) -> float:
+    """rho(C) - rho(D) for two boards on the same ``cuts`` with mass
+    difference ``delta`` = C - D.  Spearman's rho of a board is linear in
+    its masses: norm/2 * (E[prod V_k] + E[prod (1 - V_k)]) - norm 2^-d,
+    each cell contributing its mass times the factors at its midpoint, so
+    the drop is norm/2 * <delta, prod mid_k + prod (1 - mid_k)>."""
+    mids = [0.5 * (c[:-1] + c[1:]) for c in cuts]
+    weights = functools.reduce(np.multiply.outer, mids) + functools.reduce(
+        np.multiply.outer, [1.0 - m for m in mids]
+    )
+    return 0.5 * spearman_normalization(len(cuts)) * float((delta * weights).sum())
 
 
 def refute_minimality(
@@ -753,8 +802,13 @@ def refute_minimality(
     ``grid=None`` a copula that is exactly a board (a checkerboard, Pi, and
     mixtures, glues, reflections and permutations of boards; see
     ``as_board``) is refuted as that board: D is the tensor-surgery board,
-    so refuting it again stays on boards.  Other inputs, and every input but
-    a checkerboard when a ``grid`` is given, get a ``RefutedCopula`` node.
+    so refuting it again stays on boards, and the corner masses, the
+    witness gap, the order check and the rho drop are read off the mass
+    difference of the refined C and D (``_refined_surgery``,
+    ``_witness_gap``, ``_rho_drop``, ``order.concordance_leq``).  Other
+    inputs, and every input but a checkerboard when a ``grid`` is given,
+    get a ``RefutedCopula`` node, checked through box masses, cdfs and
+    ``spearman_rho``.
     A board is never certified: one whose scan finds no pair is refuted at
     its heaviest cell's midpoint (``_refutable_scan``).  The refuter is
     one-sided: a TauCmCertificate does not prove minimality (tau-CM
@@ -771,14 +825,19 @@ def refute_minimality(
         # the surgery on the refined grid is exact, and so is the order check
         # of two boards (grid=None); C is its own masses split by the
         # surgery, on D's cut arrays themselves, so that check reads both on
-        # those cuts with no merge
-        refined, D = _refined_surgery(C, a, b)
+        # those cuts with no merge, and the gap and the rho drop are read off
+        # the same mass difference
+        refined, D = _refined_surgery(C, a, b, p)
         C = CheckerboardCopula(D.cuts, refined)
         grid = None
-        gap = _witness_gap(C, D, a)
+        delta = refined - D.masses
+        gap = _witness_gap(delta, D.cuts, a)
+        rho_drop = _rho_drop(delta, D.cuts)
     else:
+        _check_corner_boxes(C, pair)
         D = RefutedCopula(C, a, b, p)
         gap = C.cdf(a) - D.cdf(a)
+        rho_drop = spearman_rho(C).value - spearman_rho(D).value
     report = validate(D)
     order_check = concordance_leq(D, C, grid)
     checks: list[str] = []
@@ -788,11 +847,8 @@ def refute_minimality(
         checks.append(f"order check gave {order_check.relation}")
     if not gap >= p - EXACT_TOL:
         checks.append(f"strict witness D(a) = C(a) - p failed: gap {gap:.3e} vs p {p:.3e}")
-    rho_c = spearman_rho(C).value
-    rho_d = spearman_rho(D).value
-    rho_drop = rho_c - rho_d
     if not rho_drop > 0:
-        checks.append(f"Spearman rho did not drop: {rho_c} -> {rho_d}")
+        checks.append(f"Spearman rho did not drop: rho(C) - rho(D) = {rho_drop}")
     if checks:
         raise RefuterInternalError("; ".join(checks))
     return RefutationCertificate(
@@ -819,9 +875,13 @@ class DescentStep:
     defect: float
     p: float
     coarsened: bool
-    # float-drift correction applied when re-gridding: always 0.0, since the
-    # surgery is exact tensor algebra; kept for the trace CSV's column
-    adjustment: float = 0.0
+
+    @property
+    def adjustment(self) -> float:
+        """0.0: the surgery is exact tensor algebra, so no step corrects
+        drift.  No field and no trace column; read by the benchmark's tracer
+        (``negdep.descend.adjustment_max``)."""
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -840,11 +900,11 @@ class DescentResult:
 
 def trace_csv(trace) -> str:
     """A descent trace as CSV, one row per step."""
-    lines = ["iteration,kendall_integral,rho,defect,p,coarsened,adjustment"]
+    lines = ["iteration,kendall_integral,rho,defect,p,coarsened"]
     for s in trace:
         lines.append(
             f"{s.iteration},{s.kendall_integral:.12g},{s.rho:.12g},"
-            f"{s.defect:.12g},{s.p:.12g},{str(s.coarsened).lower()},{s.adjustment:.3g}"
+            f"{s.defect:.12g},{s.p:.12g},{str(s.coarsened).lower()}"
         )
     return "\n".join(lines) + "\n"
 
@@ -936,6 +996,6 @@ def descend(
                 status = "stalled"
                 break
         trace.append(DescentStep(it, kendall, rho, defect, pair.p, coarsened))
-        board = _refined_surgery(board, pair.a, pair.b)[1]
+        board = _refined_surgery(board, pair.a, pair.b, pair.p)[1]
         board, coarsened = _coarsen(board, cap)
     return DescentResult(final=board, trace=tuple(trace), status=status)

@@ -10,13 +10,16 @@ grid-limited (vertex domination of multilinear interpolants is global
 domination); ``OrderResult.exact`` records which kind was obtained.  Where
 two boards hold the same cut array on an axis (the surgery board and the
 refined input of a refutation hold the same arrays on every axis) that axis
-takes the array as it is, with no merge, and a board compared on its own cut
-arrays reads C(v) off its ``vertex_cdf``.
+takes the array as it is, with no merge.
 
-Both halves read each operand's orthant-mass tensors at the grid's
-vertices (``transforms.orthant_masses``): C(v) for the pointwise half, and
-Q^C[[v,1]] = (tau C)(1-v) for the survival half, read on the reflected grid
-in its own order.
+Both halves compare the operands through their differences at the grid's
+vertices: C(v) - D(v) for the pointwise half, and
+Q^C[[v,1]] - Q^D[[v,1]] = (tau C)(1-v) - (tau D)(1-v) for the survival half,
+read on the reflected grid in its own order.  Two boards give both as the
+cumulative sums, from below and from above, of one tensor: their mass
+difference on the shared cuts (``_masses_on``: each board split onto the
+cuts, then subtracted).  Other operands take the difference of their
+orthant-mass tensors (``transforms.orthant_masses``).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from .core import (
     EXACT_TOL,
     Copula,
+    _cumulative,
     _first_max,
     default_resolution,
     grid_axes,
@@ -35,7 +39,7 @@ from .core import (
     merge_cuts,
 )
 from .errors import DimensionMismatchError
-from .transforms import as_board, orthant_masses
+from .transforms import _refines, _split_cells, as_board, orthant_masses
 
 __all__ = ["OrderResult", "Relation", "pointwise_leq", "concordance_leq"]
 
@@ -73,12 +77,13 @@ class OrderResult:
         return self.relation in (Relation.EQUAL, Relation.STRICTLY_ABOVE)
 
 
-def _classify(c_vals, d_vals, cuts, grid_desc, exact, tol) -> OrderResult:
-    """The relation of two value tensors on the vertices of ``cuts``."""
-    diff = (c_vals - d_vals).ravel()
+def _classify(diff, cuts, grid_desc, exact, tol) -> OrderResult:
+    """The relation of C to D from ``diff`` = C - D on the vertices of ``cuts``."""
+    shape = diff.shape
+    diff = diff.ravel()
     # a witness is one vertex: its index on each axis, read off the cuts
     point = lambda i: tuple(
-        grid_points([c[[j]] for c, j in zip(cuts, np.unravel_index(i, c_vals.shape))])[0].tolist()
+        grid_points([c[[j]] for c, j in zip(cuts, np.unravel_index(i, shape))])[0].tolist()
     )
     over = float(diff.max(initial=0.0))  # C above D
     under = float((-diff).max(initial=0.0))  # D above C
@@ -94,23 +99,49 @@ def _classify(c_vals, d_vals, cuts, grid_desc, exact, tol) -> OrderResult:
     return OrderResult(rel, witnesses, viol, grid_desc, exact, tol)
 
 
-def _operands(C: Copula, D: Copula, grid: int | None):
-    """(C, D, cuts, grid description, exact): the operands and the vertex
-    grid they are compared on.  Two boards (``as_board``, with ``grid=None``)
-    are compared on their shared cuts: on their common cut arrays as they
-    are when each axis holds the same array, else on the merged cuts.
-    Other operands are compared on a uniform lattice augmented with both
-    operands' breakpoints."""
+def _masses_on(B, cuts) -> np.ndarray:
+    """Board B's cell masses on ``cuts``: its own split by width
+    (``_split_cells``) where the cuts contain B's, else the alternating
+    differences of its cdf at their vertices, where the merge dropped a cut
+    of B within CUT_GAP of the other board's."""
+    if _refines(cuts, B):
+        return _split_cells(B, cuts)
+    masses = B.cdf_grid(cuts)
+    for ax in range(B.dim):
+        masses = np.diff(masses, axis=ax)
+    return masses
+
+
+def _differences(C: Copula, D: Copula, grid: int | None):
+    """(lower, upper, cuts, grid description, exact): C(v) - D(v) and
+    Q^C[[v,1]] - Q^D[[v,1]] at every vertex v of the grid the operands are
+    compared on.
+
+    Two boards (``as_board``, with ``grid=None``) are compared on their
+    shared cuts: on their common cut arrays as they are when each axis holds
+    the same array, else on the merged cuts.  Both differences are then the
+    cumulative sums of one tensor, the boards' mass difference on those
+    cuts (``_masses_on``), from the origin and from the far corner.  Other
+    operands are compared on a uniform lattice augmented with both
+    operands' breakpoints, through the difference of their
+    ``orthant_masses``."""
     if C.dim != D.dim:
         raise DimensionMismatchError("operands must share a dimension")
     bc = as_board(C) if grid is None else None
     bd = as_board(D) if bc is not None else None
     if bd is not None:
         cuts = [c if c is d else merge_cuts(c, d) for c, d in zip(bc.cuts, bd.cuts)]
-        return bc, bd, cuts, f"shared checkerboard grid, sizes {[len(c) for c in cuts]}", True
+        delta = _masses_on(bc, cuts) - _masses_on(bd, cuts)
+        # on the flipped axes, the mass below a vertex is the mass above it
+        flip = (slice(None, None, -1),) * C.dim
+        desc = f"shared checkerboard grid, sizes {[len(c) for c in cuts]}"
+        return _cumulative(delta), _cumulative(delta[flip])[flip], cuts, desc, True
     res = grid if grid is not None else default_resolution(C.dim)
     cuts = grid_axes([C, D], res)
-    return C, D, cuts, f"uniform {res}+breakpoints, sizes {[len(c) for c in cuts]}", False
+    lc, uc = orthant_masses(C, cuts)
+    ld, ud = orthant_masses(D, cuts)
+    desc = f"uniform {res}+breakpoints, sizes {[len(c) for c in cuts]}"
+    return lc - ld, uc - ud, cuts, desc, False
 
 
 def pointwise_leq(
@@ -119,10 +150,8 @@ def pointwise_leq(
     """Check C(u) <= D(u) on a grid; exact when both sides are boards
     (``as_board``) compared on their union cut grid, otherwise a
     grid-resolution certificate."""
-    C, D, cuts, desc, exact = _operands(C, D, grid)
-    lc, _ = orthant_masses(C, cuts)
-    ld, _ = orthant_masses(D, cuts)
-    return _classify(lc, ld, cuts, desc, exact, tol)
+    lower, _, cuts, desc, exact = _differences(C, D, grid)
+    return _classify(lower, cuts, desc, exact, tol)
 
 
 def _combine(r1: OrderResult, r2: OrderResult, tol: float) -> OrderResult:
@@ -144,15 +173,14 @@ def concordance_leq(
 ) -> OrderResult:
     """The concordance order: conjunction of C <= D and tau(C) <= tau(D)
     pointwise.  ``equal`` requires both gaps <= tol everywhere."""
-    C, D, cuts, desc, exact = _operands(C, D, grid)
-    lc, uc = orthant_masses(C, cuts)
-    ld, ud = orthant_masses(D, cuts)
-    # (tau C)(w) = Q^C[[1-w, 1]]: the upper masses read on the reflected
-    # grid, in its own C-order, so witnesses and ties follow that grid
+    lower, upper, cuts, desc, exact = _differences(C, D, grid)
+    # (tau C)(w) = Q^C[[1-w, 1]]: the upper differences read on the
+    # reflected grid, in its own C-order, so witnesses and ties follow that
+    # grid
     flip = (slice(None, None, -1),) * len(cuts)
     reflected = [1.0 - c[::-1] for c in cuts]
     return _combine(
-        _classify(lc, ld, cuts, desc, exact, tol),
-        _classify(uc[flip], ud[flip], reflected, desc, exact, tol),
+        _classify(lower, cuts, desc, exact, tol),
+        _classify(upper[flip], reflected, desc, exact, tol),
         tol,
     )

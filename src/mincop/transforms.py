@@ -13,7 +13,8 @@ grid vertex exactly and inherits exact uniform margins from the input's.
 the copulas that are boards: Pi, and mixtures, glue products, reflections
 and permutations built from boards and Pi.  ``orthant_masses`` gives the
 lower- and upper-orthant masses C(v) and Q^C[[v,1]] at every vertex of a
-grid, the numbers the tau-CM scan and the concordance order compare.
+grid, the numbers the tau-CM scan compares, and the concordance order for
+operands that are not both boards.
 """
 
 from __future__ import annotations
@@ -204,7 +205,10 @@ def discretize(C: Copula, cuts) -> CheckerboardCopula:
 
 def orthant_masses(C: Copula, cuts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(L, U) with L[i] = C(v_i) and U[i] = Q^C[[v_i, 1]] at every vertex v_i
-    of the grid with the given cuts (one node list per axis, 0 to 1).
+    of the grid with the given cuts (one node list per axis, 0 to 1): the
+    corner masses of the tau-CM scan, and of the order check of operands
+    that are not both boards (two boards are compared on their mass
+    difference, ``order._differences``).
 
     A board on its own cuts, or on a refinement of them, reads both off its
     masses' cumulative sums; on its own cut arrays (the same array on every

@@ -200,6 +200,38 @@ def test_checkerboard_vertex_cdf_is_cumulative_mass():
     assert np.max(np.abs(C.cdf_many(pts) - expected)) < 1e-14
 
 
+def test_vertex_cdf_is_built_on_first_read_and_kept():
+    # a board that nobody evaluates never builds its vertex cdf; the first
+    # read builds it once, read-only, and later reads return that tensor
+    C = random_checkerboard(3, 4, seed=1)
+    assert C._vertex_cdf is None
+    S = C.vertex_cdf
+    assert C.vertex_cdf is S and not S.flags.writeable
+    np.testing.assert_array_equal(S, _cumulative(C.masses))
+
+
+def test_concurrent_first_reads_of_the_vertex_cdf_agree():
+    # Monte Carlo workers may read a fresh board's vertex cdf first at once:
+    # each computes the same tensor, so every cdf has the one-thread bits
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    U = np.random.default_rng(0).random((2000, 3))
+    want = random_checkerboard(3, 6, seed=2).cdf_many(U)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            C = random_checkerboard(3, 6, seed=2)
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(C.cdf_many, U) for _ in range(8)]
+                results = [f.result(timeout=30) for f in futures]
+            for got in results:
+                np.testing.assert_array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_checkerboard_rejects_negative_mass():
     cuts = uniform_cuts(2, 2)
     masses = np.array([[0.6, -0.1], [-0.1, 0.6]])

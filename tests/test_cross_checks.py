@@ -47,6 +47,8 @@ from mincop.core import (
     merge_cuts,
 )
 from mincop.errors import UnsupportedRepresentationError
+from mincop.order import _classify, _combine, concordance_leq, pointwise_leq
+from mincop.transforms import _split_cells, orthant_masses
 
 
 def _mc_box_moment(C, lo, hi, seed, n=300_000):
@@ -1174,3 +1176,59 @@ def test_board_whole_cube_moment_matches_the_box_path_bit_for_bit(d):
         for codes in itertools.product((0, MOMENT_V, MOMENT_1MV), repeat=d):
             fast = board.product_moment(np.zeros(d), np.ones(d), codes)
             assert fast == board.product_moment(lo, hi, codes)
+
+
+# -- the order of two boards on their mass difference against the orthant masses --
+
+
+def orthant_order(C, D):
+    """(pointwise, concordance) of two boards from each one's orthant-mass
+    tensors on the shared cuts, subtracted: the order check as it read
+    boards before the mass difference."""
+    cuts = [c if c is d else merge_cuts(c, d) for c, d in zip(C.cuts, D.cuts)]
+    desc = f"shared checkerboard grid, sizes {[len(c) for c in cuts]}"
+    lc, uc = orthant_masses(C, cuts)
+    ld, ud = orthant_masses(D, cuts)
+    flip = (slice(None, None, -1),) * C.dim
+    reflected = [1.0 - c[::-1] for c in cuts]
+    lower = _classify(lc - ld, cuts, desc, True, 1e-9)
+    upper = _classify(uc[flip] - ud[flip], reflected, desc, True, 1e-9)
+    return lower, _combine(lower, upper, 1e-9)
+
+
+def board_pairs():
+    close = [0.0, 0.25, 0.5, 0.50000000000005, 1.0]
+    masses = np.diag([0.25, 0.25, 5e-14, 0.49999999999995])
+    close_board = CheckerboardCopula([close, close], masses)
+    pairs = {}
+    for d, n, seed in ((2, 8, 0), (2, 16, 1), (3, 6, 2), (3, 8, 3), (4, 4, 4)):
+        C = random_checkerboard(d, n, seed=seed)
+        # the same cut arrays: an unrelated board, and the refuter's pair
+        other = random_checkerboard(d, n, seed=seed + 10)
+        pairs[f"same-d{d}n{n}"] = (C, CheckerboardCopula(C.cuts, other.masses))
+        D = refute_minimality(C).copula
+        refined = CheckerboardCopula(D.cuts, _split_cells(C, D.cuts))
+        pairs[f"surgery-d{d}n{n}"] = (D, refined)
+        # merged cuts: another grid, and the witness against its input
+        pairs[f"merged-d{d}n{n}"] = (C, random_checkerboard(d, n - 1, seed=seed + 20))
+        pairs[f"witness-d{d}n{n}"] = (D, C)
+    # equal boards on copies of the cut arrays
+    pairs["equal"] = (C, CheckerboardCopula([c.copy() for c in C.cuts], C.masses))
+    # a cut within CUT_GAP of the other board's is merged away
+    pi = random_checkerboard(2, 4, seed=5)
+    pairs["close-cuts"] = (close_board, pi)
+    pairs["close-cuts-swapped"] = (pi, close_board)
+    return pairs
+
+
+BOARD_PAIRS = board_pairs()
+
+
+@pytest.mark.parametrize("name", list(BOARD_PAIRS))
+def test_board_order_on_the_mass_difference_matches_the_orthant_masses(name):
+    C, D = BOARD_PAIRS[name]
+    for fast, oracle in zip((pointwise_leq(C, D), concordance_leq(C, D)), orthant_order(C, D)):
+        assert fast.relation == oracle.relation
+        assert fast.witness_points == oracle.witness_points
+        assert (fast.exact, fast.grid_used) == (oracle.exact, oracle.grid_used)
+        assert abs(fast.max_violation - oracle.max_violation) <= 2.3e-16

@@ -1,7 +1,9 @@
 """Extreme-negative-dependence certificates, the corner surgery and the
 descent loop."""
 
+import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -751,9 +753,63 @@ def test_an_explicit_grid_needs_an_interior_node():
             tau_cm_defect(C, grid=1)
 
 
+def test_a_board_with_one_cell_on_an_axis_is_scanned_at_its_heaviest_cell():
+    # Pi_2 as a board with one cell on axis 0 has no interior vertex; its
+    # heaviest cell's midpoint joins the axes, and at (0.5, 0.5) both corner
+    # boxes hold 1/4, as Pi_2's own scan finds
+    board = CheckerboardCopula([[0, 1], [0, 0.5, 1]], [[0.5, 0.5]])
+    defect, worst, desc = tau_cm_defect(board)
+    assert (defect, worst) == (0.25, (0.5, 0.5))
+    assert "+support pair" in desc
+    pair = find_corner_pair(board)
+    assert pair.p == 0.25
+    np.testing.assert_array_equal(pair.a, [0.5, 0.5])
+    np.testing.assert_array_equal(pair.b, [0.5, 0.5])
+    assert refute_minimality(board).passed
+
+
 def test_refuted_node_checks_corner_masses():
     with pytest.raises(Exception):
         RefutedCopula(make_basic("product", 2), np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.4)
+
+
+def exact_cdf(B, x):
+    """B(x) in exact rational arithmetic on B's float masses and cuts: each
+    cell's mass times, per axis, the share of the cell below x_k."""
+    shares = [
+        [
+            min(max((Fraction(v) - Fraction(lo)) / (Fraction(hi) - Fraction(lo)), 0), 1)
+            for lo, hi in zip(c[:-1], c[1:])
+        ]
+        for c, v in zip(B.cuts, x)
+    ]
+    total = Fraction(0)
+    for idx in zip(*np.nonzero(B.masses)):
+        term = Fraction(float(B.masses[idx]))
+        for share, i in zip(shares, idx):
+            term *= share[i]
+        total += term
+    return total
+
+
+def exact_rho_drop(C, D):
+    """rho(C) - rho(D) for two boards in exact rational arithmetic: rho is
+    norm * ((E[prod V_k] + E[prod (1 - V_k)])/2 - 2^-d), each cell's mass
+    weighted by its exact midpoint."""
+    d = C.dim
+
+    def moments(B):
+        mids = [[(Fraction(x) + Fraction(y)) / 2 for x, y in zip(c[:-1], c[1:])] for c in B.cuts]
+        total = Fraction(0)
+        for idx in zip(*np.nonzero(B.masses)):
+            up = down = Fraction(1)
+            for m, i in zip(mids, idx):
+                up *= m[i]
+                down *= 1 - m[i]
+            total += Fraction(float(B.masses[idx])) * (up + down)
+        return total
+
+    return Fraction(2**d * (d + 1), 2**d - (d + 1)) / 2 * (moments(C) - moments(D))
 
 
 def parent_board_refutation(C):
@@ -770,7 +826,7 @@ def parent_board_refutation(C):
     elif su - p > BISECT_TOL:
         b = 1.0 - negdep._ray(survival(C), 1.0 - u, p) * (1.0 - u)
     corners = [C.box_mass(np.zeros(C.dim), a), C.box_mass(b, np.ones(C.dim))]
-    D = _refined_surgery(C, a, b)[1]
+    D = _refined_surgery(C, a, b, p)[1]
     refined = discretize(C, [c.copy() for c in D.cuts])
     assert not any(c is t for c, t in zip(refined.cuts, D.cuts))
     report = validate(D)
@@ -809,12 +865,18 @@ def test_board_refutation_matches_the_merge_path_bit_for_bit(make):
     np.testing.assert_array_equal(cert.a, want["a"])
     np.testing.assert_array_equal(cert.b, want["b"])
     assert cert.p == want["p"]
-    assert cert.rho_drop == want["rho_drop"]
     assert cert.margin_defect == want["margin_defect"]
-    assert cert.order_check == want["order_check"]
+    # the order check's verdict, witnesses and grid are the merge path's;
+    # its violation, exactly 0, and the rho drop are read off the mass
+    # difference C - D and pinned to the exact values instead
+    assert dataclasses.replace(cert.order_check, max_violation=0.0) == dataclasses.replace(
+        want["order_check"], max_violation=0.0
+    )
+    assert cert.order_check.max_violation <= 1.2e-16
+    board = negdep._lowered(C, None)
+    assert abs(Fraction(cert.rho_drop) - exact_rho_drop(board, cert.copula)) <= 2.5e-16
     assert to_spec(cert.copula) == want["spec"]
     # the two corner boxes as one two-row call, row for row
-    board = negdep._lowered(C, None)
     both = board.box_mass_many(
         np.array([np.zeros(C.dim), cert.b]), np.array([cert.a, np.ones(C.dim)])
     )
@@ -824,7 +886,7 @@ def test_board_refutation_matches_the_merge_path_bit_for_bit(make):
 @pytest.mark.parametrize("d", [2, 3])
 def test_board_refute_reads_the_surgery_cuts(monkeypatch, d):
     # no projection of C onto D's cuts, no cut merge in the order check and
-    # both corner boxes in one call
+    # no corner box: the surgery checks the corner masses it empties
     spied = {"discretize": 0, "merge_cuts": 0, "box_mass_many": 0}
     inside = []
 
@@ -848,7 +910,7 @@ def test_board_refute_reads_the_surgery_cuts(monkeypatch, d):
     monkeypatch.setattr(negdep, "_corner_pair", corner_pair)
     cert = refute_minimality(random_checkerboard(d, 8, seed=d))
     assert isinstance(cert, RefutationCertificate) and cert.order_check.exact
-    assert spied == {"discretize": 0, "merge_cuts": 0, "box_mass_many": 1}
+    assert spied == {"discretize": 0, "merge_cuts": 0, "box_mass_many": 0}
 
 
 def test_refute_random_checkerboards_exact_verification():
@@ -922,7 +984,7 @@ def test_survival_of_surgery_node_closed_form():
 def test_tensor_surgery_matches_refuted_node(board):
     # the oracle evaluates the surgery node through the generic cdf path
     pair = find_corner_pair(board)
-    D = _refined_surgery(board, pair.a, pair.b)[1]
+    D = _refined_surgery(board, pair.a, pair.b, pair.p)[1]
     oracle = discretize(RefutedCopula(board, pair.a, pair.b, pair.p), D.cuts)
     assert np.max(np.abs(D.masses - oracle.masses)) <= 1e-12
 
@@ -934,10 +996,34 @@ def test_tensor_surgery_corner_next_to_a_cut():
     a = np.array([0.5, 0.5])
     b = a + 1e-14
     p = board.box_mass(b, np.ones(2))
-    D = _refined_surgery(board, a, b)[1]
+    D = _refined_surgery(board, a, b, p)[1]
     assert [len(c) for c in D.cuts] == [5, 5]
     oracle = discretize(RefutedCopula(board, a, b, p), D.cuts)
     assert np.max(np.abs(D.masses - oracle.masses)) <= 1e-12
+
+
+def test_surgery_checks_the_corner_masses_against_p():
+    # the emptied blocks hold 1/16 each on Pi; a p off by 1e-6 is refused
+    board = discretize(make_basic("product", 2), 4)
+    a, b = np.array([0.25, 0.25]), np.array([0.75, 0.75])
+    assert _refined_surgery(board, a, b, 0.0625)[1].masses[0, 0] == 0.0
+    with pytest.raises(RefuterInternalError, match="missed p"):
+        _refined_surgery(board, a, b, 0.0625 + 1e-6)
+
+
+def test_a_wrong_ray_solve_is_caught_on_a_board(monkeypatch):
+    # a comes from the ray solve on the skewed board; a wrong alpha moves the
+    # corner box [0, a] off p, which find_corner_pair checks on its box
+    # masses and the refuter and descent (whose d = 3 steps on Pi solve
+    # rays) on the blocks the surgery empties
+    board = skewed_board()
+    monkeypatch.setattr(negdep, "_ray", lambda X, u, p: 0.5)
+    with pytest.raises(RefuterInternalError, match="missed p"):
+        find_corner_pair(board)
+    with pytest.raises(RefuterInternalError, match="missed p"):
+        refute_minimality(board)
+    with pytest.raises(RefuterInternalError, match="missed p"):
+        descend(make_basic("product", 3), n=6, max_iter=15)
 
 
 @pytest.mark.parametrize(
@@ -946,14 +1032,16 @@ def test_tensor_surgery_corner_next_to_a_cut():
     + [skewed_board()],
 )
 def test_witness_gap_reads_the_vertices_bit_for_bit(board):
-    # the corner a lies on the refined cuts, so the gap is read off both
-    # boards' vertex cdfs; the interpolated cdfs give the same bits
+    # the corner a lies on the refined cuts, so the gap is the mass
+    # difference C - D summed below it; it agrees with C(a) - D(a) in exact
+    # arithmetic on the input board and on D
     pair = find_corner_pair(board)
-    refined, D = _refined_surgery(board, pair.a, pair.b)
-    C = CheckerboardCopula(D.cuts, refined)
+    refined, D = _refined_surgery(board, pair.a, pair.b, pair.p)
     assert all(np.isin(x, c) for x, c in zip(pair.a, D.cuts))
-    assert _witness_gap(C, D, pair.a) == C.cdf(pair.a) - D.cdf(pair.a)
-    assert _witness_gap(C, D, pair.a) >= pair.p - 1e-9
+    gap = _witness_gap(refined - D.masses, D.cuts, pair.a)
+    exact = exact_cdf(board, pair.a) - exact_cdf(D, pair.a)
+    assert abs(Fraction(gap) - exact) <= 2e-16
+    assert gap >= pair.p - 1e-9
 
 
 def test_witness_gap_reads_the_surgery_corner_vertex(monkeypatch):
@@ -963,7 +1051,7 @@ def test_witness_gap_reads_the_surgery_corner_vertex(monkeypatch):
     board = discretize(make_basic("product", 2), 4)
     a = np.array([0.25, 0.25]) + 1e-14
     b = 1.0 - a
-    refined, D = _refined_surgery(board, a, b)
+    refined, D = _refined_surgery(board, a, b, 0.0625)
     C = CheckerboardCopula(D.cuts, refined)
     assert not np.isin(a[0], D.cuts[0])
     interpolated = C.cdf(a) - D.cdf(a)
@@ -972,17 +1060,18 @@ def test_witness_gap_reads_the_surgery_corner_vertex(monkeypatch):
         raise AssertionError("cdf called")
 
     monkeypatch.setattr(CheckerboardCopula, "cdf", unavailable)
-    gap = _witness_gap(C, D, a)
+    gap = _witness_gap(refined - D.masses, D.cuts, a)
     assert gap == C.vertex_cdf[1, 1] - D.vertex_cdf[1, 1]
     assert gap == interpolated
 
 
 def test_surgery_keeps_the_board_array_of_an_axis_it_does_not_cut():
     # a and b lie on the board's cuts: no axis gains a cut, so every cut
-    # array and the mass tensor are the board's own, and nothing is split
-    board = random_checkerboard(2, 4, seed=0)
+    # array and the mass tensor are the board's own, and nothing is split;
+    # on Pi both corner blocks hold 1/8
+    board = discretize(make_basic("product", 2), 4)
     a, b = np.array([0.25, 0.5]), np.array([0.75, 0.5])
-    refined, D = _refined_surgery(board, a, b)
+    refined, D = _refined_surgery(board, a, b, 0.125)
     assert all(c is t for c, t in zip(board.cuts, D.cuts))
     assert refined is board.masses
     assert not refined.flags.writeable
@@ -1062,7 +1151,6 @@ def test_descend_makes_progress_in_3d():
         b.kendall_integral <= a.kendall_integral + 1e-10
         for a, b in zip(res.trace, res.trace[1:])
     )
-    assert max(s.adjustment for s in res.trace) == 0.0
 
 
 def test_descend_keeps_mass_and_margins_exact_without_correction():
@@ -1074,7 +1162,6 @@ def test_descend_keeps_mass_and_margins_exact_without_correction():
     for k in range(3):
         slab = board.masses.sum(axis=tuple(i for i in range(3) if i != k))
         assert np.max(np.abs(slab - np.diff(board.cuts[k]))) <= 1e-14
-    assert all(s.adjustment == 0.0 for s in res.trace)
 
 
 def test_descend_product_64_converges_without_false_stall():

@@ -191,7 +191,7 @@ def test_witness_is_the_first_tied_vertex_in_c_order():
             nudged = g.copy()
             nudged[tied[-1]] = np.nextafter(g.max(), 1.0)
             shape = [len(a) for a in axes]
-            res = _classify(np.zeros(shape), nudged.reshape(shape), axes, "", False, EXACT_TOL)
+            res = _classify(-nudged.reshape(shape), axes, "", False, EXACT_TOL)
             assert res.witness_points == (tuple(pts[tied[0]]),)
     assert result.witness_points == tuple(witnesses)
     assert witnesses[1] == (0.625, 0.6875, 0.6875)
@@ -211,7 +211,7 @@ def test_classify_witnesses_match_the_grid_points_rows(d):
         (base + 0.1 * rng.random(shape), base, Relation.STRICTLY_ABOVE),
         (base, rng.random(shape), Relation.INCOMPARABLE),
     ):
-        res = _classify(c_vals, d_vals, cuts, "", True, EXACT_TOL)
+        res = _classify(c_vals - d_vals, cuts, "", True, EXACT_TOL)
         assert res.relation == want
         diff = (c_vals - d_vals).ravel()
         first = {
