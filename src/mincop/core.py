@@ -182,6 +182,19 @@ def _cumulative(masses: np.ndarray) -> np.ndarray:
     return S
 
 
+def _cumulative_above(masses: np.ndarray) -> np.ndarray:
+    """Q[[vertex_i, 1]]: on the flipped axes, the mass below a vertex."""
+    flip = (slice(None, None, -1),) * masses.ndim
+    return _cumulative(masses[flip])[flip]
+
+
+def _cell_masses(values: np.ndarray) -> np.ndarray:
+    """Cell masses from cdf values at the vertices: alternating differences."""
+    for ax in range(values.ndim):
+        values = np.diff(values, axis=ax)
+    return values
+
+
 # Per-axis factor codes for product moments: E[ 1_box(V) * prod_k f_k(V_k) ].
 MOMENT_ONE = 0  # f(v) = 1
 MOMENT_V = 1  # f(v) = v
@@ -464,7 +477,7 @@ class CheckerboardCopula(Copula):
     def vertex_cdf(self) -> np.ndarray:
         """cdf values at all grid vertices (cumulative mass sums, exact),
         computed on first read: a board whose cdf nobody reads (a reflected
-        board, the refined input of a refutation) never builds it.  Two
+        board) never builds it.  Two
         threads reading it first at once compute the same tensor, and
         either may be kept."""
         if self._vertex_cdf is None:
@@ -1365,10 +1378,7 @@ def validate(C: Copula, resolution: int | None = None) -> ValidationReport:
         axes = grid_axes([C], resolution)
         vals = C.cdf_grid(axes)
         desc = f"uniform {resolution}+breakpoints"
-    cells = vals
-    for ax in range(C.dim):
-        cells = np.diff(cells, axis=ax)
-    worst_neg = max(0.0, -float(cells.min()))
+    worst_neg = max(0.0, -float(_cell_masses(vals).min()))
     margin = 0.0
     grounding = 0.0
     for k in range(C.dim):

@@ -46,15 +46,17 @@ constructively:
    corner pieces are replaced by a cross-glued, de-comonotonised pair,
    producing D with D <= C, tau(D) <= tau(C) and D(a) = C(a) - p.  On a
    board D is the board read off the mass tensor refined by the cut
-   planes at a and b, which makes every check exact.  C is verified as
-   the same refinement, the one split tensor the surgery cuts into, on
-   D's own cut arrays, and every check but D's validity reads one tensor,
-   the mass difference C - D on those cuts: the corner masses are the two
-   blocks the surgery empties, checked against p there; the witness gap
-   C(a) - D(a) is its sum over [0, a]; the order check takes its
-   cumulative sums from both corners, with no merge; and the Spearman-rho
-   drop is its inner product with the cells' midpoint weights, since rho
-   is linear in a board's masses.  On any other copula D is a
+   planes at a and b, which makes every check exact.  C's masses split
+   onto D's own cut arrays are the one tensor the surgery cuts into, and
+   every check but D's validity reads one tensor, the mass difference
+   C - D on those cuts: the corner masses are the two blocks the surgery
+   empties, checked against p there; the witness gap C(a) - D(a) is its
+   sum over [0, a]; the order check takes its cumulative sums from both
+   corners (``order._board_differences``), with no merge; and the
+   Spearman-rho drop is its inner product with the cells' midpoint
+   weights, since rho is linear in a board's masses.  D is the one board
+   built: its constructor's checks on the same cuts cover the split's, as
+   the surgery keeps its total and margins.  On any other copula D is a
    ``RefutedCopula`` node, whose corner boxes are checked by one
    ``box_mass_many`` call.  The D that is returned is the D that was
    verified: the certificate carries its order relation, validity report
@@ -103,7 +105,7 @@ from .core import (
 )
 from .concordance import spearman_normalization, spearman_rho
 from .errors import InputError, RefuterInternalError, UnsupportedRepresentationError
-from .order import OrderResult, Relation, concordance_leq
+from .order import OrderResult, Relation, _board_differences, _concordance, concordance_leq
 from .transforms import (
     _split_cells,
     as_board,
@@ -804,8 +806,8 @@ def refute_minimality(
     ``as_board``) is refuted as that board: D is the tensor-surgery board,
     so refuting it again stays on boards, and the corner masses, the
     witness gap, the order check and the rho drop are read off the mass
-    difference of the refined C and D (``_refined_surgery``,
-    ``_witness_gap``, ``_rho_drop``, ``order.concordance_leq``).  Other
+    difference of C split onto D's cuts and D (``_refined_surgery``,
+    ``_witness_gap``, ``_rho_drop``, ``order._board_differences``).  Other
     inputs, and every input but a checkerboard when a ``grid`` is given,
     get a ``RefutedCopula`` node, checked through box masses, cdfs and
     ``spearman_rho``.
@@ -823,23 +825,20 @@ def refute_minimality(
     a, b, p = pair.a, pair.b, pair.p
     if isinstance(C, CheckerboardCopula):
         # the surgery on the refined grid is exact, and so is the order check
-        # of two boards (grid=None); C is its own masses split by the
-        # surgery, on D's cut arrays themselves, so that check reads both on
-        # those cuts with no merge, and the gap and the rho drop are read off
-        # the same mass difference
+        # of two boards: C's masses split onto D's cuts minus D's masses is
+        # the one tensor the order check, the gap and the rho drop read
         refined, D = _refined_surgery(C, a, b, p)
-        C = CheckerboardCopula(D.cuts, refined)
-        grid = None
         delta = refined - D.masses
         gap = _witness_gap(delta, D.cuts, a)
         rho_drop = _rho_drop(delta, D.cuts)
+        order_check = _concordance(_board_differences(-delta, D.cuts), EXACT_TOL)
     else:
         _check_corner_boxes(C, pair)
         D = RefutedCopula(C, a, b, p)
         gap = C.cdf(a) - D.cdf(a)
         rho_drop = spearman_rho(C).value - spearman_rho(D).value
+        order_check = concordance_leq(D, C, grid)
     report = validate(D)
-    order_check = concordance_leq(D, C, grid)
     checks: list[str] = []
     if not report.passed:
         checks.append(f"validate failed: {report}")
@@ -910,28 +909,23 @@ def trace_csv(trace) -> str:
 
 
 def _coarsen(C: CheckerboardCopula, cap: int) -> tuple[CheckerboardCopula, bool]:
-    """Drop interior cuts (merging adjacent slabs mass-preservingly, which
-    keeps margins exact) until every axis has at most ``cap`` cells."""
-    cuts = [c.copy() for c in C.cuts]
+    """Drop interior cuts until every axis has at most ``cap`` cells.  Each
+    axis's kept cuts are read off the widths alone, dropping one at a time
+    the cut between the narrowest pair of adjacent cells; the slabs between
+    kept cuts are then merged at once by ``np.add.reduceat`` (the inverse
+    of ``_split_cells``), which sums each slab's cells left to right and
+    keeps total mass and margins exact."""
     masses = C.masses
-    changed = False
-    for k in range(C.dim):
-        while len(cuts[k]) - 1 > cap:
-            widths = np.diff(cuts[k])
-            pair = widths[:-1] + widths[1:]
-            j = int(np.argmin(pair))  # cheapest interior cut to drop
-            idx = [slice(None)] * C.dim
-            idx[k] = slice(j, j + 2)
-            merged = masses[tuple(idx)].sum(axis=k, keepdims=True)
-            before, after = [slice(None)] * C.dim, [slice(None)] * C.dim
-            before[k] = slice(0, j)
-            after[k] = slice(j + 2, None)
-            masses = np.concatenate(
-                [masses[tuple(before)], merged, masses[tuple(after)]], axis=k
-            )
-            cuts[k] = np.delete(cuts[k], j + 1)
-            changed = True
-    if not changed:
+    cuts = []
+    for k, c in enumerate(C.cuts):
+        kept = np.arange(len(c))
+        while len(kept) - 1 > cap:
+            widths = np.diff(c[kept])
+            kept = np.delete(kept, int(np.argmin(widths[:-1] + widths[1:])) + 1)
+        if len(kept) < len(c):
+            masses = np.add.reduceat(masses, kept[:-1], axis=k)
+        cuts.append(c[kept])
+    if masses is C.masses:
         return C, False
     return CheckerboardCopula(cuts, masses), True
 
@@ -957,11 +951,13 @@ def descend(
     ``stall_patience`` consecutive surgeries ("stalled"), or at
     ``max_iter``.  The trace shows
     int C dQ^C non-increasing and rho strictly decreasing across exact
-    (non-coarsened) steps.
+    (non-coarsened) steps.  ``n``, ``max_iter`` and ``cut_cap`` are integers
+    (n >= 4, the others >= 1), else ``InputError``.
     """
-    if n < 4 or max_iter < 1:
-        raise InputError("descend needs n >= 4 and max_iter >= 1")
     cap = 4 * n if cut_cap is None else cut_cap
+    for name, value, least in (("n", n, 4), ("max_iter", max_iter, 1), ("cut_cap", cap, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise InputError(f"descend needs an integer {name} >= {least}, got {value!r}")
     board = as_board(C, n)
     if board is not None:
         grid = np.linspace(0, 1, n + 1)

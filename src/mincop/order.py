@@ -8,17 +8,17 @@ there.  When both operands are boards (``transforms.as_board``) the grid is
 their common cut grid, which makes the verdict exact rather than
 grid-limited (vertex domination of multilinear interpolants is global
 domination); ``OrderResult.exact`` records which kind was obtained.  Where
-two boards hold the same cut array on an axis (the surgery board and the
-refined input of a refutation hold the same arrays on every axis) that axis
-takes the array as it is, with no merge.
+two boards hold the same cut array on an axis that axis takes the array as
+it is, with no merge.
 
 Both halves compare the operands through their differences at the grid's
 vertices: C(v) - D(v) for the pointwise half, and
 Q^C[[v,1]] - Q^D[[v,1]] = (tau C)(1-v) - (tau D)(1-v) for the survival half,
 read on the reflected grid in its own order.  Two boards give both as the
 cumulative sums, from below and from above, of one tensor: their mass
-difference on the shared cuts (``_masses_on``: each board split onto the
-cuts, then subtracted).  Other operands take the difference of their
+difference on the shared cuts (``transforms._masses_on``: each board's
+cell masses there, subtracted; ``_board_differences``), which a board
+refutation passes in directly.  Other operands take the difference of their
 orthant-mass tensors (``transforms.orthant_masses``).
 """
 
@@ -32,6 +32,7 @@ from .core import (
     EXACT_TOL,
     Copula,
     _cumulative,
+    _cumulative_above,
     _first_max,
     default_resolution,
     grid_axes,
@@ -39,7 +40,7 @@ from .core import (
     merge_cuts,
 )
 from .errors import DimensionMismatchError
-from .transforms import _refines, _split_cells, as_board, orthant_masses
+from .transforms import _masses_on, as_board, orthant_masses
 
 __all__ = ["OrderResult", "Relation", "pointwise_leq", "concordance_leq"]
 
@@ -99,17 +100,11 @@ def _classify(diff, cuts, grid_desc, exact, tol) -> OrderResult:
     return OrderResult(rel, witnesses, viol, grid_desc, exact, tol)
 
 
-def _masses_on(B, cuts) -> np.ndarray:
-    """Board B's cell masses on ``cuts``: its own split by width
-    (``_split_cells``) where the cuts contain B's, else the alternating
-    differences of its cdf at their vertices, where the merge dropped a cut
-    of B within CUT_GAP of the other board's."""
-    if _refines(cuts, B):
-        return _split_cells(B, cuts)
-    masses = B.cdf_grid(cuts)
-    for ax in range(B.dim):
-        masses = np.diff(masses, axis=ax)
-    return masses
+def _board_differences(delta: np.ndarray, cuts):
+    """``_differences`` of two boards with mass difference ``delta`` on the
+    shared ``cuts``: its cumulative sums from the origin and the far corner."""
+    desc = f"shared checkerboard grid, sizes {[len(c) for c in cuts]}"
+    return _cumulative(delta), _cumulative_above(delta), cuts, desc, True
 
 
 def _differences(C: Copula, D: Copula, grid: int | None):
@@ -131,11 +126,7 @@ def _differences(C: Copula, D: Copula, grid: int | None):
     bd = as_board(D) if bc is not None else None
     if bd is not None:
         cuts = [c if c is d else merge_cuts(c, d) for c, d in zip(bc.cuts, bd.cuts)]
-        delta = _masses_on(bc, cuts) - _masses_on(bd, cuts)
-        # on the flipped axes, the mass below a vertex is the mass above it
-        flip = (slice(None, None, -1),) * C.dim
-        desc = f"shared checkerboard grid, sizes {[len(c) for c in cuts]}"
-        return _cumulative(delta), _cumulative(delta[flip])[flip], cuts, desc, True
+        return _board_differences(_masses_on(bc, cuts) - _masses_on(bd, cuts), cuts)
     res = grid if grid is not None else default_resolution(C.dim)
     cuts = grid_axes([C, D], res)
     lc, uc = orthant_masses(C, cuts)
@@ -168,15 +159,11 @@ def _combine(r1: OrderResult, r2: OrderResult, tol: float) -> OrderResult:
     return OrderResult(rel, witnesses[:2], viol, grid, r1.exact and r2.exact, tol)
 
 
-def concordance_leq(
-    C: Copula, D: Copula, grid: int | None = None, tol: float = EXACT_TOL
-) -> OrderResult:
-    """The concordance order: conjunction of C <= D and tau(C) <= tau(D)
-    pointwise.  ``equal`` requires both gaps <= tol everywhere."""
-    lower, upper, cuts, desc, exact = _differences(C, D, grid)
-    # (tau C)(w) = Q^C[[1-w, 1]]: the upper differences read on the
-    # reflected grid, in its own C-order, so witnesses and ties follow that
-    # grid
+def _concordance(differences, tol: float) -> OrderResult:
+    """The concordance order off ``_differences``: (tau C)(w) = Q^C[[1-w, 1]],
+    so the upper differences are read on the reflected grid, in its own
+    C-order, and witnesses and ties follow that grid."""
+    lower, upper, cuts, desc, exact = differences
     flip = (slice(None, None, -1),) * len(cuts)
     reflected = [1.0 - c[::-1] for c in cuts]
     return _combine(
@@ -184,3 +171,11 @@ def concordance_leq(
         _classify(upper[flip], reflected, desc, exact, tol),
         tol,
     )
+
+
+def concordance_leq(
+    C: Copula, D: Copula, grid: int | None = None, tol: float = EXACT_TOL
+) -> OrderResult:
+    """The concordance order: conjunction of C <= D and tau(C) <= tau(D)
+    pointwise.  ``equal`` requires both gaps <= tol everywhere."""
+    return _concordance(_differences(C, D, grid), tol)

@@ -7,8 +7,9 @@ endpoint maps for segments) so the transformed object keeps its exactness;
 only generic analytic nodes fall back to an inclusion-exclusion wrapper.
 
 ``discretize`` projects any copula onto a checkerboard by measuring every
-grid cell, never by sampling; the result matches the original cdf at every
-grid vertex exactly and inherits exact uniform margins from the input's.
+grid cell (``_masses_on``, which the order check of two boards reads too),
+never by sampling; the result matches the original cdf at every grid
+vertex exactly and inherits exact uniform margins from the input's.
 ``as_board`` instead returns the checkerboard that *equals* a copula, for
 the copulas that are boards: Pi, and mixtures, glue products, reflections
 and permutations built from boards and Pi.  ``orthant_masses`` gives the
@@ -34,11 +35,13 @@ from .core import (
     RefutedCopula,
     SegmentCopula,
     _along,
+    _cell_masses,
     _corner_masks,
     _cumulative,
+    _cumulative_above,
     default_resolution,
 )
-from .errors import InputError, ValidationError
+from .errors import InputError
 
 __all__ = ["reflect", "permute", "survival", "discretize", "as_board", "uniform_cuts"]
 
@@ -176,31 +179,27 @@ def _split_cells(C: CheckerboardCopula, cuts: list[np.ndarray]) -> np.ndarray:
     return masses
 
 
+def _masses_on(C: Copula, cuts: Sequence[np.ndarray]) -> np.ndarray:
+    """C's cell masses on ``cuts``: a board's own split by width where the
+    cuts contain its own, with no cdf round trip, else the alternating
+    differences of ``cdf_grid`` at their vertices."""
+    if _refines(cuts, C):
+        return _split_cells(C, cuts)
+    return _cell_masses(C.cdf_grid(cuts))
+
+
 def discretize(C: Copula, cuts) -> CheckerboardCopula:
     """Project Q^C onto the checkerboard with the given cuts.
 
     ``cuts`` may be an integer (uniform grid on every axis) or one cut list
-    per axis.  Cell masses are exact box masses, obtained as alternating
-    differences of the vertex cdf; the result agrees with C at every grid
-    vertex, which ``cdf_grid`` gives as one tensor.  A cell mass below
-    -1e-10 means C was not a copula.  A checkerboard onto cuts that contain
-    its own is refined on its mass tensor instead, with no cdf round trip.
-    The O(cells * eps) rounding that alternating differences accumulate is
-    within the board's own construction tolerance, which grows with its
-    cell count.
+    per axis.  Cell masses are exact box masses (``_masses_on``), so the
+    result agrees with C at every grid vertex; the board's constructor
+    rejects a cell mass below -1e-10 (``ValidationError``: C was not a
+    copula) and absorbs the O(cells * eps) rounding of the alternating
+    differences in its tolerance, which grows with its cell count.
     """
     cuts = _norm_cuts(C.dim, cuts)
-    if _refines(cuts, C):
-        return CheckerboardCopula(cuts, _split_cells(C, cuts))
-    masses = C.cdf_grid(cuts)
-    for ax in range(C.dim):
-        masses = np.diff(masses, axis=ax)
-    if masses.min(initial=0.0) < -1e-10:
-        raise ValidationError(
-            f"discretization produced cell mass {masses.min():.3e}; "
-            "the input violates rectangle nonnegativity"
-        )
-    return CheckerboardCopula(cuts, np.clip(masses, 0.0, None))
+    return CheckerboardCopula(cuts, _masses_on(C, cuts))
 
 
 def orthant_masses(C: Copula, cuts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -219,12 +218,9 @@ def orthant_masses(C: Copula, cuts: Sequence[np.ndarray]) -> tuple[np.ndarray, n
     """
     d = C.dim
     if _refines(cuts, C):
-        own = all(c is t for c, t in zip(C.cuts, cuts))
-        masses = C.masses if own else _split_cells(C, cuts)
-        L = C.vertex_cdf if own else _cumulative(masses)
-        # on the flipped axes, the mass below a vertex is the mass above it
-        flip = (slice(None, None, -1),) * d
-        return L, _cumulative(masses[flip])[flip]
+        masses = _split_cells(C, cuts)
+        L = C.vertex_cdf if masses is C.masses else _cumulative(masses)
+        return L, _cumulative_above(masses)
     inner = [c[1:] for c in cuts]
     L = np.zeros([len(c) for c in cuts])
     L[(slice(1, None),) * d] = C.cdf_grid(inner)

@@ -1232,3 +1232,93 @@ def test_board_order_on_the_mass_difference_matches_the_orthant_masses(name):
         assert fast.witness_points == oracle.witness_points
         assert (fast.exact, fast.grid_used) == (oracle.exact, oracle.grid_used)
         assert abs(fast.max_violation - oracle.max_violation) <= 2.3e-16
+
+
+@pytest.mark.parametrize("d, n, seed", [(2, 8, 0), (3, 6, 2), (4, 4, 4)])
+def test_board_refute_order_check_matches_the_refined_board(d, n, seed):
+    # the order check a board refutation reads off its mass difference is
+    # the one concordance_leq gives against C split onto D's cuts as a board
+    C = random_checkerboard(d, n, seed=seed)
+    cert = refute_minimality(C)
+    refined = CheckerboardCopula(cert.copula.cuts, _split_cells(C, cert.copula.cuts))
+    assert cert.order_check == concordance_leq(cert.copula, refined)
+
+
+# -- coarsening against the per-cut merge loop --
+
+
+def coarsen_per_cut(C, cap):
+    """(board, changed, one cell at a time): descent's coarsening as it was
+    first written, dropping the cheapest interior cut one at a time and
+    merging its two slabs by one concatenate per drop.  The last flag says
+    whether every merge added a single cell to the slab on its left, so
+    that each merged slab is the left-to-right sum of its cells."""
+    cuts = [c.copy() for c in C.cuts]
+    masses = C.masses
+    changed, single = False, True
+    for k in range(C.dim):
+        runs = np.ones(len(cuts[k]) - 1, dtype=int)  # cells in each slab
+        while len(cuts[k]) - 1 > cap:
+            widths = np.diff(cuts[k])
+            pair = widths[:-1] + widths[1:]
+            j = int(np.argmin(pair))  # cheapest interior cut to drop
+            idx = [slice(None)] * C.dim
+            idx[k] = slice(j, j + 2)
+            merged = masses[tuple(idx)].sum(axis=k, keepdims=True)
+            before, after = [slice(None)] * C.dim, [slice(None)] * C.dim
+            before[k] = slice(0, j)
+            after[k] = slice(j + 2, None)
+            masses = np.concatenate(
+                [masses[tuple(before)], merged, masses[tuple(after)]], axis=k
+            )
+            cuts[k] = np.delete(cuts[k], j + 1)
+            single &= bool(runs[j + 1] == 1)
+            runs = np.concatenate([runs[:j], [runs[j] + runs[j + 1]], runs[j + 2 :]])
+            changed = True
+    if not changed:
+        return C, False, True
+    return CheckerboardCopula(cuts, masses), True, single
+
+
+def coarsening_boards():
+    """Random boards with n cells on every axis: on the uniform cuts
+    ``random_checkerboard`` lays, and projected onto random cuts."""
+    from mincop.transforms import discretize
+
+    rng = np.random.default_rng(7)
+    boards = []
+    for d in (2, 3, 4):
+        for n in range(4, 9 if d < 4 else 7):
+            board = random_checkerboard(d, n, seed=10 * d + n)
+            inner = [np.sort(rng.uniform(0.05, 0.95, n - 1)) for _ in range(d)]
+            boards += [board, discretize(board, [np.r_[0.0, c, 1.0] for c in inner])]
+    return boards
+
+
+def test_coarsen_matches_the_per_cut_loop():
+    # the same cuts; the same bits wherever the loop merged one cell at a
+    # time, and within rounding of the reassociated sums where it joined
+    # two merged slabs, since _coarsen sums each slab's cells left to right
+    from mincop.negdep import _coarsen
+
+    cases = {True: 0, False: 0}
+    for board in coarsening_boards():
+        n = len(board.cuts[0]) - 1
+        for drops in (1, 2, 3):
+            if n - drops < 1:
+                continue
+            old, old_changed, single = coarsen_per_cut(board, n - drops)
+            new, changed = _coarsen(board, n - drops)
+            assert changed and old_changed
+            assert all(np.array_equal(c, t) for c, t in zip(new.cuts, old.cuts))
+            if single:
+                np.testing.assert_array_equal(new.masses, old.masses)
+            else:
+                eps = np.finfo(float).eps
+                np.testing.assert_allclose(new.masses, old.masses, rtol=4 * eps, atol=0)
+            cases[single] += 1
+    # both kinds of merge occur
+    assert all(cases.values()), cases
+    # a cap no axis exceeds leaves the board as it is
+    board = random_checkerboard(3, 5, seed=1)
+    assert _coarsen(board, 5) == (board, False)

@@ -18,7 +18,7 @@ from mincop.core import (
     sample,
     set_dimension_cap,
 )
-from mincop.negdep import GFunc, HyperplaneSpec, hyperplane_mass
+from mincop.negdep import GFunc, HyperplaneSpec, descend, hyperplane_mass
 from mincop.transforms import discretize, uniform_cuts
 
 PI2 = ProductCopula(2)
@@ -89,6 +89,12 @@ CASES = [
     (lambda: uniform_cuts(2, [3]), InputError, "one resolution per axis"),
     (lambda: discretize(PI2, [[0, 1]]), InputError, "one cut list per axis"),
     (lambda: discretize(PI2, [[0, 0.5], [0, 1]]), InputError, "run from 0 to 1"),
+    # descend's sizes are integers, and a cap leaves at least one cell
+    (lambda: descend(PI2, n=4.5), InputError, "integer n >= 4, got 4.5"),
+    (lambda: descend(PI2, max_iter=2.5), InputError, "integer max_iter >= 1, got 2.5"),
+    (lambda: descend(PI2, cut_cap=2.5), InputError, "integer cut_cap >= 1, got 2.5"),
+    (lambda: descend(PI2, cut_cap=0), InputError, "integer cut_cap >= 1, got 0"),
+    (lambda: descend(PI2, cut_cap=-3), InputError, "integer cut_cap >= 1, got -3"),
 ]
 
 

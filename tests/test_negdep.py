@@ -56,7 +56,12 @@ from mincop.core import (
 )
 import mincop.negdep as negdep
 import mincop.order as order
-from mincop.errors import InputError, RefuterInternalError, UnsupportedRepresentationError
+from mincop.errors import (
+    InputError,
+    RefuterInternalError,
+    UnsupportedRepresentationError,
+    ValidationError,
+)
 from mincop.negdep import (
     BISECT_TOL,
     _bisect_monotone,
@@ -67,6 +72,7 @@ from mincop.negdep import (
 )
 from mincop.reference_values import _hyperplane_certified_catalog
 from mincop.serialize import to_spec
+from mincop.transforms import _split_cells
 
 
 def affine(alpha=1.0):
@@ -911,6 +917,58 @@ def test_board_refute_reads_the_surgery_cuts(monkeypatch, d):
     cert = refute_minimality(random_checkerboard(d, 8, seed=d))
     assert isinstance(cert, RefutationCertificate) and cert.order_check.exact
     assert spied == {"discretize": 0, "merge_cuts": 0, "box_mass_many": 0}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_board_refute_builds_one_board(monkeypatch, d):
+    # D is the only board built on D's cuts: C's masses split onto them
+    # enter the checks as a mass difference, never as a second board
+    built = []
+    init = CheckerboardCopula.__init__
+
+    def spy(self, cuts, masses):
+        init(self, cuts, masses)
+        built.append(self.cuts)
+
+    C = random_checkerboard(d, 8 if d < 4 else 4, seed=d)
+    monkeypatch.setattr(CheckerboardCopula, "__init__", spy)
+    cert = refute_minimality(C)
+    assert isinstance(cert, RefutationCertificate) and cert.passed
+    on_d = [
+        cuts for cuts in built
+        if all(np.array_equal(c, t) for c, t in zip(cuts, cert.copula.cuts))
+    ]
+    assert len(on_d) == 1 and on_d[0] is cert.copula.cuts
+
+
+@pytest.mark.parametrize(
+    "shift, error, message",
+    [
+        # two cells of one corner block: its mass holds, the margins do not
+        (1, ValidationError, "margin defect"),
+        # across the block's edge: the corner-mass check fails first
+        (0, RefuterInternalError, "corner masses"),
+    ],
+)
+def test_board_refute_rejects_a_broken_split(monkeypatch, shift, error, message):
+    # a split that moves 1e-6 between two middle cells of one row keeps the
+    # total: D, built on the same cuts with the same checks, is rejected,
+    # which is why the split C needs no board of its own
+    moved = []
+
+    def broken(C, cuts):
+        masses = _split_cells(C, cuts).copy()
+        i, j = (n // 2 + shift for n in masses.shape)
+        moved.append(min(masses[i, j - 1], masses[i, j]))
+        masses[i, j - 1] -= 1e-6
+        masses[i, j] += 1e-6
+        return masses
+
+    monkeypatch.setattr(negdep, "_split_cells", broken)
+    with pytest.raises(error, match=message):
+        refute_minimality(random_checkerboard(2, 8, seed=1))
+    # both cells carried more than the moved mass: no cell went negative
+    assert moved[0] > 1e-6
 
 
 def test_refute_random_checkerboards_exact_verification():
