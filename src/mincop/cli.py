@@ -24,7 +24,7 @@ import numpy as np
 
 from . import serialize
 from .concordance import kendall_tau, pi_integral, spearman_rho
-from .core import EXACT_TOL, sample, validate
+from .core import EXACT_TOL, _check_tolerance, sample, validate
 from .errors import InputError, MincopError, SpecError
 from .negdep import (
     GFunc,
@@ -259,13 +259,16 @@ def _cmd_support(C, args):
 
 
 def _tolerance(text: str) -> float:
-    """A finite, nonnegative float for --tol and --eps."""
+    """A finite, nonnegative float for --tol and --eps, by the API's rule
+    (``core._check_tolerance``)."""
     try:
         value = float(text)
     except ValueError:
-        value = np.nan
-    if not (np.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+        value = text
+    try:
+        _check_tolerance(value, "value")
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

@@ -60,6 +60,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -140,6 +141,15 @@ def _check_dim(d: int) -> int:
             "call set_dimension_cap() to override"
         )
     return int(d)
+
+
+def _check_tolerance(value, name: str) -> None:
+    """Raise ``InputError`` naming ``name`` unless ``value`` is a finite
+    number >= 0: the one rule for every tolerance and band half-width, in
+    the API and on the command line."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value >= 0):
+        raise InputError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def as_points(u, dim: int) -> np.ndarray:
@@ -1276,13 +1286,15 @@ def grid_axes(copulas: Sequence[Copula], resolution: int) -> list[np.ndarray]:
     """Per-axis evaluation nodes: a uniform grid augmented with every natural
     breakpoint (cuts, segment endpoints, surgery corners) of the copulas,
     thinned to at most about MAX_AXIS_NODES per axis.  Breakpoints are where
-    piecewise-linear cdfs attain extreme differences.  A resolution below 2
-    is rejected: one cell leaves an axis with no breakpoint at {0, 1}.
+    piecewise-linear cdfs attain extreme differences.  A resolution that is
+    not an integer >= 2 is rejected: one cell leaves an axis with no
+    breakpoint at {0, 1}.
     """
     if not copulas:
         raise InputError("grid_axes needs at least one copula")
-    if resolution < 2:
-        raise InputError(f"grid resolution must be >= 2, got {resolution}")
+    integer = isinstance(resolution, (int, np.integer)) and not isinstance(resolution, bool)
+    if not (integer and resolution >= 2):
+        raise InputError(f"grid resolution must be an integer >= 2, got {resolution!r}")
     d = copulas[0].dim
     axes = []
     for k in range(d):

@@ -5,43 +5,24 @@ at least one of the corner masses Q^C[[0,u]], Q^C[[u,1]] vanishes; this is
 equivalent to int C dQ^C = 0, to minimising multivariate Kendall's tau,
 and to no two points of its support being strictly ordered on every axis.
 
-With no grid given, ``tau_cm_defect``, ``tau_cm_certificate``,
-``find_corner_pair`` and ``refute_minimality`` read that last form off the
-support before any scan (``_decided_scan``).  For a segment copula the
-largest slack min_k (y_k - x_k), over points x and y of every ordered pair
-of segments, is the maximum of a concave piecewise-linear function on the
-parameter square, found among its corners and the crossings of its pieces;
-a reflection of a segment copula is read as one, and a permutation maps
-its inner copula's pair through sigma.  By rule the extreme Clayton copula
-and W have no pair (their mass lies on a level set of a strictly
-increasing sum), and a glue product has one iff both halves do (a
-one-dimensional half, Pi and boards always do).  No pair is an exact
-verdict, defect 0, with no scan; rounding cannot flip it at the tolerance,
-since uniform margins bound a segment's mass by its slowest coordinate
-speed, so a slack delta hides at most 2 S delta of defect on S segments.  A
-pair that the grid scan misses, lying between its lines, is scanned again
-with the pair's midpoint on every axis.  Every other input, and an explicit
-grid, is scanned as follows.
+``tau_cm_defect``, ``tau_cm_certificate``, ``find_corner_pair``,
+``refute_minimality`` and each ``descend`` step decide tau-CM in one place,
+``_decided_scan``, whose docstring holds every rule of that decision: with
+no grid given it reads that last form off the support
+(``_support_slack``) before any scan, and it says when a scan is taken
+again.
 
 Every minimal copula (in the concordance order) is tau-CM, so exhibiting an
 interior point with both corner masses positive refutes minimality
 constructively:
 
-1. ``find_corner_pair`` reads both corner masses at the interior vertices
-   off the orthant-mass tensors (``transforms.orthant_masses``), picks u
-   with the largest min{C(u), Q^C[[u,1]]} = p, and moves the larger corner
-   along the ray map alpha -> C(alpha u) (or the survival copula's, from
-   1-u) until both corner boxes carry exactly p.  A copula that is exactly
-   a board (``transforms.as_board``: a checkerboard, Pi, and mixtures,
-   glues, reflections and permutations of boards) is scanned at its own
-   vertices and halves its ray on a fitted cell polynomial; other
-   representations scan a uniform grid augmented with their breakpoints
-   and bisect.  No board is tau-CM (it has a density), so
-   ``refute_minimality`` and ``tau_cm_certificate`` scan a board with no
-   refutable vertex again at its heaviest cell's midpoint, as a segment
-   pair is; ``tau_cm_defect`` and ``descend`` keep the vertex scan, except
-   on a board with a single cell on some axis, which has no interior
-   vertex and is read at that midpoint by every scan.
+1. ``find_corner_pair`` takes the scan point u of ``_decided_scan`` with
+   the largest min{C(u), Q^C[[u,1]]} = p, both corner masses read off the
+   orthant-mass tensors (``transforms.orthant_masses``), and moves the
+   larger corner along the ray map alpha -> C(alpha u) (or the survival
+   copula's, from 1-u) until both corner boxes carry exactly p.  A copula
+   that is exactly a board (``transforms.as_board``) halves its ray on a
+   fitted cell polynomial; other representations bisect.
 2. ``refute_minimality`` performs the corner surgery: the two comonotone
    corner pieces are replaced by a cross-glued, de-comonotonised pair,
    producing D with D <= C, tau(D) <= tau(C) and D(a) = C(a) - p.  On a
@@ -96,6 +77,7 @@ from .core import (
     RefutedCopula,
     SegmentCopula,
     _along,
+    _check_tolerance,
     _first_max,
     _insert_cuts,
     default_resolution,
@@ -168,13 +150,6 @@ class TauCmCertificate:
     @property
     def passed(self) -> bool:
         return self.defect <= self.tol
-
-
-def _lowered(C: Copula, grid: int | None) -> Copula:
-    """C as the board that equals it (``as_board``) when no grid is given,
-    so that the exact board paths apply; otherwise C itself."""
-    board = as_board(C) if grid is None else None
-    return C if board is None else board
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,19 +288,12 @@ def _support_slack(C: Copula) -> tuple[float, np.ndarray | None, np.ndarray | No
 
 
 def _scan(C: Copula, grid: int | None, extra: np.ndarray | None = None) -> _Scan:
-    """The worst of a lowered C's interior vertices: the one scan behind
-    ``tau_cm_defect``, ``find_corner_pair`` and each step of ``descend``.
-    A board with no grid is read at its own vertices, anything else on the
-    uniform grid plus its breakpoints; a point ``extra`` joins the axes.  A
-    board with a single cell on some axis has no interior vertex, but it has
-    a density, so it is read with its heaviest cell's midpoint
-    (``_support_slack``'s pair) on every axis, as ``_refutable_scan`` reads
-    a board that passes."""
+    """The worst of C's interior vertices, with a point ``extra`` joined to
+    the axes: a board with no grid is read at its own vertices, anything
+    else on the uniform grid plus its breakpoints.  No interior vertex
+    reads defect 0 at no point.  ``_decided_scan`` says which scans run."""
     if grid is None and isinstance(C, CheckerboardCopula):
         cuts, kind = C.cuts, "checkerboard vertices"
-        if extra is None and any(len(c) < 3 for c in cuts):
-            _, x, y = _support_slack(C)
-            extra = 0.5 * (x + y)
     else:
         res = grid if grid is not None else default_resolution(C.dim)
         cuts, kind = grid_axes([C], res), f"uniform {res}+breakpoints"
@@ -343,31 +311,51 @@ def _scan(C: Copula, grid: int | None, extra: np.ndarray | None = None) -> _Scan
     return float(defect[idx]), worst, desc, float(lower[idx]), float(upper[idx])
 
 
-def _decided_scan(C: Copula, grid: int | None, tol: float) -> _Scan:
-    """``_scan``'s result on a lowered C, settled from the support first
-    when no grid is given: the decision behind ``tau_cm_defect``,
-    ``tau_cm_certificate``, ``find_corner_pair`` and ``refute_minimality``.
+def _decided_scan(
+    C: Copula, grid: int | None, tol: float, refute: bool = False
+) -> tuple[Copula, _Scan]:
+    """The one tau-CM decision: (C, its scan), C lowered where no grid is
+    given.  ``tau_cm_defect``, ``find_corner_pair`` and each ``descend``
+    step decide through it, and so, with ``refute``, do
+    ``tau_cm_certificate`` and ``refute_minimality``.
 
-    A board is left to the scan.  Where ``_support_slack`` reads the
-    support, a slack <= 0 proves tau-CM with no scan: defect 0 at no point,
-    described as ``SUPPORT_TEST``.  Rounding cannot flip that verdict at
-    ``tol``: uniform margins give each segment's mass m_i <= min_k |v_ik|
-    (its direction v_i), so a slack delta hides at most 2 S delta of defect
-    on S segments.  A pair whose scan passes at ``tol`` lies between the
-    grid lines, and the scan is taken again with the pair's midpoint
-    u = (x + y)/2, where both corner boxes carry mass, on every axis.
-    Everything else, and an explicit grid, gets ``_scan`` unchanged.
+    1. With no grid, C is lowered to the board that equals it
+       (``as_board``: a checkerboard, Pi, and mixtures, glues, reflections
+       and permutations of boards), so that the exact board paths apply.
+    2. With no grid, a C that is not a board has its support read
+       (``_support_slack``).  A slack <= 0 (no two support points strictly
+       ordered on every axis) proves tau-CM with no scan: defect 0 at no
+       point, described as ``SUPPORT_TEST``.  Rounding cannot flip that
+       verdict at ``tol``: uniform margins give each segment's mass
+       m_i <= min_k |v_ik| (its direction v_i), so a slack delta hides at
+       most 2 S delta of defect on S segments.
+    3. Otherwise ``_scan`` reads C: a board with no grid at its own
+       vertices, anything else on the uniform grid plus its breakpoints.
+    4. A scan that passes at ``tol`` runs once more, with the support pair's
+       midpoint u = (x + y)/2 on every axis, where both corner boxes carry
+       mass: for a non-board whose support has a pair (it lies between the
+       grid lines); for a board whose scan found no interior vertex (a
+       single cell on some axis); and with ``refute`` for any board, since
+       no board is tau-CM.  A board's pair is its heaviest cell's corners:
+       at that cell's midpoint, for a cell of mass m, both corner boxes
+       hold at least m/2^d.
+
+    ``tol`` must be a finite number >= 0, else ``InputError``.
     """
+    _check_tolerance(tol, "tol")
     support = None
-    if grid is None and not isinstance(C, CheckerboardCopula):
-        support = _support_slack(C)
-    if support is not None and support[0] <= 0:
-        return 0.0, (), SUPPORT_TEST, 0.0, 0.0
+    if grid is None:
+        C = as_board(C) or C
+        if not isinstance(C, CheckerboardCopula):
+            support = _support_slack(C)
+            if support is not None and support[0] <= 0:
+                return C, (0.0, (), SUPPORT_TEST, 0.0, 0.0)
     scan = _scan(C, grid)
-    if support is not None and scan[0] <= tol:
-        _, x, y = support
+    board = isinstance(C, CheckerboardCopula)
+    if scan[0] <= tol and (support is not None or (board and (refute or not scan[1]))):
+        _, x, y = support or _support_slack(C)
         scan = _scan(C, grid, 0.5 * (x + y))
-    return scan
+    return C, scan
 
 
 def tau_cm_defect(
@@ -375,33 +363,14 @@ def tau_cm_defect(
 ) -> tuple[float, tuple, str]:
     """max over interior scan points of min{C(u), (tau C)(1-u)}.
 
-    Returns (defect, worst_point, grid description).  With ``grid=None``
-    the support decides first (``_decided_scan``): a segment copula with no
-    two support points strictly ordered on every axis (or a reflection or
-    permutation of one), the extreme Clayton copula, W and a glue product
-    with such a half return (0.0, (),
-    ``SUPPORT_TEST``), an exact verdict; a segment copula whose pair the
-    grid misses is scanned again at the pair's midpoint.  Otherwise a defect
-    <= 1e-9 is a grid-level tau-CM certificate; a larger defect exhibits a
-    point whose two corner boxes both carry mass.  Ties break
-    lexicographically.  Copulas that are boards (with ``grid=None``; see
-    ``as_board``) read both corner masses at their interior vertices off
-    the mass tensor, with no interpolation.
+    Returns (defect, worst_point, grid description), decided by
+    ``_decided_scan`` at 1e-9: (0.0, (), ``SUPPORT_TEST``) is an exact
+    verdict, any other defect <= 1e-9 a grid-level tau-CM certificate, and a
+    larger defect exhibits a point whose two corner boxes both carry mass.
+    Ties break lexicographically.
     """
-    defect, worst, desc, _, _ = _decided_scan(_lowered(C, grid), grid, EXACT_TOL)
+    defect, worst, desc, _, _ = _decided_scan(C, grid, EXACT_TOL)[1]
     return defect, worst, desc
-
-
-def _refutable_scan(C: Copula, grid: int | None, tol: float) -> _Scan:
-    """``_decided_scan`` on a lowered C, but a board it passes at ``tol`` is
-    scanned again with its heaviest cell's midpoint (``_support_slack``'s
-    pair) on every axis.  No board is tau-CM: at the midpoint of a cell of
-    mass m both corner boxes hold at least m/2^d."""
-    scan = _decided_scan(C, grid, tol)
-    if scan[0] <= tol and isinstance(C, CheckerboardCopula):
-        _, x, y = _support_slack(C)
-        scan = _scan(C, grid, 0.5 * (x + y))
-    return scan
 
 
 def _certificate(scan: _Scan, tol: float) -> TauCmCertificate:
@@ -412,11 +381,11 @@ def _certificate(scan: _Scan, tol: float) -> TauCmCertificate:
 def tau_cm_certificate(
     C: Copula, grid: int | None = None, tol: float = EXACT_TOL
 ) -> TauCmCertificate:
-    """The tau-CM verdict ``refute_minimality`` reaches without surgery: the
-    ``tau_cm_defect`` decision, exact when the support proves tau-CM,
-    except that a board it passes at ``tol`` is scanned again at its
-    heaviest cell's midpoint (``_refutable_scan``), where no board passes."""
-    return _certificate(_refutable_scan(_lowered(C, grid), grid, tol), tol)
+    """The tau-CM verdict ``refute_minimality`` reaches without surgery,
+    decided by ``_decided_scan`` with ``refute`` at ``tol``: exact when the
+    support proves tau-CM, grid-level otherwise, and never passed by a
+    board."""
+    return _certificate(_decided_scan(C, grid, tol, refute=True)[1], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +499,10 @@ def hyperplane_mass(C: Copula, spec: HyperplaneSpec, eps: float = 0.0) -> float:
     Exact for segment copulas; a cell-inclusion lower bound for
     checkerboards; Monte Carlo (10^6 draws, seed 0) otherwise.  A value of
     1 with eps = 0 is K-CM *evidence at the representation's exactness
-    level*, never a theorem about all g families.
+    level*, never a theorem about all g families.  ``eps`` must be a
+    finite number >= 0, else ``InputError``.
     """
+    _check_tolerance(eps, "eps")
     if any(k < 0 or k >= C.dim for k in spec.K):
         raise InputError(f"hyperplane axes {spec.K} outside 0..{C.dim - 1}")
     if isinstance(C, SegmentCopula):
@@ -648,24 +619,20 @@ def find_corner_pair(
     the upper corner is the smaller one, p := Q^C[[u,1]], b := u and a is
     where the continuous ray map alpha -> C(alpha u) reaches p; otherwise the
     same is done on the survival side and mapped back through u -> 1-u.
-    With ``grid=None`` a copula that is a board (``as_board``) is scanned at
-    its vertices, and a support with no two points strictly ordered on
-    every axis gives None with no scan; a segment pair that the scan passes
-    at ``tol`` is scanned again at its midpoint (``_decided_scan``).  The ray
-    runs on C at u or on its survival copula at 1-u (``_ray``), and both
-    corner boxes are then checked to carry p (``_check_corner_boxes``).
-    Returns None iff the defect is already below ``tol`` (tau-CM, exactly
-    or on the grid).
+    The scan point is ``_decided_scan``'s at ``tol``.  The ray runs on C at
+    u or on its survival copula at 1-u (``_ray``), and both corner boxes
+    are then checked to carry p (``_check_corner_boxes``).  Returns None iff
+    the defect is already below ``tol`` (tau-CM, exactly or on the grid).
     """
-    C = _lowered(C, grid)
-    pair = _corner_pair(C, _decided_scan(C, grid, tol), tol)
+    C, scan = _decided_scan(C, grid, tol)
+    pair = _corner_pair(C, scan, tol)
     if pair is not None:
         _check_corner_boxes(C, pair)
     return pair
 
 
 def _corner_pair(C: Copula, scan: tuple, tol: float) -> CornerPair | None:
-    """``find_corner_pair`` on a lowered C from its ``_scan`` result, with
+    """``find_corner_pair`` on the C and scan ``_decided_scan`` returns, with
     the corner masses unchecked: on a board the surgery checks them
     (``_refined_surgery``), elsewhere ``_check_corner_boxes`` does."""
     defect, u, _, cu, su = scan
@@ -793,16 +760,10 @@ def refute_minimality(
 ) -> RefutationCertificate | TauCmCertificate:
     """Either a tau-CM certificate, or a verified refutation.
 
-    The certificate is ``tau_cm_certificate``'s: with ``grid=None`` it is
-    exact when the support has no two points strictly ordered on every
-    axis (segment copulas and their reflections and permutations, the
-    extreme Clayton copula, W, glue products with such a half; no scan
-    runs), and grid-level otherwise; a segment pair
-    between the grid lines is scanned again at its midpoint and refuted
-    (``_decided_scan``).  The refutation's ``copula`` is the D that was
-    verified.  With
-    ``grid=None`` a copula that is exactly a board (a checkerboard, Pi, and
-    mixtures, glues, reflections and permutations of boards; see
+    The certificate is ``tau_cm_certificate``'s, and one scan serves both
+    outcomes: ``_decided_scan`` with ``refute`` at ``tol``, so a board is
+    never certified.  The refutation's ``copula`` is the D that was
+    verified.  With ``grid=None`` a copula that is exactly a board (see
     ``as_board``) is refuted as that board: D is the tensor-surgery board,
     so refuting it again stays on boards, and the corner masses, the
     witness gap, the order check and the rho drop are read off the mass
@@ -810,15 +771,11 @@ def refute_minimality(
     ``_witness_gap``, ``_rho_drop``, ``order._board_differences``).  Other
     inputs, and every input but a checkerboard when a ``grid`` is given,
     get a ``RefutedCopula`` node, checked through box masses, cdfs and
-    ``spearman_rho``.
-    A board is never certified: one whose scan finds no pair is refuted at
-    its heaviest cell's midpoint (``_refutable_scan``).  The refuter is
-    one-sided: a TauCmCertificate does not prove minimality (tau-CM
-    non-minimal copulas exist in dimension >= 4).
+    ``spearman_rho``.  The refuter is one-sided: a TauCmCertificate does
+    not prove minimality (tau-CM non-minimal copulas exist in dimension
+    >= 4).
     """
-    # one scan serves both outcomes: the corner pair, or the certificate
-    C = _lowered(C, grid)
-    scan = _refutable_scan(C, grid, tol)
+    C, scan = _decided_scan(C, grid, tol, refute=True)
     pair = _corner_pair(C, scan, tol)
     if pair is None:
         return _certificate(scan, tol)
@@ -952,7 +909,8 @@ def descend(
     ``max_iter``.  The trace shows
     int C dQ^C non-increasing and rho strictly decreasing across exact
     (non-coarsened) steps.  ``n``, ``max_iter`` and ``cut_cap`` are integers
-    (n >= 4, the others >= 1), else ``InputError``.
+    (n >= 4, the others >= 1) and ``tol`` a finite number >= 0, else
+    ``InputError``.
     """
     cap = 4 * n if cut_cap is None else cut_cap
     for name, value, least in (("n", n, 4), ("max_iter", max_iter, 1), ("cut_cap", cap, 1)):
@@ -971,7 +929,7 @@ def descend(
     coarsened = False
     for it in range(max_iter):
         # one scan per step gives both the defect and the pair
-        scan = _scan(board, None)
+        board, scan = _decided_scan(board, None, tol)
         pair = _corner_pair(board, scan, tol)
         defect = scan[0]
         kendall = board.kendall_self_integral()

@@ -31,6 +31,7 @@ import numpy as np
 from .core import (
     EXACT_TOL,
     Copula,
+    _check_tolerance,
     _cumulative,
     _cumulative_above,
     _first_max,
@@ -79,7 +80,9 @@ class OrderResult:
 
 
 def _classify(diff, cuts, grid_desc, exact, tol) -> OrderResult:
-    """The relation of C to D from ``diff`` = C - D on the vertices of ``cuts``."""
+    """The relation of C to D from ``diff`` = C - D on the vertices of
+    ``cuts``, at a ``tol`` that must be a finite number >= 0."""
+    _check_tolerance(tol, "tol")
     shape = diff.shape
     diff = diff.ravel()
     # a witness is one vertex: its index on each axis, read off the cuts

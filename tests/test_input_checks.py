@@ -17,11 +17,26 @@ from mincop.core import (
     as_points,
     sample,
     set_dimension_cap,
+    validate,
 )
-from mincop.negdep import GFunc, HyperplaneSpec, descend, hyperplane_mass
+from mincop.catalog import make_basic
+from mincop.negdep import (
+    GFunc,
+    HyperplaneSpec,
+    descend,
+    find_corner_pair,
+    hyperplane_mass,
+    refute_minimality,
+    tau_cm_certificate,
+    tau_cm_defect,
+)
+from mincop.order import concordance_leq, pointwise_leq
 from mincop.transforms import discretize, uniform_cuts
 
 PI2 = ProductCopula(2)
+M2 = make_basic("upper_frechet", 2)
+W2 = make_basic("lower_frechet_2d", 2)
+INF, NAN = float("inf"), float("nan")
 AFFINE = GFunc("affine")
 MIDDLE = dict(a=[0.25, 0.25], b=[0.75, 0.75])
 
@@ -95,6 +110,26 @@ CASES = [
     (lambda: descend(PI2, cut_cap=2.5), InputError, "integer cut_cap >= 1, got 2.5"),
     (lambda: descend(PI2, cut_cap=0), InputError, "integer cut_cap >= 1, got 0"),
     (lambda: descend(PI2, cut_cap=-3), InputError, "integer cut_cap >= 1, got -3"),
+    # a tolerance or band half-width is a finite number >= 0, as on the CLI:
+    # Pi_2 at tol=inf used to pass as tau-CM, and Pi_2 <= M_2 at tol=nan
+    # read as incomparable
+    (lambda: refute_minimality(PI2, tol=INF), InputError, "tol must be a finite number >= 0, got inf"),
+    (lambda: tau_cm_certificate(PI2, tol=NAN), InputError, "tol must be .*, got nan"),
+    (lambda: find_corner_pair(PI2, tol=-1.0), InputError, "tol must be .*, got -1.0"),
+    (lambda: refute_minimality(PI2, tol="0.1"), InputError, "tol must be .*, got '0.1'"),
+    (lambda: concordance_leq(PI2, M2, tol=NAN), InputError, "tol must be .*, got nan"),
+    (lambda: pointwise_leq(PI2, M2, tol=-1e-3), InputError, "tol must be .*, got -0.001"),
+    (lambda: descend(PI2, n=4, max_iter=3, tol=NAN), InputError, "tol must be .*, got nan"),
+    (
+        lambda: hyperplane_mass(W2, HyperplaneSpec((0, 1), (AFFINE, AFFINE), 1.0), eps=-1.0),
+        InputError,
+        "eps must be a finite number >= 0, got -1.0",
+    ),
+    # an explicit grid is an integer, never a float or a bool
+    (lambda: tau_cm_defect(PI2, grid=2.5), InputError, "integer >= 2, got 2.5"),
+    (lambda: tau_cm_defect(PI2, grid=True), InputError, "integer >= 2, got True"),
+    (lambda: validate(PI2, resolution=2.5), InputError, "integer >= 2, got 2.5"),
+    (lambda: concordance_leq(PI2, PI2, grid=3.0), InputError, "integer >= 2, got 3.0"),
 ]
 
 

@@ -72,7 +72,7 @@ from mincop.negdep import (
 )
 from mincop.reference_values import _hyperplane_certified_catalog
 from mincop.serialize import to_spec
-from mincop.transforms import _split_cells
+from mincop.transforms import _split_cells, as_board
 
 
 def affine(alpha=1.0):
@@ -731,14 +731,20 @@ def test_refute_the_two_segment_spec():
     assert cert.rho_drop == pytest.approx(1.75e-6, rel=1e-6)
 
 
+@pytest.mark.parametrize("grid", [None, 8])
 @pytest.mark.parametrize("start", ["product", "upper_frechet"])
-def test_refute_refutes_a_board_without_a_vertex_pair(start):
+def test_refute_refutes_a_board_without_a_vertex_pair(start, grid):
     # descend stops on a board with no refutable vertex; no board is tau-CM,
-    # and at the midpoint of a cell of mass m both corner boxes hold m/2^d
+    # and at the midpoint of a cell of mass m both corner boxes hold m/2^d.
+    # An explicit grid scans the board on the uniform grid plus its cuts,
+    # and the refuting entry points still rescan it at that midpoint
     board = descend(make_basic(start, 2), n=16, max_iter=50).final
-    assert tau_cm_defect(board)[0] <= 1e-9
-    assert find_corner_pair(board) is None
-    cert = refute_minimality(board)
+    kind = "checkerboard vertices" if grid is None else "uniform 8+breakpoints"
+    defect, _, desc = tau_cm_defect(board, grid)
+    assert defect <= 1e-9
+    assert desc == f"{kind}, sizes [17, 17]"
+    assert find_corner_pair(board, grid) is None
+    cert = refute_minimality(board, grid)
     assert isinstance(cert, RefutationCertificate) and cert.passed
     assert cert.p >= board.masses.max() / 4
     # the rescan inserts the heaviest cell's midpoint into the board's cuts
@@ -746,9 +752,9 @@ def test_refute_refutes_a_board_without_a_vertex_pair(start):
     for cut, witness in zip(board.cuts, cert.copula.cuts):
         assert np.isin(cut, witness).all() and len(witness) <= len(cut) + 2
     assert [len(c) for c in cert.copula.cuts] == [18, 18]
-    certificate = tau_cm_certificate(board)
+    certificate = tau_cm_certificate(board, grid)
     assert not certificate.passed
-    assert "+support pair" in certificate.grid
+    assert certificate.grid == f"{kind}+support pair, sizes [18, 18]"
     assert certificate.defect == cert.p == 0.015625
 
 
@@ -822,7 +828,7 @@ def parent_board_refutation(C):
     # a board refutation as verified before the refined C shared D's cut
     # arrays: the refined C from ``discretize``, the order check on copies
     # of the cut arrays (the merge path) and one ``box_mass`` per corner box
-    C = negdep._lowered(C, None)
+    C = as_board(C) or C
     _, u, _, cu, su = _scan(C, None)
     u = np.asarray(u)
     p = min(cu, su)
@@ -879,7 +885,7 @@ def test_board_refutation_matches_the_merge_path_bit_for_bit(make):
         want["order_check"], max_violation=0.0
     )
     assert cert.order_check.max_violation <= 1.2e-16
-    board = negdep._lowered(C, None)
+    board = as_board(C) or C
     assert abs(Fraction(cert.rho_drop) - exact_rho_drop(board, cert.copula)) <= 2.5e-16
     assert to_spec(cert.copula) == want["spec"]
     # the two corner boxes as one two-row call, row for row
@@ -1237,6 +1243,22 @@ def test_descend_stalls_when_the_kendall_integral_stops_dropping():
     assert np.isnan(res.trace[-1].p)
     best = min(s.kendall_integral for s in res.trace[:-patience])
     assert all(s.kendall_integral >= best - 1e-15 for s in res.trace[-patience:])
+
+
+def test_descend_reads_a_one_cell_board_at_its_midpoint(monkeypatch):
+    # one cell per axis coarsens every surgery back to Pi_2's one-cell
+    # board, which has no interior vertex: each step reads it at its
+    # midpoint, where both corners hold 1/4, so the run never converges
+    scans = []
+    spy = lambda C, scan, tol: scans.append(scan) or _corner_pair(C, scan, tol)
+    monkeypatch.setattr(negdep, "_corner_pair", spy)
+    res = descend(make_basic("product", 2), n=4, max_iter=30, cut_cap=1)
+    assert res.status == "stalled" and len(res.trace) == 26
+    assert [len(c) for c in res.final.cuts] == [2, 2]
+    assert all(s.defect == 0.25 for s in res.trace)
+    assert len(scans) == 26
+    assert all(scan[:2] == (0.25, (0.5, 0.5)) for scan in scans)
+    assert all(s[2] == "checkerboard vertices+support pair, sizes [3, 3]" for s in scans[1:])
 
 
 def test_descend_rejects_tiny_grids():

@@ -499,7 +499,7 @@ def test_cli_grid_without_an_interior_node_exits_two(tmp_path, capsys, args):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "usage error: grid resolution must be >= 2, got 1\n"
+    assert captured.err == "usage error: grid resolution must be an integer >= 2, got 1\n"
 
 
 def test_cli_csv_report_flattens_nested_keys(tmp_path, capsys):
